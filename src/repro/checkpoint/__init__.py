@@ -23,9 +23,10 @@ package is the crash-consistency layer of the simulator harness itself:
 
 The supervisor loop that writes the journal lives in
 :mod:`repro.parallel.engine` (the one sanctioned process fan-out site);
-this package holds the persistence layer and the proof harness.
-``python -m repro.checkpoint`` exposes ``--verify`` (kill-matrix digest
-check), ``--resume``, and ``--inspect`` (journal health report).
+this package holds the persistence layer and the proof harness (the
+crash-resume check of ``python -m repro.verify parallel``).
+``python -m repro.checkpoint`` exposes ``--resume`` and ``--inspect``
+(journal health report).
 """
 
 from repro.checkpoint.journal import (

@@ -1,11 +1,10 @@
-"""CLI: verify, inspect, and resume crash-safe cohort journals.
+"""CLI: inspect and resume crash-safe cohort journals.
+
+The crash-recovery contract itself (the kill matrix) is the
+``crash-resume`` check of ``python -m repro.verify parallel``.
 
 Examples
 --------
-Prove the crash-recovery contract (CI runs the ``--quick`` subset)::
-
-    python -m repro.checkpoint --verify --quick
-
 Health-check an existing journal directory::
 
     python -m repro.checkpoint --inspect --journal runs/seed42
@@ -21,10 +20,8 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from repro.checkpoint.journal import ShardJournal
-from repro.checkpoint.killmatrix import run_kill_matrix
 from repro.checkpoint.manifest import RunManifest
 from repro.core.cohort import CohortConfig
 from repro.core.course import COURSE, scaled_course
@@ -35,15 +32,9 @@ from repro.parallel.engine import run_parallel_supervised
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.checkpoint",
-        description="Crash-safe shard journals: kill-matrix verification, "
-        "journal inspection, resumable runs.",
+        description="Crash-safe shard journals: journal inspection, resumable runs.",
     )
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--verify", action="store_true",
-        help="run the crash-injection kill matrix and require every resumed "
-        "digest to equal the uninterrupted serial run (exit 1 otherwise)",
-    )
     mode.add_argument(
         "--inspect", action="store_true",
         help="report journal health (segment integrity, manifest) without modifying it",
@@ -54,15 +45,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--journal", metavar="DIR", default=None,
-        help="journal directory (required for --inspect / --resume)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="--verify: CI smoke subset of the kill matrix"
+        help="journal directory (required)",
     )
     parser.add_argument("--seed", type=int, default=42, help="cohort seed (default 42)")
     parser.add_argument(
         "--scale", type=float, default=0.25,
-        help="cohort scale factor for --verify/--resume (default 0.25)",
+        help="--resume: cohort scale factor (default 0.25)",
     )
     parser.add_argument("--workers", type=int, default=2, help="--resume: worker processes")
     parser.add_argument(
@@ -88,43 +76,6 @@ def _emit(report: dict[str, object], json_target: str | None) -> None:
         with open(json_target, "w") as fh:
             json.dump(report, fh, indent=2)
         print(f"{'json':>22}: {json_target}")
-
-
-def _verify(args: argparse.Namespace) -> int:
-    with tempfile.TemporaryDirectory(prefix="repro-killmatrix-") as root:
-        outcomes = run_kill_matrix(root, quick=args.quick, scale=args.scale)
-    failures = [o for o in outcomes if not o.ok]
-    report: dict[str, object] = {
-        "cases": len(outcomes),
-        "digest_matches": sum(o.digest_ok for o in outcomes),
-        "crashes_fired": sum(o.crashed for o in outcomes),
-        "shards_resumed": sum(o.shards_resumed for o in outcomes),
-        "shards_retried": sum(o.shards_retried for o in outcomes),
-        "segments_quarantined": sum(o.segments_quarantined for o in outcomes),
-        "failures": [o.case.label for o in failures],
-        "rows": [
-            {
-                "case": o.case.label,
-                "digest_ok": o.digest_ok,
-                "crashed": o.crashed,
-                "shards_resumed": o.shards_resumed,
-                "shards_retried": o.shards_retried,
-                "worker_crashes": o.worker_crashes,
-                "segments_quarantined": o.segments_quarantined,
-            }
-            for o in outcomes
-        ],
-    }
-    _emit(report, args.json)
-    if failures:
-        print(
-            f"KILL MATRIX FAILED: {len(failures)}/{len(outcomes)} cases did not "
-            f"recover to the serial digest",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"kill matrix ok: {len(outcomes)} cases recovered to the serial digest")
-    return 0
 
 
 def _inspect(args: argparse.Namespace) -> int:
@@ -164,11 +115,9 @@ def _resume(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if (args.inspect or args.resume) and not args.journal:
+    if not args.journal:
         print("--inspect/--resume require --journal DIR", file=sys.stderr)
         return 2
-    if args.verify:
-        return _verify(args)
     if args.inspect:
         return _inspect(args)
     return _resume(args)

@@ -24,9 +24,9 @@ merged record stream equal the uninterrupted *serial* run's digest:
 
 The sweep runs cases over seeds × workers ∈ {1, 2, 4} × kill points
 (worker kills need a pool, so those rows use workers ≥ 2; driver-death
-rows cover workers = 1).  ``python -m repro.checkpoint --verify`` runs
-the full sweep; ``--quick`` is the CI smoke subset; ``tests/checkpoint``
-drives the same harness.
+rows cover workers = 1).  ``python -m repro.verify parallel`` runs the
+full sweep as its crash-resume check; ``--quick`` is the CI smoke
+subset; ``tests/checkpoint`` drives the same harness.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ objects and replaces the per-event loop with closed-form array
 transforms.  The proof obligation is byte equality: the engine's
 canonical record stream hashes to the same
 :func:`repro.core.report.records_digest` as the serial object path
-(``python -m repro.columnar --verify``; ``tests/columnar`` sweeps seeds ×
+(``python -m repro.verify columnar``; ``tests/columnar`` sweeps seeds ×
 cohort sizes × workers), which is what licenses running it at the
 10⁵–10⁶-student scales the object path cannot reach.
 
@@ -15,7 +15,7 @@ Layering (DESIGN §11): ``planner`` replays the plan-time RNG contract
 into activity tables, ``admission`` fixes quota/lease outcomes with a
 vectorized fast path over an exact replay, ``kernels`` emits record
 columns from closed forms, ``merge`` streams shards through a bucketed
-canonical merge, and ``engine``/``__main__`` are the front ends.
+canonical merge, and ``engine`` is the front end.
 """
 
 from repro.columnar.engine import ColumnarRun, run_columnar

@@ -116,7 +116,7 @@ def _quota_limits(quota: Quota) -> np.ndarray:
 
 
 def sweep_kvm_quota(
-    tables, *, course: CourseDefinition, config: CohortConfig, info: dict, schema=None
+    tables, *, course: CourseDefinition, config: CohortConfig, info: dict, schema
 ):
     """Fix quota admission outcomes on native activity tables.
 
@@ -127,13 +127,12 @@ def sweep_kvm_quota(
     """
     from repro.columnar.planner import ActivityTables
 
-    schema_like = schema if schema is not None else _SchemaShim(course)
     quota = quota_for(course)
     limits = _quota_limits(quota)
     H = course.semester_hours
 
-    vm_b = _vm_bundles(tables, schema_like)
-    pvm_b = _pvm_bundles(tables, schema_like)
+    vm_b = _vm_bundles(tables, schema)
+    pvm_b = _pvm_bundles(tables, schema)
     ps_b = _ps_bundles(tables)
 
     vm_end = np.minimum(tables.vm_start + tables.vm_duration, H - _EPS)
@@ -211,31 +210,6 @@ def sweep_kvm_quota(
         ps_block_gb=tables.ps_block_gb,
         ps_object_gb=tables.ps_object_gb,
     )
-
-
-class _SchemaShim:
-    """The rtype vocabulary alone, when no full schema is on hand.
-
-    Admission only needs rtype code → flavor geometry / capacity; the
-    vocabulary is course-independent of user count, so rebuild just it
-    rather than the whole schema (whose user-rank table is O(cohort)).
-    """
-
-    def __init__(self, course: CourseDefinition) -> None:
-        from repro.cloud.inventory import CHAMELEON_NODE_TYPES, EDGE_DEVICE_TYPES
-
-        rtypes = sorted(
-            {
-                *CHAMELEON_FLAVORS,
-                *(n.name for n in CHAMELEON_NODE_TYPES.values()),
-                *(d.name for d in EDGE_DEVICE_TYPES.values()),
-                "floating_ip",
-                "block_storage",
-                "object_storage",
-            }
-        )
-        self.rtype_names = tuple(rtypes)
-        self.rtype_codes = {name: code for code, name in enumerate(rtypes)}
 
 
 def _prefix_sum_feasible(
@@ -363,7 +337,7 @@ def _exact_quota_replay(
 # -- the lease-calendar sweep ------------------------------------------------------
 
 
-def sweep_lease_calendar(tables, *, course: CourseDefinition, info: dict, schema=None):
+def sweep_lease_calendar(tables, *, course: CourseDefinition, info: dict, schema):
     """Fix lease admission outcomes (slots + project leases) on tables.
 
     Calendars — (site, node_type) pairs — are mutually independent in
@@ -376,10 +350,9 @@ def sweep_lease_calendar(tables, *, course: CourseDefinition, info: dict, schema
 
     H = course.semester_hours
     capacity = SlotCalendar().capacity
-    schema_like = schema if schema is not None else _SchemaShim(course)
     cap_by_node = {  # schema rtype code -> capacity
         code: capacity[name]
-        for name, code in schema_like.rtype_codes.items()
+        for name, code in schema.rtype_codes.items()
         if name in capacity
     }
 

@@ -13,7 +13,7 @@ commercial-cloud catalog (`repro.loadgen.report`).
 Everything is deterministic by construction: randomness is resolved into
 the request trace and fault calendar before simulation, and
 ``TrafficResult.digest()`` is invariant to internal evaluation order —
-``python -m repro.loadgen --verify`` proves it.
+``python -m repro.verify loadgen`` proves it.
 """
 
 from repro.loadgen.arrivals import (

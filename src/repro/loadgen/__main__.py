@@ -6,11 +6,6 @@ A two-million-request day with flash crowds on the 16-core CPU tier::
 
     python -m repro.loadgen --pattern flash --rpd 2e6
 
-Prove the determinism contract (re-run + evaluation-order perturbation
-must reproduce the digest byte-for-byte; exit 1 otherwise)::
-
-    python -m repro.loadgen --pattern flash --rpd 2e6 --verify
-
 Sweep the SLO-vs-cost frontier, with outages striking the fleet::
 
     python -m repro.loadgen --pattern flash --rpd 2e6 --outage-rate 2 --whatif
@@ -106,11 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fault-seed", type=int, default=7, help="fault-calendar seed (default 7)"
     )
     parser.add_argument(
-        "--verify", action="store_true",
-        help="re-run fresh and order-perturbed; require byte-identical digests "
-        "(exit 1 on mismatch)",
-    )
-    parser.add_argument(
         "--whatif", action="store_true",
         help="sweep replica ceilings x batch limits x admission thresholds and "
         "print the SLO-vs-cost Pareto table",
@@ -152,10 +142,14 @@ def main(argv: list[str] | None = None) -> int:
             burst_rate_per_week=args.burst_rate,
         )
 
-    kwargs = dict(
-        admission=admission, batching=batching, autoscaler=autoscaler, calendar=calendar
+    result = simulate_traffic(
+        trace,
+        engine,
+        admission=admission,
+        batching=batching,
+        autoscaler=autoscaler,
+        calendar=calendar,
     )
-    result = simulate_traffic(trace, engine, **kwargs)
     report = build_report(result, engine, policy)
     digest = result.digest()
 
@@ -186,15 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         "digest": digest,
     }
 
-    ok = True
-    if args.verify:
-        rerun = simulate_traffic(generate_trace(traffic), engine, **kwargs)
-        perturbed = simulate_traffic(trace, engine, perturb=True, **kwargs)
-        summary["rerun_digest"] = rerun.digest()
-        summary["perturbed_digest"] = perturbed.digest()
-        ok = digest == rerun.digest() == perturbed.digest()
-        summary["digest_match"] = ok
-
     if args.json == "-":
         json.dump(summary, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -219,13 +204,6 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.json, "w") as fh:
                 json.dump(summary, fh, indent=2)
             print(f"{'json':>18}: {args.json}")
-
-    if not ok:
-        print(
-            "DIGEST MISMATCH: rerun/perturbed simulation differs from the first run",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

@@ -114,8 +114,8 @@ class RequestTrace:
         """SHA-256 of the exact arrival bytes plus the generating config.
 
         The request-trace digest: byte-identical traces are the
-        precondition of every downstream determinism claim, so this is
-        what the CLI's ``--verify`` and the CI job pin first.
+        precondition of every downstream determinism claim (each run of
+        the ``loadgen`` gate in :mod:`repro.verify` regenerates it).
         """
         h = hashlib.sha256()
         h.update(repr(self.config).encode())

@@ -271,8 +271,8 @@ def simulate_traffic(
 
     ``perturb`` flips every internal evaluation order the simulation is
     free to choose (currently: the fleet scan in replica selection) and
-    must not change the digest — the CLI's ``--verify`` asserts exactly
-    that.
+    must not change the digest — ``python -m repro.verify loadgen``
+    asserts exactly that.
     """
     admission = admission if admission is not None else AdmissionConfig()
     batching = batching if batching is not None else BatchingConfig()

@@ -24,9 +24,9 @@ retries from becoming the outage:
   frontier.
 
 Same determinism contract as every other subsystem: all randomness is
-resolved at plan time, and ``python -m repro.resilience --verify`` (and
-``--sweep --verify``) proves the storm/sweep digests are byte-identical
-under rerun, evaluation-order perturbation, and worker counts {1, 2, 4}.
+resolved at plan time, and ``python -m repro.verify storm sweep`` proves
+the storm/sweep digests are byte-identical under rerun, evaluation-order
+perturbation, and worker counts {1, 2, 4}.
 """
 
 from repro.common.breaker import (

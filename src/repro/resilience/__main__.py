@@ -7,12 +7,6 @@ client policies::
 
     python -m repro.resilience --storm
 
-Prove the determinism contract (rerun, per-simulation evaluation-order
-perturbation, and worker counts {1, 2, 4} must all reproduce the storm
-digest byte-for-byte; exit 1 otherwise)::
-
-    python -m repro.resilience --storm --verify
-
 Machine-readable output for sweep harnesses::
 
     python -m repro.resilience --storm --json -
@@ -23,7 +17,9 @@ default; ``--quick`` swaps in the 24-point CI grid)::
 
     python -m repro.resilience --sweep --workers 4
     python -m repro.resilience --sweep --phase-map      # just the map
-    python -m repro.resilience --sweep --quick --verify
+
+``python -m repro.verify storm sweep`` proves both digests invariant under
+rerun, evaluation-order perturbation and worker count.
 """
 
 from __future__ import annotations
@@ -34,8 +30,6 @@ import sys
 
 from repro.resilience.scenario import StormConfig, run_storm
 from repro.resilience.sweep import SweepConfig, quick_sweep_config, run_sweep
-
-VERIFY_WORKERS = (1, 2, 4)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,113 +86,48 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for the rung fan-out (default 1)",
     )
     parser.add_argument(
-        "--verify", action="store_true",
-        help="re-run the ladder fresh, with per-simulation order perturbation, "
-        "and across worker counts {1,2,4}; require byte-identical storm digests "
-        "(exit 1 on mismatch)",
-    )
-    parser.add_argument(
         "--json", metavar="PATH", default=None,
         help="write the storm report as JSON to PATH ('-' for stdout)",
     )
     return parser
 
 
-def _main_sweep(args) -> int:
-    config = quick_sweep_config() if args.quick else SweepConfig()
-    report = run_sweep(config, workers=args.workers)
-    digest = report.digest()
-
-    ok = True
-    verify: dict[str, object] = {}
-    if args.verify:
-        verify = {"first": digest}
-        verify["perturbed"] = run_sweep(config, perturb=True).digest()
-        for workers in VERIFY_WORKERS:
-            verify[f"workers={workers}"] = run_sweep(config, workers=workers).digest()
-        ok = len(set(verify.values())) == 1
-        verify["digest_match"] = ok
-
-    if args.json == "-":
-        payload = report.to_dict()
-        if verify:
-            payload["verify"] = verify
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        print(report.render_phase_map() if args.phase_map else report.render())
-        print()
-        print(f"{'sweep digest':>14}: {digest}")
-        for key, value in verify.items():
-            print(f"{key:>14}: {value}")
-        if args.json:
-            payload = report.to_dict()
-            if verify:
-                payload["verify"] = verify
-            with open(args.json, "w") as fh:
-                json.dump(payload, fh, indent=2)
-            print(f"{'json':>14}: {args.json}")
-
-    if not ok:
-        print(
-            "DIGEST MISMATCH: sweep is not worker-count/rerun invariant",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.sweep:
-        return _main_sweep(args)
-
-    config = StormConfig(
-        seed=args.seed,
-        requests_per_day=args.rpd,
-        duration_s=args.duration_s,
-        outage_start_s=args.outage_start_s,
-        outage_end_s=args.outage_end_s,
-        queue_capacity=args.queue_cap,
-        max_replicas=args.replicas,
-        retry_budget_fill=args.budget_fill,
-    )
-
-    report = run_storm(config, workers=args.workers)
-    digest = report.digest()
+        report = run_sweep(
+            quick_sweep_config() if args.quick else SweepConfig(), workers=args.workers
+        )
+        rendered = report.render_phase_map() if args.phase_map else report.render()
+        label = "sweep digest"
+    else:
+        config = StormConfig(
+            seed=args.seed,
+            requests_per_day=args.rpd,
+            duration_s=args.duration_s,
+            outage_start_s=args.outage_start_s,
+            outage_end_s=args.outage_end_s,
+            queue_capacity=args.queue_cap,
+            max_replicas=args.replicas,
+            retry_budget_fill=args.budget_fill,
+        )
+        report = run_storm(config, workers=args.workers)
+        rendered = report.render()
+        label = "storm digest"
     payload = report.to_dict()
-
-    ok = True
-    if args.verify:
-        digests = {"first": digest}
-        digests["perturbed"] = run_storm(config, perturb=True).digest()
-        for workers in VERIFY_WORKERS:
-            digests[f"workers={workers}"] = run_storm(config, workers=workers).digest()
-        ok = len(set(digests.values())) == 1
-        payload["verify"] = {**digests, "digest_match": ok}
 
     if args.json == "-":
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        print(report.render())
+        print(rendered)
         print()
-        print(f"{'storm digest':>14}: {digest}")
-        if args.verify:
-            for key, value in payload["verify"].items():
-                print(f"{key:>14}: {value}")
+        print(f"{label:>14}: {report.digest()}")
         if args.json:
             with open(args.json, "w") as fh:
                 json.dump(payload, fh, indent=2)
             print(f"{'json':>14}: {args.json}")
-
-    if not ok:
-        print(
-            "DIGEST MISMATCH: storm ladder is not worker-count/rerun invariant",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

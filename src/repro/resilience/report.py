@@ -184,7 +184,7 @@ class SweepReport:
 
         Byte-identical under rerun, perturbed evaluation orders, and
         workers {1, 2, 4} — the campaign-level determinism contract CI
-        pins via ``--sweep --verify``.
+        pins via ``python -m repro.verify sweep``.
         """
         h = hashlib.sha256()
         h.update(repr(self.config).encode())

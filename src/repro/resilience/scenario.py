@@ -482,7 +482,7 @@ def run_storm(
 
     Neither ``workers`` nor ``perturb`` may change
     :meth:`StormReport.digest` — that is the scenario's determinism
-    contract, and what the CLI's ``--verify`` (and CI) pin.
+    contract, and what ``python -m repro.verify storm`` (and CI) pin.
     """
     config = config if config is not None else StormConfig()
     specs = storm_ladder(config, perturb=perturb)

@@ -169,8 +169,8 @@ class SweepConfig:
 def quick_sweep_config() -> SweepConfig:
     """The CI-sized campaign: 24 points, minutes not tens of minutes.
 
-    Small enough that ``--sweep --quick --verify`` (5 full runs) fits a
-    CI job, while still crossing every new mechanism: both outage
+    Small enough that ``python -m repro.verify sweep --quick`` (5 full
+    runs) fits a CI job, while still crossing every new mechanism: both outage
     scopes, a naive rung, and two defended policies including the
     adaptive client.
     """
@@ -213,8 +213,8 @@ def build_points(
     Iteration order is the fixed axis order (load, length, scope,
     policy, fill, threshold), so the point list — and therefore the
     report digest — is a pure function of the config.  ``perturb`` rides
-    into every spec (it must not change any digest; ``--verify`` pins
-    that).
+    into every spec (it must not change any digest; the ``sweep`` gate
+    of :mod:`repro.verify` pins that).
     """
     base = config.base
     points: list[PointSpec] = []
@@ -369,7 +369,7 @@ def run_sweep(
 
     Neither ``workers`` nor ``perturb`` may change
     :meth:`~repro.resilience.report.SweepReport.digest` — the sweep's
-    determinism contract, pinned by the CLI's ``--sweep --verify`` and
+    determinism contract, pinned by ``python -m repro.verify sweep`` and
     CI.
     """
     config = config if config is not None else SweepConfig()

@@ -43,8 +43,8 @@ def test_every_inline_suppression_carries_a_reason():
         [REPO / "src", REPO / "benchmarks", REPO / "examples"], whole_program=True
     )
     assert all(s.reason for s in result.suppressed)
-    # today: eight accepted hazards — the standing object-storage span,
-    # the wall-clock timers in the parallel/columnar CLIs and the speedup/
+    # today: seven accepted hazards — the standing object-storage span,
+    # the wall-clock timers in the verification harness and the speedup/
     # journal/columnar/sweep benches (all report real elapsed seconds,
     # outside any simulated state), and the metering span rotation that
     # deliberately leaves the replacement span open until the resource's
@@ -57,6 +57,5 @@ def test_every_inline_suppression_carries_a_reason():
         str(REPO / "benchmarks" / "bench_resilience_sweep.py"),
         str(REPO / "src" / "repro" / "cloud" / "metering.py"),
         str(REPO / "src" / "repro" / "cloud" / "storage.py"),
-        str(REPO / "src" / "repro" / "columnar" / "__main__.py"),
-        str(REPO / "src" / "repro" / "parallel" / "__main__.py"),
+        str(REPO / "src" / "repro" / "verify" / "__main__.py"),
     ]

@@ -3,8 +3,8 @@
 ``run_parallel(..., journal_dir=...)`` killed at randomized shard
 boundaries, halted between segments, truncated mid-frame, or bit-flipped
 — and then resumed — must merge sha256-identical to the uninterrupted
-serial run.  The quick matrix here is the same one CI runs via
-``python -m repro.checkpoint --verify --quick``.
+serial run.  The quick matrix here is the same one CI runs as the
+``crash-resume`` check of ``python -m repro.verify parallel --quick``.
 """
 
 import pytest

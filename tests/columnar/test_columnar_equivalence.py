@@ -104,9 +104,3 @@ def test_different_seed_changes_columnar_output():
     b = run_columnar(SIZES["one"], CohortConfig(seed=SEEDS[1]))
     assert a.digest != b.digest
 
-
-def test_cli_verify_exits_clean():
-    """``--verify`` is the executable form of this file's contract."""
-    from repro.columnar.__main__ import main
-
-    assert main(["--verify", "--scale", str(0.25)]) == 0

@@ -6,8 +6,10 @@ drives the structural knobs through adversarial values (singleton
 batches, one bucket, hundreds of mostly-empty buckets, odd worker
 counts) and every variation must reproduce the reference digest bit for
 bit.  The billing integral is held to *exact* equality with the
-record-level fsum, and a null fault plan must be a byte-exact no-op
-through the object-planner conversion path.
+record-level fsum, a null fault plan must be a byte-exact no-op through
+the object-planner conversion path, and a non-null one must land on the
+serial digest.  Both admission sweeps are also driven off their fast
+paths, so the exact-replay fallbacks are held to the object sweeps.
 """
 
 import dataclasses
@@ -18,11 +20,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import plan_columns, run_columnar
+from repro.cloud.quota import Quota
+from repro.columnar import admission, plan_columns, run_columnar
 from repro.columnar.planner import columns_from_plan
 from repro.core import records_digest, scaled_course
-from repro.core.cohort import CohortConfig, CohortSimulation, plan_cohort
-from repro.faults.plan import FaultPlanConfig, FaultSweep, build_fault_calendar
+from repro.core.cohort import (
+    CohortConfig,
+    CohortSimulation,
+    SlotCalendar,
+    _sweep_lease_calendar,
+    plan_cohort,
+)
+from repro.faults.plan import (
+    FaultPlanConfig,
+    FaultSweep,
+    build_fault_calendar,
+    plan_faulted_cohort,
+)
 from repro.parallel import total_unit_hours
 
 #: 48-student cohort: big enough to populate every activity family.
@@ -119,6 +133,92 @@ def test_null_fault_plan_is_byte_exact_noop():
     assert faulted.digest == native.digest
 
 
+@pytest.mark.parametrize(
+    "fault_config",
+    [
+        FaultPlanConfig(
+            seed=11, outage_rate_per_week=0.3, hazard_rate_per_khour=2.0, burst_rate_per_week=1.0
+        ),
+        FaultPlanConfig(seed=3, outage_rate_per_week=1.0),
+        FaultPlanConfig(seed=7, hazard_rate_per_khour=5.0, burst_rate_per_week=2.0),
+    ],
+    ids=["mixed-s11", "outages-s3", "hazard-bursts-s7"],
+)
+def test_fault_plan_matches_serial(fault_config):
+    """A non-null fault plan through the columnar engine lands on the
+    serial digest of the same faulted plan — and the plan must bite."""
+    config = CohortConfig(seed=SEED)
+    calendar = build_fault_calendar(fault_config, horizon_hours=SMALL.semester_hours)
+    faulted = run_columnar(SMALL, config, faults=FaultSweep(calendar))
+    plan, _ = plan_faulted_cohort(SMALL, config, fault_config)
+    serial = CohortSimulation(SMALL, config, plan=plan).run()
+    assert faulted.digest == records_digest(serial)
+    assert faulted.digest != run_columnar(SMALL, config).digest
+
+
+def _assert_tables_equal(actual, expected):
+    for f in dataclasses.fields(expected):
+        np.testing.assert_array_equal(
+            getattr(actual, f.name), getattr(expected, f.name), err_msg=f.name
+        )
+
+
+def test_quota_fallback_matches_object_planner(monkeypatch):
+    """A tenth of the course's compute quota forces the quota sweep off its
+    fast path; the exact replay must match the object sweep table for
+    table, and the run the serial digest.  The volume dimensions stay put:
+    project storage is admitted unconditionally, so shrinking them only
+    makes the serial run raise."""
+    config = CohortConfig(seed=SEED)
+    native_digest = run_columnar(SMALL, config).digest
+    base = Quota.course_quota()
+    shrunk = dataclasses.replace(
+        base,
+        instances=base.instances * 0.1,
+        cores=base.cores * 0.1,
+        ram_gib=base.ram_gib * 0.1,
+        floating_ips=base.floating_ips * 0.1,
+    )
+    monkeypatch.setattr(Quota, "course_quota", classmethod(lambda cls: shrunk))
+
+    native = plan_columns(SMALL, config)
+    assert native.sweep_info["quota_fast_path"] is False
+    _assert_tables_equal(native.tables, columns_from_plan(plan_cohort(SMALL, config), SMALL).tables)
+    run = run_columnar(SMALL, config)
+    assert run.digest == records_digest(CohortSimulation(SMALL, config).run())
+    assert run.digest != native_digest
+
+
+def test_lease_fallback_matches_object_sweep(monkeypatch):
+    """With an eighth of every node type's capacity the lease sweep's count
+    check fails; its per-calendar exact replay must bump the same bookings
+    the object sweep does, driven over the same tables."""
+    config = CohortConfig(seed=SEED)
+    plan = plan_cohort(SMALL, config)
+    reduced = {name: max(1, cap // 8) for name, cap in SlotCalendar().capacity.items()}
+    shards = _sweep_lease_calendar(list(plan.shards()), reduced, plan.semester_hours)
+    n = len(plan.student_shards)
+    expected = columns_from_plan(
+        dataclasses.replace(
+            plan, student_shards=tuple(shards[:n]), group_shards=tuple(shards[n:])
+        ),
+        SMALL,
+    ).tables
+
+    class _ReducedCalendar:
+        capacity = reduced
+
+    monkeypatch.setattr(admission, "SlotCalendar", _ReducedCalendar)
+    before = columns_from_plan(plan, SMALL)
+    info: dict[str, bool] = {}
+    swept = admission.sweep_lease_calendar(
+        before.tables, course=SMALL, info=info, schema=before.schema
+    )
+    assert info["lease_fast_path"] is False
+    _assert_tables_equal(swept, expected)
+    assert not np.array_equal(swept.slot_start, before.tables.slot_start)
+
+
 def test_converter_matches_native_planner_arrays():
     """``columns_from_plan`` over the object planner's shards produces the
     same activity tables as the native columnar planner, array for array
@@ -126,7 +226,4 @@ def test_converter_matches_native_planner_arrays():
     config = CohortConfig(seed=SEED)
     native = plan_columns(SMALL, config)
     converted = columns_from_plan(plan_cohort(SMALL, config), SMALL)
-    for f in dataclasses.fields(native.tables):
-        a = getattr(native.tables, f.name)
-        b = getattr(converted.tables, f.name)
-        np.testing.assert_array_equal(a, b, err_msg=f.name)
+    _assert_tables_equal(native.tables, converted.tables)

@@ -88,8 +88,8 @@ class TestVerdicts:
 
 class TestDigestContract:
     def test_rerun_perturb_and_workers_agree(self, report):
-        """The scenario's CI contract in miniature (the CLI's --verify
-        sweeps workers {1, 2, 4} on the full-size storm)."""
+        """The scenario's CI contract in miniature (``python -m
+        repro.verify storm`` also checks workers 4)."""
         baseline = report.digest()
         assert run_storm(STORM, perturb=True).digest() == baseline
         assert run_storm(STORM, workers=2).digest() == baseline
