@@ -11,6 +11,12 @@ The manager enforces capacity: at every instant, the sum of reserved node
 counts per node type may not exceed the inventory.  Expiry fires an event
 that invokes registered callbacks (the compute service uses this to destroy
 instances bound to the lease).
+
+Admission reads a per-type index of the *live* (pending or active) leases
+rather than every lease ever created, so a booking in week 14 costs what
+one in week 1 does.  ``create_lease`` adds to the index; ``_expire`` and
+``delete_lease`` — the only transitions out of the live states — remove
+from it.
 """
 
 from __future__ import annotations
@@ -71,6 +77,8 @@ class LeaseManager:
         self._ids = ids
         self._inventory = dict(inventory)
         self.leases: dict[str, Lease] = {}
+        # resource type -> id -> lease, for exactly the PENDING/ACTIVE leases
+        self._live: dict[str, dict[str, Lease]] = {}
         self._expiry_callbacks: list[Callable[[Lease], None]] = []
         self._admission_gates: list[Callable[[str], None]] = []
 
@@ -97,26 +105,21 @@ class LeaseManager:
 
     def reserved_at(self, resource_type: str, t: float) -> int:
         """Nodes of ``resource_type`` reserved at instant ``t``."""
-        return sum(
-            l.count
-            for l in self.leases.values()
-            if l.resource_type == resource_type and l.active_at(t)
-        )
+        live = self._live.get(resource_type, {})
+        return sum(l.count for l in live.values() if l.start <= t < l.end)
 
     def _max_overlap(self, resource_type: str, start: float, end: float, count: int) -> int:
         """Peak concurrent reservation in [start, end) if ``count`` were added."""
+        live = self._live.get(resource_type, {})
+        overlapping = [l for l in live.values() if l.end > start and l.start < end]
+        # the reserved total only steps up where a lease starts, so its peak
+        # over [start, end) is at ``start`` or at one of those starts
         boundaries = {start}
-        for l in self.leases.values():
-            if l.resource_type != resource_type or l.status in (
-                LeaseStatus.EXPIRED,
-                LeaseStatus.DELETED,
-            ):
-                continue
-            if l.end > start and l.start < end:
-                boundaries.add(max(l.start, start))
+        boundaries.update(max(l.start, start) for l in overlapping)
         peak = 0
         for t in boundaries:
-            peak = max(peak, self.reserved_at(resource_type, t) + count)
+            reserved = sum(l.count for l in overlapping if l.start <= t < l.end)
+            peak = max(peak, reserved + count)
         return peak
 
     def create_lease(
@@ -156,6 +159,7 @@ class LeaseManager:
             lab=lab,
         )
         self.leases[lease.id] = lease
+        self._live.setdefault(resource_type, {})[lease.id] = lease
         if start <= self._loop.clock.now:
             lease.status = LeaseStatus.ACTIVE
         else:
@@ -191,6 +195,7 @@ class LeaseManager:
         if lease.status in (LeaseStatus.EXPIRED, LeaseStatus.DELETED):
             raise InvalidStateError(f"lease {lease_id} already {lease.status.value}")
         lease.status = LeaseStatus.DELETED
+        del self._live[lease.resource_type][lease.id]
         for cb in self._expiry_callbacks:
             cb(lease)
         lease.bound_instances.clear()
@@ -207,6 +212,7 @@ class LeaseManager:
         if lease is None or lease.status in (LeaseStatus.EXPIRED, LeaseStatus.DELETED):
             return
         lease.status = LeaseStatus.EXPIRED
+        del self._live[lease.resource_type][lease.id]
         for cb in self._expiry_callbacks:
             cb(lease)
         lease.bound_instances.clear()

@@ -39,10 +39,17 @@ class Subnet:
     network_id: str
     cidr: str
     _next_host: int = 10  # skip gateway/dhcp addresses
+    # parsed once here, not per address: a public pool hands out thousands
+    _net: ipaddress.IPv4Network | ipaddress.IPv6Network = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._net = ipaddress.ip_network(self.cidr)
 
     def allocate_address(self) -> str:
         """Hand out the next free host address in the CIDR."""
-        net = ipaddress.ip_network(self.cidr)
+        net = self._net
         if self._next_host >= net.num_addresses - 1:
             raise ConflictError(f"subnet {self.id} ({self.cidr}) exhausted")
         addr = str(net.network_address + self._next_host)

@@ -409,11 +409,14 @@ class CostModel:
         lab_ids = {lab.id for lab in self.course.labs}
         inst_hours = per_user_instance_hours(records, labs=lab_ids)
         fip_hours = per_user_fip_hours(records, labs=lab_ids)
+        rates: dict[str, float | None] = {}  # one catalog match per lab
         costs: dict[str, float] = {}
         for user, by_row in inst_hours.items():
             total = 0.0
             for (lab_id, _rtype), hours in by_row.items():
-                rate = self.hourly_rate(lab_id, provider)
+                if lab_id not in rates:
+                    rates[lab_id] = self.hourly_rate(lab_id, provider)
+                rate = rates[lab_id]
                 if rate is None:
                     continue  # edge lab: excluded from the commercial estimate
                 total += hours * rate
@@ -446,11 +449,15 @@ class CostModel:
         fip_usd = 0.0
         block_usd = 0.0
         object_usd = 0.0
+        matched: dict[str, CloudInstance | None] = {}  # one catalog match per type
         for rec in records:
             if rec.lab != "project":
                 continue
             if rec.kind in ("server", "baremetal", "edge"):
-                inst = self.project_equivalent(rec.resource_type, provider)
+                rtype = rec.resource_type
+                if rtype not in matched:
+                    matched[rtype] = self.project_equivalent(rtype, provider)
+                inst = matched[rtype]
                 if inst is not None:
                     instance_usd += rec.unit_hours * inst.hourly_usd
             elif rec.kind == "floating_ip":

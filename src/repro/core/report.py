@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -39,10 +40,14 @@ def records_digest(records: Iterable[UsageRecord]) -> str:
     The equivalence contract of `repro.parallel`: serial and parallel
     executions of the same plan must agree on this digest (records are
     compared *in order*, so canonicalization is part of the contract).
+    Each record contributes ``repr(dataclasses.astuple(rec))``; every field
+    is a ``str``, ``float`` or ``None``, so a flat ``attrgetter`` over the
+    fields yields the same tuple without ``astuple``'s recursive deep copy.
     """
+    row = attrgetter(*(f.name for f in fields(UsageRecord)))
     h = hashlib.sha256()
     for rec in records:
-        h.update(repr(astuple(rec)).encode())
+        h.update(repr(row(rec)).encode())
     return h.hexdigest()
 
 
