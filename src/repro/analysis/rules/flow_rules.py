@@ -56,7 +56,6 @@ SHARD_ENTRY_POINTS = (
 PLAN_TIME_MODULES = frozenset(
     {
         "repro.columnar.planner",
-        "repro.core.cohort",
         "repro.faults.plan",
         "repro.loadgen.arrivals",
         "repro.resilience.clients",

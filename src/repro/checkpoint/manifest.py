@@ -76,10 +76,14 @@ def plan_fingerprint(plan: object, *, include_project: bool = True) -> str:
     Hash of the admitted activities (absolute starts, durations, flavors
     — everything execution consumes), so two plans collide only if they
     would execute identically.  Hashed over the pickled shard tuple
-    rather than reprs: shards are frozen dataclasses of scalars, so the
-    bytes are canonical either way, and pickling a full-scale plan is
-    ~10x cheaper — this fingerprint is on the journaled hot path, inside
-    the <=5% overhead budget of ``benchmarks/bench_checkpoint.py``.
+    rather than reprs: pickling a full-scale plan is ~10x cheaper, and
+    this fingerprint is on the journaled hot path, inside the <=5%
+    overhead budget of ``benchmarks/bench_checkpoint.py``.  Pickle
+    memoizes objects that shards share (a shard's activities share one
+    user string), so equal plans built by different code can pickle to
+    different bytes: the fingerprint is stable within one code version,
+    not across versions.  A journal written by another version may
+    refuse to resume (``StaleJournalError``) even for an equal plan.
     """
     h = hashlib.sha256()
     h.update(repr(getattr(plan, "semester_hours", None)).encode())

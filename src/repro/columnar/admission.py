@@ -1,9 +1,26 @@
-"""Columnar admission: the plan-time sweeps as array passes.
+"""Plan-time admission: the quota and lease-calendar sweeps over tables.
 
-Reimplements :mod:`repro.core.cohort`'s two admission sweeps
-(``_sweep_kvm_quota`` / ``_sweep_lease_calendar``) against activity
-tables.  Each sweep is a **vectorized optimistic pass over an exact
-replay**:
+The testbed resolves quota exhaustion and lease-calendar conflicts
+*reactively* (retry events, next-slot fallbacks).  For shards to be
+order-independent those outcomes must be fixed at plan time, so two
+conservative chronological sweeps pre-admit every activity:
+
+* KVM quota: a bundle (FIP + instances + cores + RAM + volume) is
+  admitted at time t only if it fits alongside every admitted bundle
+  whose hold interval contains t — where releases happening *exactly*
+  at t are NOT yet counted as free.  That strictness makes admission a
+  pure prefix-sum test, independent of same-instant event ordering, so
+  a plan-admitted bundle can never hit QuotaExceededError at runtime
+  (the runtime holds a subset of what the sweep assumed held).
+  Rejected bundles retry after the same backoff the reactive path uses.
+* Lease calendars: leases are half-open intervals [start, start+len);
+  the sweep replays create_lease's capacity check in event order and
+  bumps conflicting bookings to the next slot, exactly as the runtime
+  ConflictError handler would.  (The cursor calendar is designed to be
+  conflict-free, so bumps are a determinism backstop; fault plans,
+  which move bookings, are what make them fire.)
+
+Each sweep is a **vectorized optimistic pass over an exact replay**:
 
 * Fast path — hypothesize that every arrival is admitted on its first
   attempt, sort arrivals and releases into the sweep's event order, and
@@ -15,23 +32,22 @@ replay**:
   the serial sweep would have admitted everything at its original start.
 * Exact replay — if any checkpoint fails, the hypothesis says nothing
   about what happens after the first rejection (retries reshuffle the
-  event order), so the sweep falls back to a literal re-implementation
-  of the object algorithm: same heap keys, same shared rank counter,
-  same release strictness, same retry policy calls.
+  event order), so the sweep falls back to the serial heap sweep: heap
+  keys ``(time, rank)``, one retry-rank counter above every initial
+  rank, the release strictness above, the cohort's retry policy.
 
 Two conservatism details the event ordering must honor (they differ
-between the sweeps, deliberately — see the sweep notes in
-``repro/core/cohort.py``): the quota sweep frees releases *strictly
-before* t (a release at exactly t is still held), so arrivals sort
-before releases at equal times; the lease sweep keeps intervals with
-``end > t`` (a lease ending exactly at t is free), so releases sort
-before arrivals.
+between the sweeps, deliberately): the quota sweep frees releases
+*strictly before* t (a release at exactly t is still held), so arrivals
+sort before releases at equal times; the lease sweep keeps intervals
+with ``end > t`` (a lease ending exactly at t is free), so releases
+sort before arrivals.
 
 Bundles are fixed-width 6-vectors (zero for dimensions a bundle does
-not touch) rather than the object path's sparse dicts.  Adding or
-subtracting an exact 0.0 never changes a non-negative float, and the
-sweep invariant ``in_use <= limit`` makes the extra zero-dimension
-checks vacuous, so the dense form is outcome-identical.
+not touch).  Adding or subtracting an exact 0.0 never changes a
+non-negative float, and the sweep invariant ``in_use <= limit`` makes
+the extra zero-dimension checks vacuous, so the dense form decides
+exactly what a per-dimension sparse check would.
 """
 
 from __future__ import annotations
@@ -74,8 +90,8 @@ def _flavor_lookup(schema) -> tuple[np.ndarray, np.ndarray]:
     return vcpus, ram
 
 
-def _vm_bundles(tables, schema) -> np.ndarray:
-    """(V, 6) float64 — one `_vm_bundle` per VM-lab row."""
+def _vm_lab_bundles(tables, schema) -> np.ndarray:
+    """(V, 6) float64 — FIP, instances, cores, RAM (+ volume) per VM-lab row."""
     vcpus, ram = _flavor_lookup(schema)
     count = tables.vm_count.astype(np.int64)
     out = np.zeros((len(count), len(QUOTA_DIMS)), dtype=np.float64)
@@ -90,7 +106,7 @@ def _vm_bundles(tables, schema) -> np.ndarray:
 
 
 def _pvm_bundles(tables, schema) -> np.ndarray:
-    """(P, 6) float64 — one `_project_vm_bundle` per service-VM row."""
+    """(P, 6) float64 — instance, cores, RAM (+ FIP) per service-VM row."""
     vcpus, ram = _flavor_lookup(schema)
     out = np.zeros((len(tables.pvm_start), len(QUOTA_DIMS)), dtype=np.float64)
     out[:, 0] = 1.0
@@ -101,7 +117,7 @@ def _pvm_bundles(tables, schema) -> np.ndarray:
 
 
 def _ps_bundles(tables) -> np.ndarray:
-    """(G, 6) float64 — one `_storage_bundle` per storage row."""
+    """(G, 6) float64 — one volume per storage row."""
     out = np.zeros((len(tables.ps_start), len(QUOTA_DIMS)), dtype=np.float64)
     out[:, 4] = 1.0
     out[:, 5] = np.maximum(1, tables.ps_block_gb).astype(np.float64)
@@ -118,20 +134,18 @@ def _quota_limits(quota: Quota) -> np.ndarray:
 def sweep_kvm_quota(
     tables, *, course: CourseDefinition, config: CohortConfig, info: dict, schema
 ):
-    """Fix quota admission outcomes on native activity tables.
+    """Fix quota admission outcomes on activity tables.
 
-    Expects tables in native rank order (student VM rows first, then the
-    project blocks group-major) — the order :func:`plan_columns` builds.
-    Returns new tables with rejected-forever rows removed and admitted
-    starts baked in.
+    Expects tables in rank order (student VM rows first, then the
+    project rows grouped by group) — the order :func:`plan_columns`
+    builds and a fault model preserves.  Returns new tables with
+    rejected-forever rows removed and admitted starts baked in.
     """
-    from repro.columnar.planner import ActivityTables
-
     quota = quota_for(course)
     limits = _quota_limits(quota)
     H = course.semester_hours
 
-    vm_b = _vm_bundles(tables, schema)
+    vm_b = _vm_lab_bundles(tables, schema)
     pvm_b = _pvm_bundles(tables, schema)
     ps_b = _ps_bundles(tables)
 
@@ -142,16 +156,15 @@ def sweep_kvm_quota(
     ps_end = np.minimum(tables.ps_start + tables.ps_hours, H - _EPS)
     ps_hold_end = np.maximum(ps_end, tables.ps_start)
 
-    # sweep ranks (serial event-scheduling order): student shards carry
-    # only vm_labs, group shards carry n_flavors VMs then one storage row
-    V = len(tables.vm_start)
-    P, G = len(tables.pvm_start), len(tables.ps_start)
-    per_group = (P // G + 1) if G else 0
+    # sweep ranks (serial event-scheduling order): every student VM row,
+    # then each group's service VMs followed by its storage row; a fault
+    # plan splits and drops service-VM rows, so rank by a stable sort
+    V, P = len(tables.vm_start), len(tables.pvm_start)
     vm_rank = np.arange(V, dtype=np.int64)
-    pvm_rank = V + tables.pvm_group.astype(np.int64) * per_group + (
-        np.arange(P, dtype=np.int64) % max(P // G, 1) if G else np.arange(P, dtype=np.int64)
-    )
-    ps_rank = V + tables.ps_group.astype(np.int64) * per_group + (per_group - 1)
+    group_rows = np.argsort(np.concatenate([tables.pvm_group, tables.ps_group]), kind="stable")
+    group_rank = np.empty(len(group_rows), dtype=np.int64)
+    group_rank[group_rows] = V + np.arange(len(group_rows), dtype=np.int64)
+    pvm_rank, ps_rank = group_rank[:P], group_rank[P:]
 
     vm_live = ~vm_drop
     pvm_live = ~pvm_drop
@@ -169,46 +182,16 @@ def sweep_kvm_quota(
     if ok:
         vm_admit = np.where(vm_drop, np.nan, tables.vm_start)
         pvm_admit = np.where(pvm_drop, np.nan, tables.pvm_start)
-        ps_admit = tables.ps_start.copy()
     else:
-        vm_admit, pvm_admit, ps_admit = _exact_quota_replay(
+        vm_admit, pvm_admit = _exact_quota_replay(
             tables, vm_b, pvm_b, ps_b, vm_rank, pvm_rank, ps_rank, limits, H, config
         )
 
     vm_keep = np.isfinite(vm_admit)
     pvm_keep = np.isfinite(pvm_admit)
-    return ActivityTables(
-        vm_student=tables.vm_student[vm_keep],
-        vm_lab=tables.vm_lab[vm_keep],
-        vm_start=vm_admit[vm_keep],
-        vm_duration=tables.vm_duration[vm_keep],
-        vm_flavor=tables.vm_flavor[vm_keep],
-        vm_count=tables.vm_count[vm_keep],
-        vm_block_gb=tables.vm_block_gb[vm_keep],
-        vm_object_gb=tables.vm_object_gb[vm_keep],
-        slot_student=tables.slot_student,
-        slot_lab=tables.slot_lab,
-        slot_node=tables.slot_node,
-        slot_start=tables.slot_start,
-        slot_hours=tables.slot_hours,
-        slot_site=tables.slot_site,
-        slot_edge=tables.slot_edge,
-        pvm_group=tables.pvm_group[pvm_keep],
-        pvm_flavor=tables.pvm_flavor[pvm_keep],
-        pvm_start=pvm_admit[pvm_keep],
-        pvm_hours=tables.pvm_hours[pvm_keep],
-        pvm_with_fip=tables.pvm_with_fip[pvm_keep],
-        pl_group=tables.pl_group,
-        pl_node=tables.pl_node,
-        pl_start=tables.pl_start,
-        pl_hours=tables.pl_hours,
-        pl_site=tables.pl_site,
-        pl_edge=tables.pl_edge,
-        ps_group=tables.ps_group,
-        ps_start=ps_admit,
-        ps_hours=tables.ps_hours,
-        ps_block_gb=tables.ps_block_gb,
-        ps_object_gb=tables.ps_object_gb,
+    # storage rows are held unconditionally at their start: never moved
+    return tables.take("vm", vm_keep, vm_start=vm_admit[vm_keep]).take(
+        "pvm", pvm_keep, pvm_start=pvm_admit[pvm_keep]
     )
 
 
@@ -254,11 +237,11 @@ def _prefix_sum_feasible(
 def _exact_quota_replay(
     tables, vm_b, pvm_b, ps_b, vm_rank, pvm_rank, ps_rank, limits, H, config
 ):
-    """The object quota sweep, verbatim, over table rows.
+    """The serial quota sweep over table rows.
 
-    Same heap keys ``(time, rank, family, row)``, same shared retry-rank
-    counter, same strict ``< t`` release rule, same policy calls — run
-    only when the fast path's no-retry hypothesis fails.
+    Heap keys ``(time, rank, family, row)``, one retry-rank counter, the
+    strict ``< t`` release rule, the cohort's retry policy — run only
+    when the fast path's no-retry hypothesis fails.
     """
     policy = config.quota_retry
     lim = limits.tolist()
@@ -280,8 +263,7 @@ def _exact_quota_replay(
 
     vm_admit = np.full(len(tables.vm_start), np.nan)
     pvm_admit = np.full(len(tables.pvm_start), np.nan)
-    ps_admit = np.full(len(tables.ps_start), np.nan)
-    admits = (vm_admit, pvm_admit, ps_admit)
+    admits = (vm_admit, pvm_admit)
 
     def fits(b) -> bool:
         return all(in_use[d] + b[d] <= lim[d] for d in range(len(lim)))
@@ -330,8 +312,7 @@ def _exact_quota_replay(
         else:  # storage: unconditional hold
             end = min(t + float(tables.ps_hours[row]), H - _EPS)
             hold(b, max(end, t))
-            admits[fam][row] = t
-    return vm_admit, pvm_admit, ps_admit
+    return vm_admit, pvm_admit
 
 
 # -- the lease-calendar sweep ------------------------------------------------------
@@ -341,13 +322,11 @@ def sweep_lease_calendar(tables, *, course: CourseDefinition, info: dict, schema
     """Fix lease admission outcomes (slots + project leases) on tables.
 
     Calendars — (site, node_type) pairs — are mutually independent in
-    the object sweep (each heap pop touches exactly one calendar's
+    the serial sweep (each heap pop touches exactly one calendar's
     state, and the shared retry-rank counter preserves relative order
     within every calendar), so the sweep runs per calendar: vectorized
     count check first, exact replay only for calendars that fail it.
     """
-    from repro.columnar.planner import ActivityTables
-
     H = course.semester_hours
     capacity = SlotCalendar().capacity
     cap_by_node = {  # schema rtype code -> capacity
@@ -401,50 +380,20 @@ def sweep_lease_calendar(tables, *, course: CourseDefinition, info: dict, schema
 
     slot_keep = np.isfinite(slot_admit)
     pl_keep = np.isfinite(pl_admit)
-    return ActivityTables(
-        vm_student=tables.vm_student,
-        vm_lab=tables.vm_lab,
-        vm_start=tables.vm_start,
-        vm_duration=tables.vm_duration,
-        vm_flavor=tables.vm_flavor,
-        vm_count=tables.vm_count,
-        vm_block_gb=tables.vm_block_gb,
-        vm_object_gb=tables.vm_object_gb,
-        slot_student=tables.slot_student[slot_keep],
-        slot_lab=tables.slot_lab[slot_keep],
-        slot_node=tables.slot_node[slot_keep],
-        slot_start=slot_admit[slot_keep],
-        slot_hours=tables.slot_hours[slot_keep],
-        slot_site=tables.slot_site[slot_keep],
-        slot_edge=tables.slot_edge[slot_keep],
-        pvm_group=tables.pvm_group,
-        pvm_flavor=tables.pvm_flavor,
-        pvm_start=tables.pvm_start,
-        pvm_hours=tables.pvm_hours,
-        pvm_with_fip=tables.pvm_with_fip,
-        pl_group=tables.pl_group[pl_keep],
-        pl_node=tables.pl_node[pl_keep],
-        pl_start=pl_admit[pl_keep],
-        pl_hours=tables.pl_hours[pl_keep],
-        pl_site=tables.pl_site[pl_keep],
-        pl_edge=tables.pl_edge[pl_keep],
-        ps_group=tables.ps_group,
-        ps_start=tables.ps_start,
-        ps_hours=tables.ps_hours,
-        ps_block_gb=tables.ps_block_gb,
-        ps_object_gb=tables.ps_object_gb,
+    return tables.take("slot", slot_keep, slot_start=slot_admit[slot_keep]).take(
+        "pl", pl_keep, pl_start=pl_admit[pl_keep]
     )
 
 
 def _exact_lease_replay(
     s_start, s_hours, s_rank, p_start, p_hours, p_rank, cap: int, H: float
 ):
-    """The object lease sweep for one calendar, verbatim.
+    """The serial lease sweep for one calendar.
 
     Holds live intervals as a min-heap of end times; ``len(live)`` after
-    freeing ``end <= t`` equals the object's ``[iv for iv in active if
-    iv[1] > t]`` count.  The local retry-rank counter starts above every
-    initial rank, mirroring the global counter's within-calendar order.
+    freeing ``end <= t`` is the count of intervals with ``end > t``.  The
+    local retry-rank counter starts above every initial rank, mirroring
+    a global counter's within-calendar order.
     """
     SLOT, LEASE = 0, 1
     heap: list[list] = []

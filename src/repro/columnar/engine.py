@@ -1,11 +1,10 @@
 """The columnar front end: plan → emit → merge, in one call.
 
 ``run_columnar`` is the array-path counterpart of
-:meth:`repro.core.cohort.CohortSimulation.run` — same inputs, same
-canonical record stream (by digest), a few hundred times less work per
-student.  Fault-model runs route planning through the object planner
-(the fault sweep rewrites object shards) and convert; everything
-downstream is identical.
+:meth:`repro.core.cohort.CohortSimulation.run` — same inputs, same plan,
+same canonical record stream (by digest), with the testbed's event loop
+replaced by closed-form emission.  A fault model goes straight to the
+planner, which applies it to the raw tables before admission.
 """
 
 from __future__ import annotations
@@ -17,12 +16,12 @@ from typing import TYPE_CHECKING
 from repro.cloud.metering import UsageRecord
 from repro.columnar.kernels import iter_record_batches
 from repro.columnar.merge import CanonicalMerger
-from repro.columnar.planner import ColumnarPlan, columns_from_plan, plan_columns
-from repro.core.cohort import CohortConfig, plan_cohort
+from repro.columnar.planner import plan_columns
+from repro.core.cohort import CohortConfig
 from repro.core.course import COURSE, CourseDefinition
 
 if TYPE_CHECKING:
-    from repro.faults.plan import FaultModel
+    from repro.core.cohort import FaultModel
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ def run_columnar(
     bounds peak memory by spilling merge buckets to scratch files.
     """
     config = config if config is not None else CohortConfig()
-    plan = _resolve_plan(course, config, workers=workers, faults=faults)
+    plan = plan_columns(course, config, workers=workers, faults=faults)
     tables = plan.tables
     if not include_project:
         tables = _labs_only(tables)
@@ -86,42 +85,8 @@ def run_columnar(
     )
 
 
-def _resolve_plan(
-    course: CourseDefinition,
-    config: CohortConfig,
-    *,
-    workers: int,
-    faults: "FaultModel | None",
-) -> ColumnarPlan:
-    if faults is None:
-        return plan_columns(course, config, workers=workers)
-    # fault sweeps rewrite object shards pre-admission; plan there, convert
-    return columns_from_plan(plan_cohort(course, config, faults=faults), course)
-
-
 def _labs_only(tables):
     """Drop the project-phase families (the serial ``include_project=False``)."""
-    from dataclasses import replace as _replace
-
-    def empty_like(arr):
-        return arr[:0]
-
-    return _replace(
-        tables,
-        pvm_group=empty_like(tables.pvm_group),
-        pvm_flavor=empty_like(tables.pvm_flavor),
-        pvm_start=empty_like(tables.pvm_start),
-        pvm_hours=empty_like(tables.pvm_hours),
-        pvm_with_fip=empty_like(tables.pvm_with_fip),
-        pl_group=empty_like(tables.pl_group),
-        pl_node=empty_like(tables.pl_node),
-        pl_start=empty_like(tables.pl_start),
-        pl_hours=empty_like(tables.pl_hours),
-        pl_site=empty_like(tables.pl_site),
-        pl_edge=empty_like(tables.pl_edge),
-        ps_group=empty_like(tables.ps_group),
-        ps_start=empty_like(tables.ps_start),
-        ps_hours=empty_like(tables.ps_hours),
-        ps_block_gb=empty_like(tables.ps_block_gb),
-        ps_object_gb=empty_like(tables.ps_object_gb),
-    )
+    for family in ("pvm", "pl", "ps"):
+        tables = tables.take(family, slice(0, 0))
+    return tables

@@ -1,31 +1,25 @@
-"""Columnar plan-time: the cohort's randomness resolved into arrays.
+"""Plan-time: the cohort's randomness resolved into activity tables.
 
-Replays the object planner's RNG contract *draw for draw* — same
-SeedSequence tree, same per-stream call order, same float ops — but
-lands the results in flat activity tables instead of per-shard activity
-objects.  Two paths produce the same tables:
+The one cohort planner.  Every engine plans its semester here: the
+columnar engine emits records straight from the tables, and the testbed
+paths (the serial :class:`~repro.core.cohort.CohortSimulation`, the
+parallel engine, the checkpoint journal) execute the per-student /
+per-group shards :func:`shards_from_columns` regroups them into.
 
-* :func:`plan_columns` — the native path: whole-cohort draws (fanned out
-  over worker processes by contiguous student range, each worker
-  rebuilding its streams via
-  :func:`repro.core.cohort.student_seed_sequence`), vectorized slot
-  calendar walk, then the columnar admission sweeps
-  (:mod:`repro.columnar.admission`).
-* :func:`columns_from_plan` — the converter: flattens an already-swept
-  object :class:`~repro.core.cohort.CohortPlan` into the same tables.
-  This is how fault plans enter the columnar engine (the fault sweep
-  rewrites object shards, so faulted runs plan through
-  :func:`repro.core.cohort.plan_cohort` first), and it is the
-  differential harness's reference: native tables must equal converted
-  tables array-for-array.
+:func:`plan_columns` resolves one semester in four steps: whole-cohort
+draws from the ``SeedSequence`` tree (fanned out over worker processes
+by contiguous student range, each worker rebuilding its streams via
+:func:`repro.core.cohort.student_seed_sequence`), the vectorized slot
+calendar walk, an optional fault model that rewrites the raw tables,
+then the admission sweeps (:mod:`repro.columnar.admission`).
 
 The one RNG call replayed manually is ``rng.choice(names, p=weights)``:
 numpy's Generator implementation draws exactly one ``rng.random()`` and
 walks the normalized cumulative weights with
 ``searchsorted(side="right")``, so the planner does the same — one
-uniform per slot against a precomputed CDF — keeping the stream aligned
-without paying ``choice``'s per-call setup a million times
-(``tests/columnar`` pins draw-level equality).
+uniform per slot against a precomputed CDF — without paying
+``choice``'s per-call setup a million times (``tests/columnar`` holds
+the tables to a scalar reference that calls ``choice`` itself).
 
 This module is plan-time by definition (SEED001's allow-list includes
 it): every Generator here is constructed from the seed tree before any
@@ -34,8 +28,8 @@ shard kernel runs, and the kernels themselves stay RNG-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -44,27 +38,35 @@ from repro.core.cohort import (
     EDGE_SITE,
     METAL_SITE,
     CohortConfig,
-    CohortPlan,
+    ProjectLeaseActivity,
+    ProjectStorageActivity,
+    ProjectVmActivity,
+    ShardPlan,
+    SlotActivity,
     SlotCalendar,
+    VmLabActivity,
     cohort_seed_sequence,
     draw_cohort_level,
     group_seed_sequence,
     student_seed_sequence,
 )
 from repro.core.course import COURSE, CourseDefinition, LabKind
-from repro.columnar.schema import SITE_CODES, ColumnSchema
+from repro.columnar.schema import SITE_CODES, SITE_NAMES, ColumnSchema
+
+if TYPE_CHECKING:
+    from repro.core.cohort import FaultModel
 
 
 @dataclass
 class ActivityTables:
     """Every cohort activity as parallel columns, one block per family.
 
-    Rows are in **sweep rank order** (the order the object sweeps would
+    Rows are in **sweep rank order** (the order the admission sweeps
     enumerate arrivals): ``vm_*`` student-major / VM-lab-minor, ``slot_*``
     student-major / (reserved-lab, k)-minor, project blocks group-major
-    in build order.  Each row carries everything emission needs (flavor,
-    counts, sizes), so faulted plans — which rewrite per-activity fields
-    — convert losslessly.
+    in build order.  Rows stay grouped by owner through the fault sweep
+    and admission.  Each row carries everything emission needs (flavor,
+    counts, sizes), so a fault model rewrites rows in place of objects.
     """
 
     # student VM labs
@@ -116,6 +118,27 @@ class ActivityTables:
     @property
     def activity_count(self) -> int:
         return sum(self.family_counts().values())
+
+    # A family is a column-name prefix: "vm", "slot", "pvm", "pl" or "ps".
+    # Its first column is the owner (student or group index).
+
+    def _column_names(self, family: str) -> list[str]:
+        return [f.name for f in fields(self) if f.name.startswith(family + "_")]
+
+    def take(self, family: str, rows, **columns: np.ndarray) -> "ActivityTables":
+        """Gather ``family``'s columns by ``rows`` (indices, mask or slice),
+        then set ``columns`` as given."""
+        gathered = {name: getattr(self, name)[rows] for name in self._column_names(family)}
+        return replace(self, **{**gathered, **columns})
+
+    def owner_bounds(self, family: str, owners: int) -> list[int]:
+        """Row bounds of owners ``0..owners-1`` (rows are grouped by owner)."""
+        owner = getattr(self, self._column_names(family)[0])
+        return np.searchsorted(owner, np.arange(owners + 1)).tolist()
+
+    def rows(self, family: str):
+        """``family``'s rows as tuples of Python scalars, in column order."""
+        return zip(*(getattr(self, name).tolist() for name in self._column_names(family)))
 
 
 @dataclass(frozen=True)
@@ -199,10 +222,15 @@ def _lab_metas(course: CourseDefinition) -> list[tuple[str, _VmLabMeta | _ResLab
 # -- whole-cohort draws (fan-out worker) -------------------------------------------
 
 
-def _draw_student_range(
+def _student_range_draws(
     args: tuple[CourseDefinition, CohortConfig, int, int, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """Draws for students [lo, hi): one worker's share of the cohort.
+
+    Each student's stream is consumed in ``course.labs`` order: per VM
+    lab (participation, start jitter, score jitter); per reserved lab
+    (slot count, one node-type draw per slot).  That order is the stream
+    contract every seed-pinned digest depends on.
 
     Pure function of (course, config, range, propensity slice): streams
     are rebuilt from ``(seed, spawn_key=(1, i))``, so the fan-out ships
@@ -248,7 +276,6 @@ def _draw_student_range(
         prop = prop_list[row]
         for is_vm, j, mean_slots, cdf in lab_seq:
             if is_vm:
-                # identical stream consumption to cohort.draw_student
                 participates[row, j] = random() < participation
                 start_jitter[row, j] = uniform(0.0, 96.0)
                 score_jitter[row, j] = lognormal(0.0, 0.5)
@@ -270,7 +297,7 @@ def _draw_student_range(
     }
 
 
-def _draw_group_range(
+def _group_range_draws(
     args: tuple[CourseDefinition, CohortConfig, int, int],
 ) -> dict[str, np.ndarray]:
     """Group streams for groups [lo, hi): jitter + per-flavor spread."""
@@ -304,15 +331,15 @@ def plan_columns(
     config: CohortConfig | None = None,
     *,
     workers: int = 1,
+    faults: "FaultModel | None" = None,
 ) -> ColumnarPlan:
-    """Resolve one semester natively into admitted activity tables.
+    """Resolve one semester into admitted activity tables.
 
-    Digest-contract twin of :func:`repro.core.cohort.plan_cohort` with
-    ``faults=None``: same seed tree, same draws, same slot calendar walk,
-    same admission outcomes — ``tests/columnar`` holds the two equal
-    array-for-array and digest-for-digest.  ``workers`` parallelizes only
-    the per-student/per-group draw loops; the output is identical for
-    every worker count.
+    ``faults`` (see :class:`repro.core.cohort.FaultModel`) rewrites the
+    raw tables before admission, so the sweeps re-validate the faulted
+    plan; ``None`` or an empty calendar leaves the tables untouched.
+    ``workers`` parallelizes only the per-student/per-group draw loops;
+    the output is identical for every worker count.
     """
     from repro.columnar.admission import sweep_lease_calendar, sweep_kvm_quota
 
@@ -320,6 +347,8 @@ def plan_columns(
     if workers < 1:
         raise ValidationError(f"workers must be positive: {workers!r}")
     raw, schema = _raw_tables(course, config, workers=workers)
+    if faults is not None:
+        raw = faults.apply(raw, schema=schema, semester_hours=course.semester_hours)
     info: dict[str, bool] = {}
     raw = sweep_kvm_quota(raw, course=course, config=config, info=info, schema=schema)
     raw = sweep_lease_calendar(raw, course=course, info=info, schema=schema)
@@ -330,6 +359,74 @@ def plan_columns(
         tables=raw,
         sweep_info=info,
     )
+
+
+def shards_from_columns(
+    tables: ActivityTables, schema: ColumnSchema
+) -> tuple[tuple[ShardPlan, ...], tuple[ShardPlan, ...]]:
+    """Regroup admitted tables into one shard per student and per group.
+
+    Rows are grouped by owner, so each shard is one contiguous block per
+    family.  ``.tolist()`` hands the activities Python scalars, so shards
+    pickle cheaply and repr like hand-built ones.
+    """
+    n, g = schema.n_students, schema.n_groups
+    labs, rtypes = schema.lab_names, schema.rtype_names
+    users = [schema.user_string(code) for code in range(n + g)]
+
+    def blocks(family: str, acts: list, owners: int) -> list[tuple]:
+        bounds = tables.owner_bounds(family, owners)
+        return [tuple(acts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+    vm_labs = blocks("vm", [
+        VmLabActivity(
+            lab_id=labs[lab], user=users[s], start=start, duration=duration,
+            flavor=rtypes[flavor], vm_count=count, block_gb=block, object_gb=obj,
+        )
+        for s, lab, start, duration, flavor, count, block, obj in tables.rows("vm")
+    ], n)
+    slots = blocks("slot", [
+        SlotActivity(
+            lab_id=labs[lab], user=users[s], site=SITE_NAMES[site],
+            node_type=rtypes[node], start=start, slot_hours=hours, edge=edge,
+        )
+        for s, lab, node, start, hours, site, edge in tables.rows("slot")
+    ], n)
+    project_vms = blocks("pvm", [
+        ProjectVmActivity(
+            user=users[n + grp], flavor=rtypes[flavor], start=start, hours=hours,
+            with_fip=fip,
+        )
+        for grp, flavor, start, hours, fip in tables.rows("pvm")
+    ], g)
+    project_leases = blocks("pl", [
+        ProjectLeaseActivity(
+            user=users[n + grp], site=SITE_NAMES[site], node_type=rtypes[node],
+            start=start, hours=hours, edge_session=edge,
+        )
+        for grp, node, start, hours, site, edge in tables.rows("pl")
+    ], g)
+    project_storage = blocks("ps", [
+        ProjectStorageActivity(
+            user=users[n + grp], start=start, block_gb=block, object_gb=obj, hours=hours,
+        )
+        for grp, start, hours, block, obj in tables.rows("ps")
+    ], g)
+    student_shards = tuple(
+        ShardPlan(shard_id=users[i], spawn_key=(1, i), vm_labs=vm_labs[i], slots=slots[i])
+        for i in range(n)
+    )
+    group_shards = tuple(
+        ShardPlan(
+            shard_id=users[n + j],
+            spawn_key=(2, j),
+            project_vms=project_vms[j],
+            project_leases=project_leases[j],
+            project_storage=project_storage[j],
+        )
+        for j in range(g)
+    )
+    return student_shards, group_shards
 
 
 def _raw_tables(
@@ -349,7 +446,7 @@ def _raw_tables(
 
     ranges = index_ranges(n, max(workers * 4, 1)) if workers > 1 else [(0, n)]
     parts = _fan_out(
-        _draw_student_range,
+        _student_range_draws,
         [(course, config, lo, hi, propensity[lo:hi]) for lo, hi in ranges],
         workers=workers,
     )
@@ -360,8 +457,8 @@ def _raw_tables(
     slot_codes = np.concatenate([p["slot_codes"] for p in parts])
     slot_code_lab = np.concatenate([p["slot_code_lab"] for p in parts])
 
-    # duration assignment: longest pool entries to the highest scores,
-    # exactly as the object planner vectorizes it
+    # duration assignment: longest pool entries to the highest scores, so
+    # the per-student tail of Fig 2 is correlated across labs
     durations = np.zeros((n, len(vm_metas)), dtype=np.float64)
     for j, meta in enumerate(vm_metas):
         scores = propensity * score_jitter[:, j]
@@ -397,7 +494,7 @@ def _raw_tables(
     slot_cols = _walk_lab_slots(
         res_metas, slot_counts, slot_codes, slot_code_lab, calendar, schema
     )
-    group_cols = _plan_groups_columnar(course, config, calendar, schema, workers=workers)
+    group_cols = _project_phase_columns(course, config, calendar, schema, workers=workers)
 
     tables = ActivityTables(
         vm_student=vm_student,
@@ -424,7 +521,7 @@ def _walk_lab_slots(
 ) -> dict[str, np.ndarray]:
     """Replay the slot-calendar cursor walk, vectorized per lab.
 
-    The walk order is the object planner's: lab-major, student-minor, k.
+    The walk order is lab-major, student-minor, k.
     Each node type's cursor advances one slot per booking, so booking
     ``m`` of a type (counting from that type's current cursor ``c``)
     starts at ``week_start + ((c + m) // capacity) * slot_hours`` — pure
@@ -494,7 +591,7 @@ def _walk_lab_slots(
     }
 
 
-def _plan_groups_columnar(
+def _project_phase_columns(
     course: CourseDefinition,
     config: CohortConfig,
     calendar: SlotCalendar,
@@ -519,7 +616,7 @@ def _plan_groups_columnar(
 
     ranges = index_ranges(g_count, max(workers * 4, 1)) if workers > 1 else [(0, g_count)]
     parts = _fan_out(
-        _draw_group_range,
+        _group_range_draws,
         [(course, config, lo, hi) for lo, hi in ranges],
         workers=workers,
     )
@@ -555,10 +652,9 @@ def _plan_groups_columnar(
     lease_specs.append((project.edge_type, 1, edge_hours, True))
     if len({t for t, _, _, _ in lease_specs}) != len(lease_specs):
         # the closed-form cursor walk below assumes each node type shows
-        # up once per group; a course violating that must use the object
-        # planner (plan_cohort + columns_from_plan)
+        # up once per group
         raise ValidationError(
-            "columnar group planning requires distinct project lease node types"
+            "cohort planning requires distinct project lease node types"
         )
 
     per_group = sum(c for _, c, _, _ in lease_specs)
@@ -607,100 +703,3 @@ def _plan_groups_columnar(
         "ps_block_gb": np.full(g_count, ps_block, dtype=np.int32),
         "ps_object_gb": np.full(g_count, ps_object, dtype=np.float64),
     }
-
-
-# -- the object-plan converter -----------------------------------------------------
-
-
-def columns_from_plan(plan: CohortPlan, course: CourseDefinition = COURSE) -> ColumnarPlan:
-    """Flatten an already-swept object plan into activity tables.
-
-    The entry path for faulted runs (the fault sweep operates on object
-    shards) and the differential reference for the native planner: both
-    must yield identical tables.  Shard tuples are already in rank order
-    per family, so a straight append preserves it.
-    """
-    schema = ColumnSchema.for_course(course)
-    vm_rows: list[tuple] = []
-    slot_rows: list[tuple] = []
-    for si, shard in enumerate(plan.student_shards):
-        for act in shard.vm_labs:
-            vm_rows.append(
-                (
-                    si,
-                    schema.lab_codes[act.lab_id],
-                    act.start,
-                    act.duration,
-                    schema.rtype_codes[act.flavor],
-                    act.vm_count,
-                    act.block_gb,
-                    act.object_gb,
-                )
-            )
-        for slot in shard.slots:
-            slot_rows.append(
-                (
-                    si,
-                    schema.lab_codes[slot.lab_id],
-                    schema.rtype_codes[slot.node_type],
-                    slot.start,
-                    slot.slot_hours,
-                    SITE_CODES[slot.site],
-                    slot.edge,
-                )
-            )
-    pvm_rows: list[tuple] = []
-    pl_rows: list[tuple] = []
-    ps_rows: list[tuple] = []
-    for gi, shard in enumerate(plan.group_shards):
-        for vm in shard.project_vms:
-            pvm_rows.append(
-                (gi, schema.rtype_codes[vm.flavor], vm.start, vm.hours, vm.with_fip)
-            )
-        for lease in shard.project_leases:
-            pl_rows.append(
-                (
-                    gi,
-                    schema.rtype_codes[lease.node_type],
-                    lease.start,
-                    lease.hours,
-                    SITE_CODES[lease.site],
-                    lease.edge_session,
-                )
-            )
-        for st in shard.project_storage:
-            ps_rows.append((gi, st.start, st.hours, st.block_gb, st.object_gb))
-
-    def cols(rows: list[tuple], dtypes: list) -> list[np.ndarray]:
-        if not rows:
-            return [np.empty(0, dtype=dt) for dt in dtypes]
-        transposed = list(zip(*rows))
-        return [np.asarray(vals, dtype=dt) for vals, dt in zip(transposed, dtypes)]
-
-    vm = cols(
-        vm_rows,
-        [np.int32, np.int16, np.float64, np.float64, np.int16, np.int16, np.int32, np.float64],
-    )
-    slot = cols(slot_rows, [np.int32, np.int16, np.int16, np.float64, np.float64, np.int8, bool])
-    pvm = cols(pvm_rows, [np.int32, np.int16, np.float64, np.float64, bool])
-    pl = cols(pl_rows, [np.int32, np.int16, np.float64, np.float64, np.int8, bool])
-    ps = cols(ps_rows, [np.int32, np.float64, np.float64, np.int32, np.float64])
-    tables = ActivityTables(
-        vm_student=vm[0], vm_lab=vm[1], vm_start=vm[2], vm_duration=vm[3],
-        vm_flavor=vm[4], vm_count=vm[5], vm_block_gb=vm[6], vm_object_gb=vm[7],
-        slot_student=slot[0], slot_lab=slot[1], slot_node=slot[2], slot_start=slot[3],
-        slot_hours=slot[4], slot_site=slot[5], slot_edge=slot[6],
-        pvm_group=pvm[0], pvm_flavor=pvm[1], pvm_start=pvm[2], pvm_hours=pvm[3],
-        pvm_with_fip=pvm[4],
-        pl_group=pl[0], pl_node=pl[1], pl_start=pl[2], pl_hours=pl[3],
-        pl_site=pl[4], pl_edge=pl[5],
-        ps_group=ps[0], ps_start=ps[1], ps_hours=ps[2], ps_block_gb=ps[3],
-        ps_object_gb=ps[4],
-    )
-    return ColumnarPlan(
-        seed=plan.seed,
-        semester_hours=plan.semester_hours,
-        schema=schema,
-        tables=tables,
-        sweep_info={"converted_from_object_plan": True},
-    )

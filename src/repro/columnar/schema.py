@@ -46,7 +46,7 @@ SITE_CODES: dict[str, int] = {name: code for code, name in enumerate(SITE_NAMES)
 
 
 def student_user(index: int) -> str:
-    """The student user string (same format the object planner mints)."""
+    """The student user string (shard id and activity user)."""
     return f"student{index:03d}"
 
 

@@ -22,7 +22,10 @@ Architecture: **plan → execute → merge.**  All randomness and all
 cross-student coupling (the stratified duration pools, the shared slot
 calendar, quota admission) are resolved up front by :func:`plan_cohort`
 into per-student / per-group :class:`ShardPlan`\\ s whose activities carry
-fully resolved absolute times.  Seeds derive from one
+fully resolved absolute times.  Planning itself lives in
+:mod:`repro.columnar.planner`, the one cohort planner; this module holds
+the cohort-level draws and seed tree it uses, the shard types, and
+execution on the testbed.  Seeds derive from one
 ``numpy.random.SeedSequence`` tree (cohort stream, one stream per
 student, one per group), so any subset of shards can be planned and
 executed independently of the rest.  Executing a shard
@@ -39,22 +42,25 @@ per-student cost (Fig 2) emerges from the behaviour model.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field, replace
-from typing import Protocol
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 from scipy import stats
 
-from repro.cloud.inventory import CHAMELEON_FLAVORS, CHAMELEON_NODE_TYPES, EDGE_DEVICE_TYPES
+from repro.cloud.inventory import CHAMELEON_NODE_TYPES, EDGE_DEVICE_TYPES
 from repro.cloud.metering import UsageRecord
 from repro.cloud.quota import Quota
 from repro.cloud.site import Site
 from repro.cloud.testbed import Testbed, chameleon
 from repro.common.errors import ConflictError, QuotaExceededError, ValidationError
 from repro.common.retry import RetryPolicy
-from repro.core.course import COURSE, CourseDefinition, LabAssignment, LabKind
+from repro.core.course import COURSE, CourseDefinition, LabKind
 from repro.core.usage import canonicalize_records
+
+if TYPE_CHECKING:
+    from repro.columnar.planner import ActivityTables
+    from repro.columnar.schema import ColumnSchema
 
 KVM_SITE = "kvm@tacc"
 METAL_SITE = "chi@tacc"
@@ -253,24 +259,20 @@ class CohortPlan:
 
 
 class FaultModel(Protocol):
-    """Anything that may rewrite *raw* shard plans before admission.
+    """Anything that may rewrite the *raw* activity tables before admission.
 
     The canonical implementation is
     :class:`repro.faults.plan.FaultSweep`, which resolves a seeded
     :class:`~repro.faults.plan.FaultCalendar` into killed / relaunched /
-    delayed activities.  The planner only sees this protocol, so
-    :mod:`repro.core` never imports :mod:`repro.faults` (the dependency
-    points one way) and a ``None`` fault model leaves the plan
-    byte-identical to the fault-free planner.
+    delayed activities.  The planner only sees this protocol, so neither
+    :mod:`repro.core` nor :mod:`repro.columnar` imports
+    :mod:`repro.faults` (the dependency points one way) and a ``None``
+    fault model leaves the plan byte-identical to the fault-free planner.
     """
 
     def apply(
-        self,
-        student_shards: tuple[ShardPlan, ...],
-        group_shards: tuple[ShardPlan, ...],
-        *,
-        semester_hours: float,
-    ) -> tuple[tuple[ShardPlan, ...], tuple[ShardPlan, ...]]: ...
+        self, tables: ActivityTables, *, schema: ColumnSchema, semester_hours: float
+    ) -> ActivityTables: ...
 
 
 def quota_for(course: CourseDefinition) -> Quota:
@@ -294,8 +296,9 @@ def quota_for(course: CourseDefinition) -> Quota:
 # helpers below are that reconstruction — they let any worker rebuild an
 # arbitrary student range's streams from two integers instead of
 # shipping a million pickled SeedSequences (``repro.columnar`` fans its
-# whole-cohort draw loop out this way), and a regression test pins them
-# to the spawn tree bit-for-bit.
+# whole-cohort draw loop out this way), and a regression test
+# (``tests/core/test_seed_tree.py``) pins them to the spawn tree
+# bit-for-bit.
 
 
 def cohort_seed_sequence(seed: int) -> np.random.SeedSequence:
@@ -311,16 +314,6 @@ def student_seed_sequence(seed: int, index: int) -> np.random.SeedSequence:
 def group_seed_sequence(seed: int, index: int) -> np.random.SeedSequence:
     """Project group ``index``'s private stream."""
     return np.random.SeedSequence(seed, spawn_key=(2, index))
-
-
-@dataclass
-class _StudentDraws:
-    """Raw per-student randomness, drawn from the student's own stream."""
-
-    participates: dict[str, bool] = field(default_factory=dict)  # VM lab -> bool
-    start_jitter: dict[str, float] = field(default_factory=dict)  # VM lab -> U(0,96)
-    score_jitter: dict[str, float] = field(default_factory=dict)  # VM lab -> LN(0,0.5)
-    slot_types: dict[str, list[str]] = field(default_factory=dict)  # reserved lab -> types
 
 
 def draw_cohort_level(
@@ -346,42 +339,14 @@ def draw_cohort_level(
     return propensity, pools
 
 
-def draw_student(
-    course: CourseDefinition,
-    config: CohortConfig,
-    rng: np.random.Generator,
-    propensity: float,
-) -> _StudentDraws:
-    """All of one student's randomness, in a fixed per-lab order.
-
-    The draw order over ``course.labs`` — (participation, start jitter,
-    score jitter) per VM lab; (slot count, one type per slot) per
-    reserved lab — is the stream contract both engines share: the
-    columnar planner replays exactly these calls against exactly this
-    stream, so the plans agree draw-for-draw.
-    """
-    draws = _StudentDraws()
-    for lab in course.labs:
-        if lab.kind is LabKind.VM:
-            draws.participates[lab.id] = bool(rng.random() < config.participation)
-            draws.start_jitter[lab.id] = float(rng.uniform(0.0, 96.0))
-            draws.score_jitter[lab.id] = float(rng.lognormal(0.0, 0.5))
-        else:
-            count = int(rng.poisson(lab.mean_slots * propensity))
-            names = [o.node_type for o in lab.options]
-            weights = np.array([o.weight for o in lab.options])
-            draws.slot_types[lab.id] = [str(rng.choice(names, p=weights)) for _ in range(count)]
-    return draws
-
-
 class SlotCalendar:
     """The serial, conflict-free reservation cursor per node type.
 
     One cursor walk hands out slot start times in a canonical global
     order (lab-major / student-minor during labs, then the project
-    phase) — the walk itself is the shared-resource resolution, so both
-    planners must advance one identical calendar instance through the
-    identical visit order.
+    phase) — the walk itself is the shared-resource resolution.  The
+    planner walks it in closed form over ``cursors``/``capacity``;
+    :meth:`next_start` is the one-booking-at-a-time definition.
     """
 
     def __init__(self) -> None:
@@ -400,233 +365,6 @@ class SlotCalendar:
         return week_start + round_idx * slot_hours
 
 
-class _CohortPlanner:
-    """Resolves the whole semester deterministically from the seed tree.
-
-    The seed hierarchy is ``SeedSequence(seed).spawn(3)`` →
-    (cohort stream, student root, group root); the student/group roots
-    spawn one child stream per student/group.  Cohort-level coupling
-    (negligence propensity, the stratified per-lab duration pools whose
-    *sample mean* is exact across the cohort) comes from the cohort
-    stream; everything a single student/group does alone comes from its
-    own stream.  Shared resources are then resolved serially in one
-    canonical order — the slot calendar cursor walk and the conservative
-    quota/lease admission sweeps — so shard execution never needs to
-    observe another shard.
-    """
-
-    def __init__(
-        self, course: CourseDefinition, config: CohortConfig, *, faults: "FaultModel | None" = None
-    ) -> None:
-        self.course = course
-        self.config = config
-        self.faults = faults
-        root = np.random.SeedSequence(config.seed)
-        cohort_ss, student_root, group_root = root.spawn(3)
-        self._cohort_rng = np.random.default_rng(cohort_ss)
-        self._student_seqs = student_root.spawn(course.enrollment)
-        self._group_seqs = group_root.spawn(course.project.groups)
-        self._calendar = SlotCalendar()
-        self._slot_capacity = self._calendar.capacity
-
-    def plan(self) -> CohortPlan:
-        course, config = self.course, self.config
-        n = course.enrollment
-        propensity, pools = draw_cohort_level(course, config, self._cohort_rng)
-        draws = [
-            draw_student(
-                course, config, np.random.default_rng(self._student_seqs[i]), float(propensity[i])
-            )
-            for i in range(n)
-        ]
-
-        # assign the longest durations in each lab's pool to the most
-        # negligence-prone students, so the per-student tail of Fig 2 is
-        # correlated across labs
-        durations: dict[str, np.ndarray] = {}
-        for lab in course.labs:
-            if lab.kind is not LabKind.VM:
-                continue
-            scores = propensity * np.array([d.score_jitter[lab.id] for d in draws])
-            assigned = np.empty(n)
-            assigned[np.argsort(scores)] = pools[lab.id]
-            dur = np.maximum(assigned, lab.expected_hours * 0.5)  # nobody quits instantly
-            if config.vm_reaper:
-                dur = np.minimum(dur, lab.expected_hours + config.vm_reaper_grace)
-            durations[lab.id] = dur
-
-        vm_labs: list[list[VmLabActivity]] = [[] for _ in range(n)]
-        slots: list[list[SlotActivity]] = [[] for _ in range(n)]
-        for lab in course.labs:
-            if lab.kind is LabKind.VM:
-                for i in range(n):
-                    if not draws[i].participates[lab.id]:
-                        continue
-                    vm_labs[i].append(
-                        VmLabActivity(
-                            lab_id=lab.id,
-                            user=f"student{i:03d}",
-                            start=lab.week * 168.0 + draws[i].start_jitter[lab.id],
-                            duration=float(durations[lab.id][i]),
-                            flavor=lab.flavor or "",
-                            vm_count=lab.vm_count,
-                            block_gb=lab.block_gb,
-                            object_gb=lab.object_gb,
-                        )
-                    )
-            else:
-                site = EDGE_SITE if lab.kind is LabKind.EDGE else METAL_SITE
-                week_start = lab.week * 168.0
-                # the calendar cursor walks lab-major / student-minor — the
-                # same canonical order for every worker count
-                for i in range(n):
-                    for node_type in draws[i].slot_types[lab.id]:
-                        slots[i].append(
-                            SlotActivity(
-                                lab_id=lab.id,
-                                user=f"student{i:03d}",
-                                site=site,
-                                node_type=node_type,
-                                start=self._calendar.next_start(
-                                    node_type, week_start, lab.slot_hours
-                                ),
-                                slot_hours=lab.slot_hours,
-                                edge=lab.kind is LabKind.EDGE,
-                            )
-                        )
-
-        group_shards = self._plan_project()
-        student_shards = tuple(
-            ShardPlan(
-                shard_id=f"student{i:03d}",
-                spawn_key=(1, i),
-                vm_labs=tuple(vm_labs[i]),
-                slots=tuple(slots[i]),
-            )
-            for i in range(n)
-        )
-
-        if self.faults is not None:
-            # the fault sweep rewrites activities (kills, relaunches,
-            # delayed starts) BEFORE admission, so the sweeps below
-            # re-validate the faulted plan and runtime execution stays
-            # exception-free and RNG-free under any fault plan
-            student_shards, group_shards = self.faults.apply(
-                student_shards, group_shards, semester_hours=course.semester_hours
-            )
-
-        student_shards, group_shards = _admission_sweeps(
-            student_shards,
-            group_shards,
-            quota=quota_for(course),
-            slot_capacity=self._slot_capacity,
-            semester_hours=course.semester_hours,
-            config=config,
-        )
-        return CohortPlan(
-            seed=config.seed,
-            semester_hours=course.semester_hours,
-            quota=quota_for(course),
-            student_shards=student_shards,
-            group_shards=group_shards,
-        )
-
-    def _plan_project(self) -> tuple[ShardPlan, ...]:
-        return tuple(
-            plan_group(
-                self.course,
-                group,
-                np.random.default_rng(self._group_seqs[group]),
-                self._calendar,
-            )
-            for group in range(self.course.project.groups)
-        )
-
-
-def plan_group(
-    course: CourseDefinition,
-    group: int,
-    rng: np.random.Generator,
-    calendar: SlotCalendar,
-) -> ShardPlan:
-    """One project group's raw shard: VMs, leases, storage.
-
-    Shared between the object planner and ``repro.columnar`` so the two
-    engines consume the group stream and advance the slot calendar
-    identically.  ``calendar`` must arrive positioned exactly where the
-    lab-slot cursor walk left it, and groups must be planned in index
-    order — the walk *is* the shared-resource resolution.
-    """
-    project = course.project
-    start = (course.semester_weeks - project.weeks) * 168.0
-    duration = project.weeks * 168.0
-    g = project.groups
-
-    user = f"group{group:02d}"
-    jitter = float(rng.uniform(0.0, 48.0))
-    g_start = start + jitter
-
-    # long-lived service VMs per flavor; one floating IP per group
-    vms: list[ProjectVmActivity] = []
-    for idx, (flavor, share) in enumerate(project.vm_flavor_shares):
-        hours = project.vm_hours_total * share / g
-        hours *= float(rng.lognormal(-0.02, 0.2))  # mild group-to-group spread
-        hours = min(hours, duration - jitter)
-        vms.append(
-            ProjectVmActivity(
-                user=user, flavor=flavor, start=g_start, hours=hours,
-                with_fip=(idx == 0),
-            )
-        )
-
-    leases: list[ProjectLeaseActivity] = []
-    # GPU training slots (4-hour blocks); shared slot calendar base
-    for node_type, share in project.gpu_type_shares:
-        hours = project.gpu_hours_total * share / g
-        n_slots = max(1, int(round(hours / 4.0)))
-        for _ in range(n_slots):
-            s = calendar.next_start(node_type, start, 4.0)
-            leases.append(
-                ProjectLeaseActivity(
-                    user=user, site=METAL_SITE, node_type=node_type,
-                    start=s, hours=4.0, edge_session=False,
-                )
-            )
-    # big-data bare-metal (CPU) job
-    bm_hours = project.baremetal_cpu_hours / g
-    s = calendar.next_start(project.baremetal_cpu_type, start, bm_hours)
-    leases.append(
-        ProjectLeaseActivity(
-            user=user, site=METAL_SITE, node_type=project.baremetal_cpu_type,
-            start=s, hours=bm_hours, edge_session=False,
-        )
-    )
-    # edge deployment slots
-    edge_hours = project.edge_hours / g
-    s = calendar.next_start(project.edge_type, start, edge_hours)
-    leases.append(
-        ProjectLeaseActivity(
-            user=user, site=EDGE_SITE, node_type=project.edge_type,
-            start=s, hours=edge_hours, edge_session=True,
-        )
-    )
-
-    storage = ProjectStorageActivity(
-        user=user,
-        start=g_start,
-        block_gb=int(round(project.block_storage_gb / g)),
-        object_gb=project.object_storage_gb / g,
-        hours=duration - jitter,
-    )
-    return ShardPlan(
-        shard_id=user,
-        spawn_key=(2, group),
-        project_vms=tuple(vms),
-        project_leases=tuple(leases),
-        project_storage=(storage,),
-    )
-
-
 def plan_cohort(
     course: CourseDefinition = COURSE,
     config: CohortConfig | None = None,
@@ -635,259 +373,26 @@ def plan_cohort(
 ) -> CohortPlan:
     """Resolve one semester into independently executable shards.
 
-    ``faults`` (see :class:`FaultModel`) interposes a plan-time fault
-    sweep between raw planning and the admission sweeps; ``None`` (or a
-    sweep over an empty calendar) yields a plan byte-identical to the
-    fault-free planner.
+    Plans through :func:`repro.columnar.planner.plan_columns` (draws,
+    calendar walk, ``faults``, admission) and regroups the admitted
+    tables into one shard per student and per group.  ``faults`` (see
+    :class:`FaultModel`) rewrites the raw tables before admission;
+    ``None`` (or a sweep over an empty calendar) yields the fault-free
+    plan.
     """
-    return _CohortPlanner(
-        course, config if config is not None else CohortConfig(), faults=faults
-    ).plan()
+    # imported here: repro.columnar.planner imports this module
+    from repro.columnar.planner import plan_columns, shards_from_columns
 
-
-# -- plan-time admission sweeps ----------------------------------------------------
-#
-# The serial simulation resolved quota exhaustion and lease-calendar
-# conflicts *reactively* (retry events, next-slot fallbacks).  For shards
-# to be order-independent those outcomes must be fixed at plan time, so
-# two conservative chronological sweeps pre-admit every activity:
-#
-# * KVM quota: a bundle (FIP + instances + cores + RAM + volume) is
-#   admitted at time t only if it fits alongside every admitted bundle
-#   whose hold interval contains t — where releases happening *exactly*
-#   at t are NOT yet counted as free.  That strictness makes admission a
-#   pure prefix-sum test, independent of same-instant event ordering, so
-#   a plan-admitted bundle can never hit QuotaExceededError at runtime
-#   (the runtime holds a subset of what the sweep assumed held).
-#   Rejected bundles retry after the same backoff the reactive path used.
-# * Lease calendars: leases are half-open intervals [start, start+len);
-#   the sweep replays create_lease's capacity check in event order and
-#   bumps conflicting bookings to the next slot, exactly as the runtime
-#   ConflictError handler would.  (The cursor calendar is designed to be
-#   conflict-free, so bumps are a determinism backstop, not a hot path.)
-
-
-@dataclass
-class _Arrival:
-    shard: int  # index into the combined shard list
-    slot: int  # index into the shard's activity tuple
-    time: float
-    retries: int = 0
-
-
-def _vm_bundle(act: VmLabActivity) -> dict[str, float]:
-    flavor = CHAMELEON_FLAVORS[act.flavor]
-    bundle = {
-        "floating_ips": 1.0,
-        "instances": float(act.vm_count),
-        "cores": float(act.vm_count * flavor.vcpus),
-        "ram_gib": float(act.vm_count * flavor.ram_gib),
-    }
-    if act.block_gb:
-        bundle["volumes"] = 1.0
-        bundle["volume_storage_gb"] = float(act.block_gb)
-    return bundle
-
-
-def _project_vm_bundle(act: ProjectVmActivity) -> dict[str, float]:
-    flavor = CHAMELEON_FLAVORS[act.flavor]
-    bundle = {
-        "instances": 1.0,
-        "cores": float(flavor.vcpus),
-        "ram_gib": float(flavor.ram_gib),
-    }
-    if act.with_fip:
-        bundle["floating_ips"] = 1.0
-    return bundle
-
-
-def _storage_bundle(act: ProjectStorageActivity) -> dict[str, float]:
-    return {"volumes": 1.0, "volume_storage_gb": float(max(1, act.block_gb))}
-
-
-def _admission_sweeps(
-    student_shards: tuple[ShardPlan, ...],
-    group_shards: tuple[ShardPlan, ...],
-    *,
-    quota: Quota,
-    slot_capacity: dict[str, int],
-    semester_hours: float,
-    config: CohortConfig,
-) -> tuple[tuple[ShardPlan, ...], tuple[ShardPlan, ...]]:
-    """Run both sweeps; returns shards with admitted start times baked in."""
-    shards = list(student_shards) + list(group_shards)
-    shards = _sweep_kvm_quota(shards, quota, semester_hours, config)
-    shards = _sweep_lease_calendar(shards, slot_capacity, semester_hours)
-    n = len(student_shards)
-    return tuple(shards[:n]), tuple(shards[n:])
-
-
-def _sweep_kvm_quota(
-    shards: list[ShardPlan], quota: Quota, semester_hours: float, config: CohortConfig
-) -> list[ShardPlan]:
-    limits = {
-        dim: getattr(quota, dim)
-        for dim in ("instances", "cores", "ram_gib", "floating_ips", "volumes", "volume_storage_gb")
-    }
-    in_use = dict.fromkeys(limits, 0.0)
-    releases: list[tuple[float, int, dict[str, float]]] = []  # (time, tiebreak, bundle)
-
-    # arrivals in serial event-scheduling order: shard-major, stored order
-    heap: list[tuple[float, int, str, _Arrival]] = []
-    rank = 0
-    for si, shard in enumerate(shards):
-        for ai, act in enumerate(shard.vm_labs):
-            heapq.heappush(heap, (act.start, rank, "vm_labs", _Arrival(si, ai, act.start)))
-            rank += 1
-        for ai, act in enumerate(shard.project_vms):
-            heapq.heappush(heap, (act.start, rank, "project_vms", _Arrival(si, ai, act.start)))
-            rank += 1
-        for ai, act in enumerate(shard.project_storage):
-            heapq.heappush(heap, (act.start, rank, "project_storage", _Arrival(si, ai, act.start)))
-            rank += 1
-
-    admitted: dict[tuple[int, str, int], float | None] = {}  # -> start (None = dropped)
-    release_seq = 0
-
-    def _free_until(t: float) -> None:
-        # releases strictly before t only — see the conservatism note above
-        while releases and releases[0][0] < t:
-            _, _, bundle = heapq.heappop(releases)
-            for dim, amount in bundle.items():
-                in_use[dim] -= amount
-
-    def _fits(bundle: dict[str, float]) -> bool:
-        return all(in_use[dim] + amount <= limits[dim] for dim, amount in bundle.items())
-
-    def _hold(bundle: dict[str, float], end: float) -> None:
-        nonlocal release_seq
-        for dim, amount in bundle.items():
-            in_use[dim] += amount
-        release_seq += 1
-        heapq.heappush(releases, (end, release_seq, bundle))
-
-    while heap:
-        t, arrival_rank, field_name, arr = heapq.heappop(heap)
-        _free_until(t)
-        shard = shards[arr.shard]
-        act = getattr(shard, field_name)[arr.slot]
-        key = (arr.shard, field_name, arr.slot)
-        if field_name == "vm_labs":
-            end = min(t + act.duration, semester_hours - 1e-6)
-            if end <= t:
-                admitted[key] = None  # starts after staff clean-up: never runs
-                continue
-            bundle = _vm_bundle(act)
-            policy = config.quota_retry
-            if _fits(bundle):
-                _hold(bundle, end)
-                admitted[key] = t
-            elif (
-                not policy.allows_retry(arr.retries, elapsed_hours=t - arr.time)
-                or t + policy.backoff_hours(arr.retries + 1) > semester_hours
-            ):
-                admitted[key] = None  # the student gives up this week
-            else:
-                rank += 1
-                arr.retries += 1
-                heapq.heappush(
-                    heap, (t + policy.backoff_hours(arr.retries), rank, field_name, arr)
-                )
-        elif field_name == "project_vms":
-            end = min(t + act.hours, semester_hours - 1e-6)
-            bundle = _project_vm_bundle(act)
-            if end > t and _fits(bundle):
-                _hold(bundle, end)
-                admitted[key] = t
-            elif t + 12.0 > semester_hours or end <= t:
-                admitted[key] = None
-            else:
-                rank += 1
-                heapq.heappush(heap, (t + 12.0, rank, field_name, arr))
-        else:  # project_storage: created unconditionally at runtime; count the hold
-            end = min(t + act.hours, semester_hours - 1e-6)
-            _hold(_storage_bundle(act), max(end, t))
-            admitted[key] = t
-
-    return _apply_admissions(shards, admitted, ("vm_labs", "project_vms", "project_storage"))
-
-
-def _sweep_lease_calendar(
-    shards: list[ShardPlan], slot_capacity: dict[str, int], semester_hours: float
-) -> list[ShardPlan]:
-    # active[(site, node_type)] -> list of [start, end) intervals still live
-    active: dict[tuple[str, str], list[tuple[float, float]]] = {}
-
-    heap: list[tuple[float, int, str, _Arrival]] = []
-    rank = 0
-    for si, shard in enumerate(shards):
-        for ai, act in enumerate(shard.slots):
-            heapq.heappush(heap, (act.start, rank, "slots", _Arrival(si, ai, act.start)))
-            rank += 1
-        for ai, act in enumerate(shard.project_leases):
-            heapq.heappush(heap, (act.start, rank, "project_leases", _Arrival(si, ai, act.start)))
-            rank += 1
-
-    admitted: dict[tuple[int, str, int], float | None] = {}
-    while heap:
-        t, arrival_rank, field_name, arr = heapq.heappop(heap)
-        shard = shards[arr.shard]
-        act = getattr(shard, field_name)[arr.slot]
-        key = (arr.shard, field_name, arr.slot)
-        if field_name == "slots":
-            end = t + act.slot_hours
-            step = act.slot_hours
-            max_retries = None  # _book_slot re-books indefinitely
-        else:
-            end = min(t + act.hours, semester_hours - 1e-6)
-            step = act.hours
-            max_retries = 200
-            if end <= t:
-                admitted[key] = None
-                continue
-        cal_key = (act.site, act.node_type)
-        live = [iv for iv in active.get(cal_key, ()) if iv[1] > t]
-        if len(live) + 1 <= slot_capacity[act.node_type]:
-            live.append((t, end))
-            active[cal_key] = live
-            admitted[key] = t
-        elif (max_retries is not None and arr.retries >= max_retries) or t + step > semester_hours:
-            active[cal_key] = live
-            admitted[key] = None
-        else:
-            active[cal_key] = live
-            rank += 1
-            arr.retries += 1
-            heapq.heappush(heap, (t + step, rank, field_name, arr))
-
-    return _apply_admissions(shards, admitted, ("slots", "project_leases"))
-
-
-def _apply_admissions(
-    shards: list[ShardPlan],
-    admitted: dict[tuple[int, str, int], float | None],
-    fields_swept: tuple[str, ...],
-) -> list[ShardPlan]:
-    out: list[ShardPlan] = []
-    for si, shard in enumerate(shards):
-        updates: dict[str, tuple] = {}
-        for field_name in fields_swept:
-            acts = getattr(shard, field_name)
-            new_acts = []
-            changed = False
-            for ai, act in enumerate(acts):
-                start = admitted.get((si, field_name, ai), act.start)
-                if start is None:
-                    changed = True
-                    continue  # dropped: quota never freed up / calendar full
-                if start != act.start:
-                    act = replace(act, start=start)
-                    changed = True
-                new_acts.append(act)
-            if changed:
-                updates[field_name] = tuple(new_acts)
-        out.append(replace(shard, **updates) if updates else shard)
-    return out
+    config = config if config is not None else CohortConfig()
+    columns = plan_columns(course, config, faults=faults)
+    student_shards, group_shards = shards_from_columns(columns.tables, columns.schema)
+    return CohortPlan(
+        seed=config.seed,
+        semester_hours=course.semester_hours,
+        quota=quota_for(course),
+        student_shards=student_shards,
+        group_shards=group_shards,
+    )
 
 
 # -- execution ---------------------------------------------------------------------
@@ -897,7 +402,7 @@ def _apply_admissions(
 # parallel path hands each worker a fresh one.  The callbacks below are
 # the same provisioning flows the reactive simulator used; the retry /
 # conflict branches are kept as a defensive mirror but are dead code for
-# plan-admitted activities (see the sweep notes above).
+# plan-admitted activities (see :mod:`repro.columnar.admission`).
 
 
 def execute_shard(

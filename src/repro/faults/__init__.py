@@ -9,12 +9,12 @@ This package adds a seeded fault layer in two halves:
 * **Plan-time** (:mod:`repro.faults.plan`): seeded generators resolve
   site outages, per-instance hardware failures, and transient API-error
   bursts into a static :class:`~repro.faults.plan.FaultCalendar`, and a
-  :class:`~repro.faults.plan.FaultSweep` rewrites the cohort's raw shard
-  plans — killed segments, backoff-delayed relaunches with redo hours,
-  abandoned labs — *before* the admission sweeps.  Shard execution stays
-  RNG-free, so ``run_parallel(workers=N)`` remains sha256
-  digest-identical to the serial run under any fault plan, and the
-  empty calendar is byte-identical to no fault layer at all.
+  :class:`~repro.faults.plan.FaultSweep` rewrites the planner's raw
+  activity tables — killed segments, backoff-delayed relaunches with redo
+  hours, abandoned labs — *before* the admission sweeps.  Execution
+  stays RNG-free, so ``run_parallel(workers=N)`` and ``run_columnar``
+  remain sha256 digest-identical to the serial run under any fault plan,
+  and the empty calendar is byte-identical to no fault layer at all.
 * **Runtime** (:mod:`repro.faults.inject`): a
   :class:`~repro.faults.inject.FaultInjector` drives a live testbed's
   compute/lease admission gates and unified terminal paths — raising

@@ -1,13 +1,13 @@
-"""Plan-time fault resolution: seeded calendars and the shard sweep.
+"""Plan-time fault resolution: seeded calendars and the activity-table sweep.
 
-Mirrors the cohort's plan → execute → merge architecture (PR 3's
-admission sweeps): all fault randomness is drawn serially at plan time
-from one ``SeedSequence(fault_seed).spawn(3)`` tree — (outage stream,
-burst stream, hazard stream) — and resolved into rewritten shard
-activities with fully absolute times.  Execution stays RNG-free, so the
-parallel engine's digest contract survives any fault plan, and the
-*empty* calendar leaves every shard byte-identical to the fault-free
-planner (the null plan is a strict no-op).
+Mirrors the cohort's plan → execute → merge architecture: all fault
+randomness is drawn serially at plan time from one
+``SeedSequence(fault_seed).spawn(3)`` tree — (outage stream, burst
+stream, hazard stream) — and resolved into rewritten rows of the
+planner's raw activity tables, with fully absolute times, before the
+admission sweeps run.  Execution stays RNG-free, so every engine's
+digest contract survives any fault plan, and the *empty* calendar
+returns the very same tables (the null plan is a strict no-op).
 
 Three fault classes, matching what real testbeds throw at a course:
 
@@ -30,7 +30,8 @@ cost (lost instance-hours, redo hours, per-student deltas).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,13 +45,12 @@ from repro.core.cohort import (
     CohortConfig,
     CohortPlan,
     CourseDefinition,
-    ProjectLeaseActivity,
-    ProjectVmActivity,
-    ShardPlan,
-    SlotActivity,
-    VmLabActivity,
     plan_cohort,
 )
+
+if TYPE_CHECKING:
+    from repro.columnar.planner import ActivityTables
+    from repro.columnar.schema import ColumnSchema
 
 #: Segments shorter than this are dropped rather than scheduled (a VM set
 #: that would be torn down the instant it boots produces no usage).
@@ -381,7 +381,7 @@ class FaultLedger:
 
 
 class FaultSweep:
-    """Applies a :class:`FaultCalendar` to raw shard plans (pre-admission).
+    """Applies a :class:`FaultCalendar` to raw activity tables (pre-admission).
 
     Implements the planner's :class:`~repro.core.cohort.FaultModel`
     protocol.  One sweep = one ledger: applying the same sweep twice
@@ -405,118 +405,126 @@ class FaultSweep:
     # -- FaultModel ---------------------------------------------------------
 
     def apply(
-        self,
-        student_shards: tuple[ShardPlan, ...],
-        group_shards: tuple[ShardPlan, ...],
-        *,
-        semester_hours: float,
-    ) -> tuple[tuple[ShardPlan, ...], tuple[ShardPlan, ...]]:
+        self, tables: ActivityTables, *, schema: ColumnSchema, semester_hours: float
+    ) -> ActivityTables:
+        """Rewrite the planner's raw ``tables`` (pre-admission).
+
+        The hazard stream is consumed student by student (VM rows, then
+        slot rows), then group by group (service-VM rows, then lease
+        rows).  Instance runs become one row per executed segment;
+        bookings move or drop.  Every other column is gathered by source
+        row, so rows stay grouped by owner.
+        """
         if self._applied:
             raise InvalidStateError(
                 "FaultSweep already applied; build a fresh sweep (or reuse the plan)"
             )
         self._applied = True
         if self.calendar.empty:
-            return student_shards, group_shards  # strict no-op: same objects
+            return tables  # strict no-op: same object
+        # imported here: the serving stack loads this module for its
+        # calendars and must not pull in the columnar engine
+        from repro.columnar.schema import SITE_NAMES
+
         rng = self.calendar.hazard_rng()
-        out = [
-            self._apply_shard(shard, rng, semester_hours)
-            for shard in (*student_shards, *group_shards)
-        ]
-        n = len(student_shards)
-        return tuple(out[:n]), tuple(out[n:])
+        labs, rtypes = schema.lab_names, schema.rtype_names
+        n = schema.n_students
+        vm, slot = list(tables.rows("vm")), list(tables.rows("slot"))
+        pvm, pl = list(tables.rows("pvm")), list(tables.rows("pl"))
+        # family -> kept (source row, start[, hours]) in output order
+        kept: dict[str, list[tuple]] = {"vm": [], "slot": [], "pvm": [], "pl": []}
 
-    # -- per-shard rewriting ------------------------------------------------
+        def run(family: str, row: int, **kw) -> None:
+            for start, hours in self._rewrite_instance_run(rng, semester_hours, **kw):
+                kept[family].append((row, start, hours))
 
-    def _apply_shard(
-        self, shard: ShardPlan, rng: np.random.Generator, semester_hours: float
-    ) -> ShardPlan:
-        vm_labs: list[VmLabActivity] = []
-        for act in shard.vm_labs:
-            vm_labs.extend(
-                self._rewrite_instance_run(
-                    act, rng, semester_hours,
-                    site=KVM_SITE, lab=act.lab_id, hours=act.duration,
-                    instances=act.vm_count, resource=act.flavor,
-                    rebuild=lambda a, s, h, _act=act: replace(_act, start=s, duration=h),
-                )
+        def book(family: str, row: int, **kw) -> None:
+            start = self._rewrite_booking(rng, semester_hours, **kw)
+            if start is not None:
+                kept[family].append((row, start))
+
+        vm_at, slot_at = tables.owner_bounds("vm", n), tables.owner_bounds("slot", n)
+        for i in range(n):
+            user = schema.user_string(i)
+            for row in range(vm_at[i], vm_at[i + 1]):
+                _, lab, start, hours, flavor, count, _, _ = vm[row]
+                run("vm", row, site=KVM_SITE, user=user, lab=labs[lab], start=start,
+                    hours=hours, instances=count, resource=rtypes[flavor])
+            for row in range(slot_at[i], slot_at[i + 1]):
+                _, lab, node, start, hours, site, _ = slot[row]
+                book("slot", row, site=SITE_NAMES[site], user=user, lab=labs[lab],
+                     start=start, hours=hours, resource=rtypes[node])
+        pvm_at = tables.owner_bounds("pvm", schema.n_groups)
+        pl_at = tables.owner_bounds("pl", schema.n_groups)
+        for g in range(schema.n_groups):
+            user = schema.user_string(n + g)
+            for row in range(pvm_at[g], pvm_at[g + 1]):
+                _, flavor, start, hours, _ = pvm[row]
+                run("pvm", row, site=KVM_SITE, user=user, lab="project", start=start,
+                    hours=hours, instances=1, resource=rtypes[flavor])
+            for row in range(pl_at[g], pl_at[g + 1]):
+                _, node, start, hours, site, _ = pl[row]
+                book("pl", row, site=SITE_NAMES[site], user=user, lab="project",
+                     start=start, hours=hours, resource=rtypes[node])
+
+        rewritten = {
+            "vm": ("vm_start", "vm_duration"),
+            "slot": ("slot_start",),
+            "pvm": ("pvm_start", "pvm_hours"),
+            "pl": ("pl_start",),
+        }
+        for family, names in rewritten.items():
+            source, *values = zip(*kept[family]) if kept[family] else [()] * (1 + len(names))
+            tables = tables.take(
+                family,
+                np.array(source, dtype=np.int64),
+                **{name: np.array(col, dtype=np.float64) for name, col in zip(names, values)},
             )
-        slots = [
-            moved
-            for act in shard.slots
-            if (moved := self._rewrite_booking(
-                act, rng, semester_hours,
-                site=act.site, lab=act.lab_id, hours=act.slot_hours,
-                resource=act.node_type,
-            )) is not None
-        ]
-        project_vms: list[ProjectVmActivity] = []
-        for vm_act in shard.project_vms:
-            project_vms.extend(
-                self._rewrite_instance_run(
-                    vm_act, rng, semester_hours,
-                    site=KVM_SITE, lab="project", hours=vm_act.hours,
-                    instances=1, resource=vm_act.flavor,
-                    rebuild=lambda a, s, h, _act=vm_act: replace(_act, start=s, hours=h),
-                )
-            )
-        project_leases = [
-            moved
-            for lease_act in shard.project_leases
-            if (moved := self._rewrite_booking(
-                lease_act, rng, semester_hours,
-                site=lease_act.site, lab="project", hours=lease_act.hours,
-                resource=lease_act.node_type,
-            )) is not None
-        ]
-        return replace(
-            shard,
-            vm_labs=tuple(vm_labs),
-            slots=tuple(slots),
-            project_vms=tuple(project_vms),
-            project_leases=tuple(project_leases),
-        )
+        return tables
+
+    # -- per-activity rewriting ---------------------------------------------
 
     def _rewrite_instance_run(
         self,
-        act: VmLabActivity | ProjectVmActivity,
         rng: np.random.Generator,
         semester_hours: float,
         *,
         site: str,
+        user: str,
         lab: str,
+        start: float,
         hours: float,
         instances: int,
         resource: str,
-        rebuild,
-    ) -> list:
+    ) -> list[tuple[float, float]]:
         """Fault-resolve one unattended instance run (VM lab / project VM).
 
         Start delays, then a segment walk: each segment runs until the
         earlier of its planned end, a hazard draw, or the next outage;
         kills relaunch after policy backoff with redo hours, until the
-        retry budget or the semester runs out.
+        retry budget or the semester runs out.  Returns the executed
+        ``(start, hours)`` segments.
         """
         cal = self.calendar
         cfg = cal.config
-        start = self._clear_start(site, act.start, rng, semester_hours)
-        if start is None:
+        cleared = self._clear_start(site, start, rng, semester_hours)
+        if cleared is None:
             self.ledger.add(FaultEvent(
-                kind="abandoned", site=site, user=act.user, lab=lab,
-                resource_type=resource, at=act.start,
+                kind="abandoned", site=site, user=user, lab=lab,
+                resource_type=resource, at=start,
                 lost_hours=hours * instances,
             ))
             return []
-        if start > act.start:
+        if cleared > start:
             self.ledger.add(FaultEvent(
-                kind="delayed_start", site=site, user=act.user, lab=lab,
-                resource_type=resource, at=act.start,
-                delay_hours=start - act.start,
+                kind="delayed_start", site=site, user=user, lab=lab,
+                resource_type=resource, at=start,
+                delay_hours=cleared - start,
             ))
 
-        out = []
+        out: list[tuple[float, float]] = []
         remaining = hours
-        seg_start = start
+        seg_start = cleared
         relaunches = 0
         hazard = cfg.hazard_rate_per_khour / 1000.0 * instances
         while remaining > _MIN_SEGMENT_HOURS and seg_start < semester_hours:
@@ -527,13 +535,13 @@ class FaultSweep:
             outage_in = window.start - seg_start if window is not None else np.inf
             cut = min(kill_in, outage_in)
             if cut >= remaining:
-                out.append(rebuild(act, seg_start, remaining))
+                out.append((seg_start, remaining))
                 return out
 
             executed = max(cut, 0.0)
             kill_t = seg_start + executed
             if executed > _MIN_SEGMENT_HOURS:
-                out.append(rebuild(act, seg_start, executed))
+                out.append((seg_start, executed))
             kind = "outage_kill" if outage_in <= kill_in else "hw_kill"
             redo = cfg.redo_fraction * executed
             left = remaining - executed
@@ -541,10 +549,10 @@ class FaultSweep:
             relaunches += 1
             u = float(rng.random())  # one draw per relaunch, jitter or not
             if not self.relaunch.allows_retry(
-                relaunches - 1, elapsed_hours=kill_t - act.start
+                relaunches - 1, elapsed_hours=kill_t - start
             ):
                 self.ledger.add(FaultEvent(
-                    kind="abandoned", site=site, user=act.user, lab=lab,
+                    kind="abandoned", site=site, user=user, lab=lab,
                     resource_type=resource, at=kill_t,
                     lost_hours=left * instances,
                 ))
@@ -555,13 +563,13 @@ class FaultSweep:
             next_start = cal.next_clear(site, next_start)
             if next_start >= semester_hours:
                 self.ledger.add(FaultEvent(
-                    kind="abandoned", site=site, user=act.user, lab=lab,
+                    kind="abandoned", site=site, user=user, lab=lab,
                     resource_type=resource, at=kill_t,
                     lost_hours=left * instances,
                 ))
                 return out
             self.ledger.add(FaultEvent(
-                kind=kind, site=site, user=act.user, lab=lab,
+                kind=kind, site=site, user=user, lab=lab,
                 resource_type=resource, at=kill_t,
                 redo_hours=redo * instances,
                 delay_hours=next_start - kill_t,
@@ -572,36 +580,36 @@ class FaultSweep:
 
     def _rewrite_booking(
         self,
-        act: SlotActivity | ProjectLeaseActivity,
         rng: np.random.Generator,
         semester_hours: float,
         *,
         site: str,
+        user: str,
         lab: str,
+        start: float,
         hours: float,
         resource: str,
-    ):
+    ) -> float | None:
         """Fault-resolve one reservation (lab slot / project lease).
 
         Reserved instances are lease-bound and auto-terminated, so the
         whole interval must clear every outage window; bursts only block
-        the booking call itself.  Returns the moved activity, or None
-        when the retry budget ran out (recorded as abandoned).
+        the booking call itself.  Returns the (possibly moved) start, or
+        None when the retry budget ran out (recorded as abandoned).
         """
-        t = self._clear_interval(site, act.start, hours, rng, semester_hours)
+        t = self._clear_interval(site, start, hours, rng, semester_hours)
         if t is None:
             self.ledger.add(FaultEvent(
-                kind="abandoned", site=site, user=act.user, lab=lab,
-                resource_type=resource, at=act.start, lost_hours=hours,
+                kind="abandoned", site=site, user=user, lab=lab,
+                resource_type=resource, at=start, lost_hours=hours,
             ))
             return None
-        if t > act.start:
+        if t > start:
             self.ledger.add(FaultEvent(
-                kind="delayed_start", site=site, user=act.user, lab=lab,
-                resource_type=resource, at=act.start, delay_hours=t - act.start,
+                kind="delayed_start", site=site, user=user, lab=lab,
+                resource_type=resource, at=start, delay_hours=t - start,
             ))
-            return replace(act, start=t)
-        return act
+        return t
 
     # -- window-clearing walks ----------------------------------------------
 

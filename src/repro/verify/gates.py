@@ -71,7 +71,12 @@ def _cohort_faults(course: CourseDefinition, faulted: bool) -> FaultSweep | None
 
 
 def _serial_oracle(course_for: Callable[[bool], CourseDefinition]) -> Callable[..., str]:
-    """The serial object path (``CohortSimulation.run``) at a gate's size."""
+    """The serial testbed path (``CohortSimulation.run``) at a gate's size.
+
+    It plans through the same planner as the engines it checks, so it is
+    an independent oracle for execution (event loop vs shards vs
+    kernels), not for planning.
+    """
 
     def oracle(quick: bool, *, faulted: bool = False) -> str:
         course = course_for(quick)

@@ -6,10 +6,11 @@ drives the structural knobs through adversarial values (singleton
 batches, one bucket, hundreds of mostly-empty buckets, odd worker
 counts) and every variation must reproduce the reference digest bit for
 bit.  The billing integral is held to *exact* equality with the
-record-level fsum, a null fault plan must be a byte-exact no-op through
-the object-planner conversion path, and a non-null one must land on the
-serial digest.  Both admission sweeps are also driven off their fast
-paths, so the exact-replay fallbacks are held to the object sweeps.
+record-level fsum, a null fault plan must be a byte-exact no-op, and a
+non-null one must land on the serial digest.  Both admission sweeps are
+also driven off their fast paths: the exact replays must reproduce the
+fast paths' tables, and with the testbed enforcing the same shrunk
+quota or node counts at runtime, the serial digest referees them.
 """
 
 import dataclasses
@@ -20,17 +21,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.cloud.testbed
 from repro.cloud.quota import Quota
 from repro.columnar import admission, plan_columns, run_columnar
-from repro.columnar.planner import columns_from_plan
 from repro.core import records_digest, scaled_course
-from repro.core.cohort import (
-    CohortConfig,
-    CohortSimulation,
-    SlotCalendar,
-    _sweep_lease_calendar,
-    plan_cohort,
-)
+from repro.core.cohort import CohortConfig, CohortSimulation, SlotCalendar
 from repro.faults.plan import (
     FaultPlanConfig,
     FaultSweep,
@@ -121,8 +116,8 @@ def test_spill_path_is_digest_invariant(tmp_path, reference):
 
 
 def test_null_fault_plan_is_byte_exact_noop():
-    """A null fault calendar routes planning through the object planner
-    and the shard converter — and must still reproduce the native digest."""
+    """A null fault calendar hands the planner back the very same raw
+    tables, so the run must reproduce the fault-free digest."""
     config = CohortConfig(seed=SEED)
     calendar = build_fault_calendar(
         FaultPlanConfig(), horizon_hours=SMALL.semester_hours
@@ -165,10 +160,10 @@ def _assert_tables_equal(actual, expected):
 
 def test_quota_fallback_matches_object_planner(monkeypatch):
     """A tenth of the course's compute quota forces the quota sweep off its
-    fast path; the exact replay must match the object sweep table for
-    table, and the run the serial digest.  The volume dimensions stay put:
-    project storage is admitted unconditionally, so shrinking them only
-    makes the serial run raise."""
+    fast path.  The testbed enforces the same shrunk quota at runtime, so
+    the serial digest referees the exact replay.  The volume dimensions
+    stay put: project storage is admitted unconditionally, so shrinking
+    them only makes the serial run raise."""
     config = CohortConfig(seed=SEED)
     native_digest = run_columnar(SMALL, config).digest
     base = Quota.course_quota()
@@ -181,49 +176,57 @@ def test_quota_fallback_matches_object_planner(monkeypatch):
     )
     monkeypatch.setattr(Quota, "course_quota", classmethod(lambda cls: shrunk))
 
-    native = plan_columns(SMALL, config)
-    assert native.sweep_info["quota_fast_path"] is False
-    _assert_tables_equal(native.tables, columns_from_plan(plan_cohort(SMALL, config), SMALL).tables)
+    assert plan_columns(SMALL, config).sweep_info["quota_fast_path"] is False
     run = run_columnar(SMALL, config)
     assert run.digest == records_digest(CohortSimulation(SMALL, config).run())
     assert run.digest != native_digest
 
 
 def test_lease_fallback_matches_object_sweep(monkeypatch):
-    """With an eighth of every node type's capacity the lease sweep's count
-    check fails; its per-calendar exact replay must bump the same bookings
-    the object sweep does, driven over the same tables."""
+    """With an eighth of every node type's capacity in the lease sweep and
+    in the testbed's inventory, the sweep's count check fails and its
+    exact replay bumps bookings.  The testbed rejects any booking past
+    capacity at runtime, so the serial digest referees the replay.  The
+    planner's cursor walk keeps the full capacities."""
     config = CohortConfig(seed=SEED)
-    plan = plan_cohort(SMALL, config)
-    reduced = {name: max(1, cap // 8) for name, cap in SlotCalendar().capacity.items()}
-    shards = _sweep_lease_calendar(list(plan.shards()), reduced, plan.semester_hours)
-    n = len(plan.student_shards)
-    expected = columns_from_plan(
-        dataclasses.replace(
-            plan, student_shards=tuple(shards[:n]), group_shards=tuple(shards[n:])
-        ),
-        SMALL,
-    ).tables
+    before = plan_columns(SMALL, config).tables
+
+    def eighth(types):
+        return {
+            name: dataclasses.replace(t, count_available=max(1, t.count_available // 8))
+            for name, t in types.items()
+        }
 
     class _ReducedCalendar:
-        capacity = reduced
+        capacity = {name: max(1, cap // 8) for name, cap in SlotCalendar().capacity.items()}
 
     monkeypatch.setattr(admission, "SlotCalendar", _ReducedCalendar)
-    before = columns_from_plan(plan, SMALL)
-    info: dict[str, bool] = {}
-    swept = admission.sweep_lease_calendar(
-        before.tables, course=SMALL, info=info, schema=before.schema
-    )
-    assert info["lease_fast_path"] is False
-    _assert_tables_equal(swept, expected)
-    assert not np.array_equal(swept.slot_start, before.tables.slot_start)
+    for name in ("CHAMELEON_NODE_TYPES", "EDGE_DEVICE_TYPES"):
+        monkeypatch.setattr(repro.cloud.testbed, name, eighth(getattr(repro.cloud.testbed, name)))
+
+    plan = plan_columns(SMALL, config)
+    assert plan.sweep_info["lease_fast_path"] is False
+    assert not np.array_equal(plan.tables.slot_start, before.slot_start)
+    run = run_columnar(SMALL, config)
+    assert run.digest == records_digest(CohortSimulation(SMALL, config).run())
 
 
-def test_converter_matches_native_planner_arrays():
-    """``columns_from_plan`` over the object planner's shards produces the
-    same activity tables as the native columnar planner, array for array
-    — the structural identity underneath the digest equality."""
+def test_exact_replays_match_fast_paths(monkeypatch):
+    """Forcing both sweeps onto their heap replays must reproduce the fast
+    paths' tables, with and without a fault plan."""
     config = CohortConfig(seed=SEED)
-    native = plan_columns(SMALL, config)
-    converted = columns_from_plan(plan_cohort(SMALL, config), SMALL)
-    _assert_tables_equal(native.tables, converted.tables)
+    fault_config = FaultPlanConfig(
+        seed=11, outage_rate_per_week=0.3, hazard_rate_per_khour=2.0, burst_rate_per_week=1.0
+    )
+
+    def plans():
+        calendar = build_fault_calendar(fault_config, horizon_hours=SMALL.semester_hours)
+        return plan_columns(SMALL, config), plan_columns(
+            SMALL, config, faults=FaultSweep(calendar)
+        )
+
+    expected = plans()
+    monkeypatch.setattr(admission, "_prefix_sum_feasible", lambda *a, **k: False)
+    for forced, fast in zip(plans(), expected):
+        assert not any(forced.sweep_info.values())
+        _assert_tables_equal(forced.tables, fast.tables)

@@ -7,10 +7,16 @@ merged records digest.
 
 import pytest
 
+from repro.columnar import run_columnar
 from repro.core.cohort import CohortConfig, CohortSimulation, plan_cohort
 from repro.core.course import scaled_course
 from repro.core.report import records_digest
-from repro.faults.plan import FaultPlanConfig, plan_faulted_cohort
+from repro.faults.plan import (
+    FaultPlanConfig,
+    FaultSweep,
+    build_fault_calendar,
+    plan_faulted_cohort,
+)
 from repro.parallel.engine import execute_plan
 from repro.parallel.merge import merge_shard_records
 
@@ -94,3 +100,44 @@ def test_fault_seed_independent_of_cohort_seed(fault_seed):
     assert build_fault_calendar(cfg, horizon_hours=horizon) == \
         build_fault_calendar(cfg, horizon_hours=horizon)
     assert ledger_a.events or ledger_b.events
+
+
+@pytest.mark.parametrize(
+    ("fault_config", "digest", "counts"),
+    [
+        (
+            CHAOS,
+            "787aaa4f78934ab2c4f23f66d18ac06026d11ccbcdf208f92945ee9fdce87a58",
+            (234, 98, 45, 70, 21),
+        ),
+        (
+            FaultPlanConfig(seed=3, outage_rate_per_week=1.0),
+            "3f115aaf9ce3fe924f6670401aeca595e0ecb2df837e34a2f4175aca6e3024af",
+            (226, 0, 193, 8, 25),
+        ),
+        (
+            FaultPlanConfig(seed=7, hazard_rate_per_khour=5.0, burst_rate_per_week=2.0),
+            "20079d0db482c8eb5e221439f3dc56ce6275bcd13704c6efca8c4b6a909fe2f3",
+            (237, 199, 0, 14, 24),
+        ),
+    ],
+    ids=["mixed-s11", "outages-s3", "hazard-bursts-s7"],
+)
+def test_faulted_digest_and_ledger_are_pinned(fault_config, digest, counts):
+    """Faulted semesters (0.25x cohort, seed 42) are pinned by value: the
+    serial and columnar digests, and the ledger's event count, hardware
+    kills, outage kills, delayed starts and abandonments.  Any change to
+    how faults rewrite the plan, or to how admission re-validates it,
+    moves one of them."""
+    config = CohortConfig(seed=42)
+    plan, ledger = plan_faulted_cohort(SMALL, config, fault_config)
+    assert records_digest(CohortSimulation(SMALL, config, plan=plan).run()) == digest
+    calendar = build_fault_calendar(fault_config, horizon_hours=SMALL.semester_hours)
+    assert run_columnar(SMALL, config, faults=FaultSweep(calendar)).digest == digest
+    assert (
+        len(ledger.events),
+        ledger.hardware_kills,
+        ledger.outage_kills,
+        ledger.delayed_starts,
+        ledger.abandoned,
+    ) == counts

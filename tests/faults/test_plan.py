@@ -1,17 +1,14 @@
 """Plan-time fault resolution: calendars, the sweep, and the ledger."""
 
+from dataclasses import fields, replace
+
+import numpy as np
 import pytest
 
+from repro.columnar.planner import _raw_tables
+from repro.columnar.schema import SITE_CODES
 from repro.common.errors import InvalidStateError, ValidationError
-from repro.core.cohort import (
-    KVM_SITE,
-    METAL_SITE,
-    CohortConfig,
-    ShardPlan,
-    SlotActivity,
-    VmLabActivity,
-    plan_cohort,
-)
+from repro.core.cohort import KVM_SITE, METAL_SITE, CohortConfig, plan_cohort
 from repro.core.course import scaled_course
 from repro.faults.plan import (
     ApiErrorBurst,
@@ -24,6 +21,9 @@ from repro.faults.plan import (
 )
 
 SMALL = scaled_course(0.25)
+#: The raw (pre-admission) tables of a 1-student cohort; sweep inputs
+#: are one row sliced from them.
+RAW, SCHEMA = _raw_tables(scaled_course(1.0 / 191.0), CohortConfig(), workers=1)
 
 
 def calendar_with(outages=(), bursts=(), config=None, horizon=1000.0):
@@ -32,10 +32,26 @@ def calendar_with(outages=(), bursts=(), config=None, horizon=1000.0):
                          outages=tuple(outages), bursts=tuple(bursts))
 
 
-def vm_shard(start=100.0, duration=10.0, vm_count=2):
-    act = VmLabActivity(lab_id="lab2", user="s1", start=start, duration=duration,
-                        flavor="m1.medium", vm_count=vm_count)
-    return ShardPlan(shard_id="student:s1", spawn_key=(0,), vm_labs=(act,))
+def one_row(family, **columns):
+    """One ``family`` row sliced from ``RAW`` with ``columns`` set; the
+    other families are empty."""
+    tables = RAW
+    for other in ("vm", "slot", "pvm", "pl", "ps"):
+        tables = tables.take(other, slice(0, int(other == family)))
+    return replace(tables, **{
+        name: np.array([value], dtype=getattr(tables, name).dtype)
+        for name, value in columns.items()
+    })
+
+
+def vm_tables(start=100.0, duration=10.0, vm_count=2):
+    return one_row("vm", vm_lab=SCHEMA.lab_codes["lab2"],
+                   vm_flavor=SCHEMA.rtype_codes["m1.medium"], vm_start=start,
+                   vm_duration=duration, vm_count=vm_count)
+
+
+def apply(sweep, tables):
+    return sweep.apply(tables, schema=SCHEMA, semester_hours=1000.0)
 
 
 class TestConfigValidation:
@@ -104,87 +120,83 @@ class TestCalendar:
 class TestSweepSemantics:
     def test_empty_calendar_returns_same_objects(self):
         """The null plan is a strict no-op — identity, not just equality."""
-        shards = (vm_shard(),)
+        tables = vm_tables()
         sweep = FaultSweep(calendar_with())
-        out_students, out_groups = sweep.apply(shards, (), semester_hours=1000.0)
-        assert out_students is shards
+        assert apply(sweep, tables) is tables
         assert sweep.ledger.events == []
 
     def test_apply_twice_raises(self):
         cal = calendar_with(outages=[OutageWindow(KVM_SITE, 10.0, 20.0)])
         sweep = FaultSweep(cal)
-        sweep.apply((vm_shard(),), (), semester_hours=1000.0)
+        apply(sweep, vm_tables())
         with pytest.raises(InvalidStateError):
-            sweep.apply((vm_shard(),), (), semester_hours=1000.0)
+            apply(sweep, vm_tables())
 
     def test_outage_kills_running_vm_and_relaunches(self):
         cal = calendar_with(outages=[OutageWindow(KVM_SITE, start=105.0, end=106.0)])
         sweep = FaultSweep(cal)
-        (shard,), _ = sweep.apply((vm_shard(start=100.0, duration=10.0),), (),
-                                  semester_hours=1000.0)
-        assert len(shard.vm_labs) == 2
-        first, second = shard.vm_labs
-        assert first.start == 100.0 and first.duration == pytest.approx(5.0)
-        assert second.start >= 106.0  # relaunch waits out the window
+        out = apply(sweep, vm_tables(start=100.0, duration=10.0))
+        assert len(out.vm_start) == 2
+        (first_start, second_start), (first_hours, second_hours) = out.vm_start, out.vm_duration
+        assert first_start == 100.0 and first_hours == pytest.approx(5.0)
+        assert second_start >= 106.0  # relaunch waits out the window
         # remaining 5 h plus the redone fraction of the killed 5 h
-        assert second.duration == pytest.approx(5.0 + 0.5 * 5.0)
+        assert second_hours == pytest.approx(5.0 + 0.5 * 5.0)
         assert sweep.ledger.outage_kills == 1
         assert sweep.ledger.redo_instance_hours == pytest.approx(2.5 * 2)  # ×vm_count
 
     def test_start_inside_outage_is_delayed(self):
         cal = calendar_with(outages=[OutageWindow(KVM_SITE, start=95.0, end=120.0)])
         sweep = FaultSweep(cal)
-        (shard,), _ = sweep.apply((vm_shard(start=100.0, duration=10.0),), (),
-                                  semester_hours=1000.0)
-        assert len(shard.vm_labs) == 1
-        assert shard.vm_labs[0].start >= 120.0
-        assert shard.vm_labs[0].duration == pytest.approx(10.0)  # work not lost
+        out = apply(sweep, vm_tables(start=100.0, duration=10.0))
+        assert len(out.vm_start) == 1
+        assert out.vm_start[0] >= 120.0
+        assert out.vm_duration[0] == pytest.approx(10.0)  # work not lost
         assert sweep.ledger.delayed_starts == 1
         assert sweep.ledger.delay_hours > 0
 
     def test_semester_long_outage_abandons_activity(self):
         cal = calendar_with(outages=[OutageWindow(KVM_SITE, start=0.0, end=1000.0)])
         sweep = FaultSweep(cal)
-        (shard,), _ = sweep.apply((vm_shard(start=100.0, duration=10.0, vm_count=3),),
-                                  (), semester_hours=1000.0)
-        assert shard.vm_labs == ()
+        out = apply(sweep, vm_tables(start=100.0, duration=10.0, vm_count=3))
+        assert len(out.vm_start) == 0
         assert sweep.ledger.abandoned == 1
         assert sweep.ledger.lost_instance_hours == pytest.approx(30.0)
 
     def test_slot_overlapping_outage_moves_whole_interval(self):
-        slot = SlotActivity(lab_id="lab4", user="s1", site=METAL_SITE,
-                            node_type="gpu_v100", start=100.0, slot_hours=3.0,
-                            edge=False)
-        shard = ShardPlan(shard_id="student:s1", spawn_key=(0,), slots=(slot,))
+        tables = one_row("slot", slot_lab=SCHEMA.lab_codes["lab4_multi"],
+                         slot_node=SCHEMA.rtype_codes["gpu_v100"],
+                         slot_site=SITE_CODES[METAL_SITE], slot_start=100.0,
+                         slot_hours=3.0, slot_edge=False)
         cal = calendar_with(outages=[OutageWindow(METAL_SITE, start=102.0, end=104.0)])
         sweep = FaultSweep(cal)
-        (out,), _ = sweep.apply((shard,), (), semester_hours=1000.0)
-        moved = out.slots[0]
-        assert moved.start >= 104.0
-        assert moved.slot_hours == 3.0  # reservations move, never shrink
-        assert cal.outage_over(METAL_SITE, moved.start,
-                               moved.start + moved.slot_hours) is None
+        out = apply(sweep, tables)
+        moved_start, moved_hours = out.slot_start[0], out.slot_hours[0]
+        assert moved_start >= 104.0
+        assert moved_hours == 3.0  # reservations move, never shrink
+        assert cal.outage_over(METAL_SITE, moved_start,
+                               moved_start + moved_hours) is None
 
     def test_burst_delays_start_on_transient_policy(self):
         cal = calendar_with(bursts=[ApiErrorBurst(KVM_SITE, start=99.9, end=100.5)])
         sweep = FaultSweep(cal)
-        (shard,), _ = sweep.apply((vm_shard(start=100.0, duration=10.0),), (),
-                                  semester_hours=1000.0)
-        assert shard.vm_labs[0].start > 100.0
+        out = apply(sweep, vm_tables(start=100.0, duration=10.0))
+        assert out.vm_start[0] > 100.0
         # 0.25 h backoff lands inside the burst; the second (0.5 h) clears it
-        assert shard.vm_labs[0].start == pytest.approx(100.75)
+        assert out.vm_start[0] == pytest.approx(100.75)
         assert sweep.ledger.delayed_starts == 1
 
     def test_hazard_kills_are_seeded_and_bounded(self):
         cfg = FaultPlanConfig(seed=3, hazard_rate_per_khour=50.0)
         cal = build_fault_calendar(cfg, horizon_hours=1000.0)
-        a = FaultSweep(cal).apply((vm_shard(duration=100.0),), (), semester_hours=1000.0)
-        b = FaultSweep(cal).apply((vm_shard(duration=100.0),), (), semester_hours=1000.0)
-        assert a == b  # hazard stream re-derived, not shared state
+        a = apply(FaultSweep(cal), vm_tables(duration=100.0))
+        b = apply(FaultSweep(cal), vm_tables(duration=100.0))
+        # hazard stream re-derived, not shared state
+        assert all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
         sweep = FaultSweep(cal)
-        (shard,), _ = sweep.apply((vm_shard(duration=100.0),), (), semester_hours=1000.0)
+        out = apply(sweep, vm_tables(duration=100.0))
         # relaunch policy bounds segments: ≤ 1 original + 3 relaunches
-        assert 1 <= len(shard.vm_labs) <= 4
+        assert 1 <= len(out.vm_start) <= 4
 
 
 class TestLedgerConservation:
