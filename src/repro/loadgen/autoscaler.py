@@ -20,7 +20,7 @@ identically for a given trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import InvalidStateError, ValidationError
 
@@ -88,6 +88,9 @@ class ReplicaSet:
     def __init__(self, config: AutoscalerConfig) -> None:
         self.config = config
         self.replicas: list[Replica] = []
+        # the live replicas, in rid order: only _launch adds to it and only
+        # terminate removes from it, so no view rescans the whole ledger
+        self._live: list[Replica] = []
         self.telemetry = FleetTelemetry()
         self._idle_ticks = 0
         # the initial fleet is ready at t=0: the operator provisioned it
@@ -99,11 +102,11 @@ class ReplicaSet:
     # -- fleet views --------------------------------------------------------
 
     def live(self) -> list[Replica]:
-        return [r for r in self.replicas if r.live]
+        return list(self._live)
 
     @property
     def open_spans(self) -> int:
-        return sum(1 for r in self.replicas if r.live)
+        return len(self._live)
 
     def billed_replica_hours(self) -> float:
         """Total replica-hours across all closed spans (fleet must be drained)."""
@@ -118,11 +121,8 @@ class ReplicaSet:
         evaluation-order equivalence.  Returns None when the fleet is
         empty (mid-outage, pre-provisioning).
         """
-        live = self.live()
-        if perturb:
-            live = list(reversed(live))
         best: tuple[float, int] | None = None
-        for r in live:
+        for r in reversed(self._live) if perturb else self._live:
             avail = (max(r.free_at, r.ready_at, now_s), r.rid)
             if best is None or avail < best:
                 best = avail
@@ -138,7 +138,8 @@ class ReplicaSet:
             free_at=ready_at,
         )
         self.replicas.append(replica)
-        self.telemetry.peak_replicas = max(self.telemetry.peak_replicas, self.open_spans)
+        self._live.append(replica)
+        self.telemetry.peak_replicas = max(self.telemetry.peak_replicas, len(self._live))
         return replica
 
     def terminate(self, rid: int, now_s: float, reason: str) -> tuple[int, ...]:
@@ -155,6 +156,7 @@ class ReplicaSet:
             )
         replica.terminated_at = max(now_s, replica.launched_at)
         replica.reason = reason
+        self._live.remove(replica)
         lost = replica.inflight if replica.free_at > now_s else ()
         replica.inflight = ()
         return lost
@@ -176,13 +178,12 @@ class ReplicaSet:
         in flight, in (rid) order."""
         lost: list[int] = []
         killed = 0
-        for r in list(self.replicas):
+        for r in list(self._live):
             if limit is not None and killed >= limit:
                 break
-            if r.live:
-                lost.extend(self.terminate(r.rid, now_s, "outage"))
-                self.telemetry.outage_kills += 1
-                killed += 1
+            lost.extend(self.terminate(r.rid, now_s, "outage"))
+            self.telemetry.outage_kills += 1
+            killed += 1
         self._idle_ticks = 0
         return lost
 
@@ -207,8 +208,7 @@ class ReplicaSet:
         """
         cfg = self.config
         self.telemetry.ticks += 1
-        fleet = self.live()
-        alive = len(fleet)
+        alive = len(self._live)
 
         # scale up: enough capacity that the current backlog meets target
         desired = max(
@@ -228,7 +228,7 @@ class ReplicaSet:
         if queue_depth == 0:
             self._idle_ticks += 1
             if self._idle_ticks >= cfg.scale_down_idle_ticks and alive > cfg.min_replicas:
-                idle = [r for r in fleet if r.free_at <= now_s and r.ready_at <= now_s]
+                idle = [r for r in self._live if r.free_at <= now_s and r.ready_at <= now_s]
                 if idle:
                     victim = max(idle, key=lambda r: r.rid)
                     self.terminate(victim.rid, now_s, "scale_down")
@@ -240,6 +240,5 @@ class ReplicaSet:
 
     def drain(self, now_s: float) -> None:
         """Terminate every surviving replica once its last batch finishes."""
-        for r in self.replicas:
-            if r.live:
-                self.terminate(r.rid, max(now_s, r.free_at), "drain")
+        for r in list(self._live):
+            self.terminate(r.rid, max(now_s, r.free_at), "drain")

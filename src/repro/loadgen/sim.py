@@ -36,8 +36,10 @@ its digest is byte-identical to the pre-resilience definition.
 from __future__ import annotations
 
 import hashlib
-import heapq
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,6 +65,7 @@ if TYPE_CHECKING:  # no runtime import: loadgen must not depend on resilience
     from repro.resilience.clients import ResilienceModel, ResilienceOutcome
 
 _INF = float("inf")
+_NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -232,22 +235,21 @@ def _serving_windows(
     return outages, bursts
 
 
-def _merged_edges(windows: list[tuple[float, float]]) -> np.ndarray:
-    """Flattened edge array of the merged ``[start, end)`` windows.
+def _merged_edges(windows: list[tuple[float, float]]) -> list[float]:
+    """Flattened edge list of the merged ``[start, end)`` windows.
 
-    Searchsorted parity against this array answers "is instant ``t``
-    inside any window" for retry attempts, matching the index-based
-    ``in_burst`` marking used for the original arrivals (left-closed,
-    right-open; overlapping windows union)."""
-    if not windows:
-        return np.zeros(0)
+    ``bisect_right`` parity against this list answers "is instant ``t``
+    inside any window" (left-closed, right-open; overlapping and touching
+    windows union), and the edge right of an inside instant is the end of
+    the whole stretch it sits in.  The edges are the windows' own values,
+    so a clamp read from them keeps the calendar's scalar type."""
     merged: list[list[float]] = []
     for ws, we in sorted(windows):
         if merged and ws <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], we)
         else:
             merged.append([ws, we])
-    return np.asarray([edge for w in merged for edge in w])
+    return [edge for w in merged for edge in w]
 
 
 def simulate_traffic(
@@ -283,17 +285,21 @@ def simulate_traffic(
     if n == 0:
         raise ValidationError("cannot simulate an empty request trace")
 
-    status = np.full(n, SERVED, dtype=np.int8)
-    start_s = np.full(n, np.nan)
-    finish_s = np.full(n, np.nan)
-    replica_of = np.full(n, -1, dtype=np.int32)
+    # per-request state lives in compact typed buffers while the loop
+    # runs (DESIGN §9) and becomes the result's numpy arrays once, at the
+    # end; ``arrival_at`` is the typed mirror every arrival comparison reads
+    arrival_at = array("d", np.ascontiguousarray(arrivals, dtype=np.float64).tobytes())
+    status = bytearray(n)  # SERVED == 0
+    start_s = array("d", [_NAN]) * n
+    finish_s = array("d", [_NAN]) * n
+    replica_of = array("i", [-1]) * n
 
     outage_windows, burst_windows = _serving_windows(calendar, trace.config.duration_s)
-    in_burst = np.zeros(n, dtype=bool)
+    in_burst = bytearray(n)
     for ws, we in burst_windows:
         lo = int(np.searchsorted(arrivals, ws, side="left"))
         hi = int(np.searchsorted(arrivals, we, side="left"))
-        in_burst[lo:hi] = True
+        in_burst[lo:hi] = b"\x01" * (hi - lo)
 
     # outage edge events, time-ordered: (time, kind, scope) with start
     # before end on ties (kind 0 < 1), full-site before partial
@@ -302,22 +308,36 @@ def simulate_traffic(
         outage_events.append((ws, 0, dark))
         outage_events.append((we, 1, dark))
     outage_events.sort()
+    n_edges = len(outage_events)
+    # the dark stretches of the full-site windows, merged once: readiness
+    # is clamped to the end of the whole stretch, however many windows
+    # overlap in it
+    full_site_edges = _merged_edges(
+        [(ws, we) for ws, we, dark in outage_windows if dark == 0]
+    )
 
     closed_loop = resilience is not None
     if closed_loop:
         # writable per-attempt enqueue instants: a retry's deadline and
         # batch-window membership run from the attempt, not the arrival
-        enq = arrivals.copy()
+        enq = array("d", arrival_at)
         runtime = resilience.runtime(arrivals, admission.queue_capacity)
         burst_edges = _merged_edges(burst_windows)
-        queue = RequestQueue(admission, batching, arrivals, status, enqueued_at=enq)
+        queue = RequestQueue(admission, batching, arrival_at, status, enqueued_at=enq)
+        begin_attempt, admit, on_failure = (
+            runtime.begin_attempt, runtime.admit, runtime.on_failure)
     else:
-        enq = arrivals
+        enq = arrival_at
         runtime = None
-        burst_edges = np.zeros(0)
-        queue = RequestQueue(admission, batching, arrivals, status)
+        burst_edges = []
+        queue = RequestQueue(admission, batching, arrival_at, status)
+    offer, expire, take_batch = queue.offer, queue.expire, queue.take_batch
     fleet = ReplicaSet(autoscaler)
+    next_available, dispatch = fleet.next_available, fleet.dispatch
+    window_close = batching.window_close
     interval = autoscaler.control_interval_s
+    # service time is a pure function of the batch size: once per size
+    service_times: dict[int, float] = {}
 
     i = 0        # next arrival to process
     oi = 0       # next outage edge to process
@@ -334,44 +354,38 @@ def simulate_traffic(
         # full-site windows only: during a partial outage the surviving
         # placement can still host replacements, so readiness is not
         # clamped — the dark_replicas ceiling is the partial constraint
-        for ws, we, dark in outage_windows:
-            if dark == 0 and ws <= t < we:
-                return we
-        return 0.0
-
-    def in_burst_at(t: float) -> bool:
-        """Burst-window membership by instant (retries re-check by time)."""
-        return bool(np.searchsorted(burst_edges, t, side="right") % 2)
+        k = bisect_right(full_site_edges, t)
+        return full_site_edges[k] if k % 2 else 0.0
 
     def book_failure(idx: int, t: float, code: int) -> None:
         """Closed loop only: one attempt just terminated as ``code``.  Ask
         the runtime for a retry instant; if granted, un-book the loss and
         put the request back in flight on the retry heap."""
         nonlocal retry_seq
-        retry_at = runtime.on_failure(idx, t, code)
+        retry_at = on_failure(idx, t, code)
         if retry_at is None:
             return
         status[idx] = SERVED  # pending again; the next terminal rewrites it
-        start_s[idx] = np.nan
-        finish_s[idx] = np.nan
+        start_s[idx] = _NAN
+        finish_s[idx] = _NAN
         replica_of[idx] = -1
-        heapq.heappush(retry_heap, (retry_at, retry_seq, idx))
+        heappush(retry_heap, (retry_at, retry_seq, idx))
         retry_seq += 1
 
-    def offer_attempt(idx: int, t: float, burst: bool) -> None:
+    def offer_attempt(idx: int, t: float, burst: int) -> None:
         """One front-door attempt (fresh arrival or retry) at instant ``t``."""
         if not closed_loop:
-            queue.offer(idx, in_burst=burst)
+            offer(idx, in_burst=burst)
             return
-        runtime.begin_attempt(idx)
+        begin_attempt(idx)
         enq[idx] = t
         if burst:
-            queue.offer(idx, in_burst=True)  # books ERROR
+            offer(idx, in_burst=True)  # books ERROR
             book_failure(idx, t, ERROR)
-        elif not runtime.admit(idx, t, queue.depth):
+        elif not admit(idx, t, queue.depth):
             status[idx] = SHED
             book_failure(idx, t, SHED)
-        elif not queue.offer(idx, in_burst=False):  # books REJECTED
+        elif not offer(idx, in_burst=False):  # books REJECTED
             book_failure(idx, t, REJECTED)
 
     def advance(limit: float) -> None:
@@ -380,11 +394,10 @@ def simulate_traffic(
         ties)."""
         nonlocal i, oi, next_tick, now, dark_now
         while True:
-            ta = arrivals[i] if i < n else _INF
+            ta = arrival_at[i] if i < n else _INF
             tr = retry_heap[0][0] if retry_heap else _INF
-            to = outage_events[oi][0] if oi < len(outage_events) else _INF
-            tm = min(ta, tr, to, next_tick)
-            if tm > limit:
+            to = outage_events[oi][0] if oi < n_edges else _INF
+            if ta > limit and tr > limit and to > limit and next_tick > limit:
                 break
             if to <= next_tick and to <= ta and to <= tr:
                 t, kind, dark = outage_events[oi]
@@ -395,7 +408,7 @@ def simulate_traffic(
                         dark_now += dark
                     for idx in fleet.strike(t, limit=dark if dark else None):
                         status[idx] = FAILED
-                        finish_s[idx] = np.nan
+                        finish_s[idx] = _NAN
                         if closed_loop:
                             book_failure(idx, t, FAILED)
                 elif dark:
@@ -414,13 +427,15 @@ def simulate_traffic(
                 if closed_loop:
                     runtime.sample_depth(now, queue.depth, fleet.open_spans)
             elif ta <= tr:
-                now = ta
-                offer_attempt(i, ta, bool(in_burst[i]))
+                # ROADMAP item 2: the arrival becomes ``now`` as the trace's
+                # numpy scalar, whose repr a drain span's digest hashes
+                now = arrivals[i]
+                offer_attempt(i, now, in_burst[i])
                 i += 1
             else:
-                t, _, idx = heapq.heappop(retry_heap)
+                t, _, idx = heappop(retry_heap)
                 now = t
-                offer_attempt(idx, t, in_burst_at(t))
+                offer_attempt(idx, t, bisect_right(burst_edges, t) % 2)
         now = max(now, limit)
 
     def admit_through_window(close: float) -> None:
@@ -430,30 +445,30 @@ def simulate_traffic(
         the semantics).  Original arrivals beat retries on exact ties."""
         nonlocal i
         while True:
-            ta = arrivals[i] if i < n else _INF
+            ta = arrival_at[i] if i < n else _INF
             tr = retry_heap[0][0] if retry_heap else _INF
-            if min(ta, tr) > close:
+            if ta > close and tr > close:
                 break
             if ta <= tr:
-                offer_attempt(i, ta, bool(in_burst[i]))
+                # ROADMAP item 2: the attempt instant stays the trace's
+                # numpy scalar; retry instants derive from it
+                offer_attempt(i, arrivals[i], in_burst[i])
                 i += 1
             else:
-                t, _, idx = heapq.heappop(retry_heap)
-                offer_attempt(idx, t, in_burst_at(t))
+                t, _, idx = heappop(retry_heap)
+                offer_attempt(idx, t, bisect_right(burst_edges, t) % 2)
 
     while True:
         if queue.depth == 0:
-            ta = arrivals[i] if i < n else _INF
+            ta = arrival_at[i] if i < n else _INF
             tr = retry_heap[0][0] if retry_heap else _INF
             if ta == _INF and tr == _INF:
                 break
             advance(min(ta, tr))
             continue
 
-        avail = fleet.next_available(now, perturb=perturb)
-        next_struct = min(
-            next_tick, outage_events[oi][0] if oi < len(outage_events) else _INF
-        )
+        avail = next_available(now, perturb=perturb)
+        next_struct = min(next_tick, outage_events[oi][0] if oi < n_edges else _INF)
         if avail is None:
             advance(next_struct)
             continue
@@ -462,18 +477,21 @@ def simulate_traffic(
         if next_struct <= t_start:
             advance(next_struct)
             continue
-        expired = queue.expire(t_start)
+        expired = expire(t_start)
         if expired:
             if closed_loop:
                 for idx in expired:
                     book_failure(idx, t_start, DROPPED)
             continue
 
-        admit_through_window(batching.window_close(t_start))
+        admit_through_window(window_close(t_start))
         depth_at_dispatch = queue.depth
-        batch = queue.take_batch(t_start)
-        service_start = max(t_start, float(enq[batch[-1]]))
-        service_time = engine.service_time_s(len(batch))
+        batch = take_batch(t_start)
+        size = len(batch)
+        service_start = max(t_start, enq[batch[-1]])
+        service_time = service_times.get(size)
+        if service_time is None:
+            service_time = service_times[size] = engine.service_time_s(size)
         if closed_loop:
             factor = runtime.service_factor(depth_at_dispatch)
             if factor != 1.0:
@@ -483,16 +501,16 @@ def simulate_traffic(
                 if factor < 1.0:
                     runtime.mark_brownout(batch)
         finish = service_start + service_time
+        # a queued request's status is already SERVED (pending)
         for idx in batch:
-            status[idx] = SERVED
             start_s[idx] = service_start
             finish_s[idx] = finish
             replica_of[idx] = rid
-        fleet.dispatch(rid, tuple(batch), finish)
+        dispatch(rid, tuple(batch), finish)
         batches += 1
         now = service_start
         if closed_loop:
-            runtime.on_served(service_start, len(batch))
+            runtime.on_served(service_start, size)
 
     fleet.drain(now)
     spans = tuple(
@@ -512,10 +530,10 @@ def simulate_traffic(
         autoscaler=autoscaler,
         device_name=engine.device.name,
         model_name=engine.model.name,
-        status=status,
-        start_s=start_s,
-        finish_s=finish_s,
-        replica_of=replica_of,
+        status=np.frombuffer(status, dtype=np.int8).copy(),
+        start_s=np.frombuffer(start_s, dtype=np.float64).copy(),
+        finish_s=np.frombuffer(finish_s, dtype=np.float64).copy(),
+        replica_of=np.frombuffer(replica_of, dtype=np.int32).copy(),
         spans=spans,
         telemetry=fleet.telemetry,
         batches=batches,

@@ -28,6 +28,7 @@ runtime; see :mod:`repro.resilience.breaker` and
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,7 +316,12 @@ class ClosedLoopRuntime:
     ) -> None:
         n = len(arrivals_s)
         self.model = model
-        self._arrivals = arrivals_s
+        # per-request reads and state go through compact typed buffers
+        # (DESIGN §9); finish() turns the state into numpy arrays
+        self._arrivals = array(
+            "d", np.ascontiguousarray(arrivals_s, dtype=np.float64).tobytes()
+        )
+        self._tier = array("b", np.ascontiguousarray(model.tier, dtype=np.int8).tobytes())
         self._retry_on = frozenset(int(code) for code in model.client.retry_on)
         self._policy = model.client.retry
         self._budget = model.client.budget
@@ -341,8 +347,8 @@ class ClosedLoopRuntime:
             congestion.thrash_depth(queue_capacity) if congestion is not None else None
         )
         self._thrash_slowdown = congestion.slowdown if congestion is not None else 1.0
-        self.attempts = np.zeros(n, dtype=np.int16)
-        self.brownout = np.zeros(n, dtype=bool)
+        self.attempts = array("h", [0]) * n
+        self.brownout = bytearray(n)
         self._depth_samples: list[tuple[float, float, float]] = []
         self.retries = 0
         self.retries_denied_budget = 0
@@ -355,8 +361,9 @@ class ClosedLoopRuntime:
 
     def begin_attempt(self, idx: int) -> None:
         """Count one attempt; first attempts earn budget tokens."""
-        self.attempts[idx] += 1
-        if self.attempts[idx] == 1 and self._budget is not None:
+        attempts = self.attempts[idx] + 1
+        self.attempts[idx] = attempts
+        if attempts == 1 and self._budget is not None:
             self._tokens = min(
                 self._budget.capacity, self._tokens + self._budget.fill_per_request
             )
@@ -367,7 +374,7 @@ class ClosedLoopRuntime:
             self.shed_breaker += 1
             return False
         if self._tier_limits is not None:
-            if depth >= self._tier_limits[int(self.model.tier[idx])]:
+            if depth >= self._tier_limits[self._tier[idx]]:
                 self.shed_tier += 1
                 return False
         return True
@@ -394,19 +401,19 @@ class ClosedLoopRuntime:
         """
         # any failure voids a provisional degraded serving: a brownout
         # batch the outage killed mid-flight was never actually answered
-        self.brownout[idx] = False
+        self.brownout[idx] = 0
         if self._door is not None:
             self._door.record(now_s, code)
         if code not in self._retry_on:
             return None
-        retries_done = int(self.attempts[idx]) - 1
-        arrival_s = float(self._arrivals[idx])
+        retries_done = self.attempts[idx] - 1
+        arrival_s = self._arrivals[idx]
         elapsed_hours = (now_s - arrival_s) / 3600.0
         if not self._policy.allows_retry(retries_done, elapsed_hours=elapsed_hours):
             self.retries_exhausted += 1
             return None
         retry = retries_done + 1  # 1-based retry number
-        u = float(self.model.jitter_u[idx, retry - 1])
+        u = self.model.jitter_u.item(idx, retry - 1)
         instant = now_s + self._policy.backoff_seconds(retry, u=u)
         give_up = self.model.client.give_up_deadline_s
         if give_up is not None and instant - arrival_s >= give_up:
@@ -437,7 +444,9 @@ class ClosedLoopRuntime:
         return 1.0
 
     def mark_brownout(self, batch: list[int]) -> None:
-        self.brownout[batch] = True
+        brownout = self.brownout
+        for idx in batch:
+            brownout[idx] = 1
 
     # -- observation ---------------------------------------------------------
 
@@ -460,8 +469,8 @@ class ClosedLoopRuntime:
             state, opens, closes = "absent", 0, 0
         return ResilienceOutcome(
             policy_repr=self.model.config_repr(),
-            attempts=self.attempts,
-            brownout=self.brownout,
+            attempts=np.frombuffer(self.attempts, dtype=np.int16).copy(),
+            brownout=np.frombuffer(self.brownout, dtype=bool).copy(),
             depth_samples=samples,
             retries=self.retries,
             retries_denied_budget=self.retries_denied_budget,

@@ -15,6 +15,7 @@ from repro.faults.plan import (
 from repro.loadgen import (
     DROPPED,
     FAILED,
+    SERVED,
     AdmissionConfig,
     AutoscalerConfig,
     RequestTrace,
@@ -22,6 +23,7 @@ from repro.loadgen import (
     generate_trace,
     simulate_traffic,
 )
+from repro.resilience.clients import ClientConfig, plan_resilience
 from repro.serving import DEVICE_CATALOG, BatchingConfig, InferenceEngine, food11_classifier
 
 
@@ -174,3 +176,31 @@ class TestFaultWiring:
         calendar = serving_calendar(outages=[(0.1, 0.2)])
         r = simulate_traffic(hot_trace, engine, calendar=calendar, **TIGHT)
         assert r.count(DROPPED) > 0
+
+
+class TestOverlappingFullSiteOutages:
+    """Overlapping full-site windows are one dark stretch: capacity
+    provisioned inside it cannot be ready before the *stretch* ends, not
+    just the first window that covers the launch instant."""
+
+    WINDOWS_S = ((600.0, 1200.0), (900.0, 2400.0))
+
+    @pytest.mark.parametrize("closed_loop", [False, True], ids=["open", "closed"])
+    def test_nothing_served_inside_the_merged_windows(self, engine, closed_loop):
+        trace = generate_trace(
+            TrafficConfig(seed=3, pattern="poisson", requests_per_day=50 * 86_400.0,
+                          duration_hours=1.0)
+        )
+        calendar = serving_calendar(outages=[(s / 3600.0, e / 3600.0) for s, e in self.WINDOWS_S])
+        model = plan_resilience(trace, ClientConfig.naive()) if closed_loop else None
+        r = simulate_traffic(
+            trace, engine, calendar=calendar, resilience=model,
+            autoscaler=AutoscalerConfig(max_replicas=2, provisioning_lag_s=30.0),
+        )
+        # the bounds exactly as the simulation reads them off the calendar
+        dark_from = calendar.outages[0].start * 3600.0
+        dark_until = calendar.outages[1].end * 3600.0
+        starts = r.start_s[r.status == SERVED]
+        assert not ((starts >= dark_from) & (starts < dark_until)).any()
+        # the fleet comes back once the stretch is over
+        assert (starts >= dark_until).any()

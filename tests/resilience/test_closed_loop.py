@@ -11,10 +11,17 @@ bucket caps amplification, and the breaker converts overload into sheds.
 import numpy as np
 import pytest
 
-from repro.faults.plan import build_outage_calendar
-from repro.loadgen.arrivals import TrafficConfig, generate_trace
+from repro.common.retry import RetryPolicy
+from repro.faults.plan import (
+    SERVING_SITE,
+    ApiErrorBurst,
+    FaultCalendar,
+    FaultPlanConfig,
+    build_outage_calendar,
+)
+from repro.loadgen.arrivals import RequestTrace, TrafficConfig, generate_trace
 from repro.loadgen.autoscaler import AutoscalerConfig
-from repro.loadgen.queue import SERVED, SHED, AdmissionConfig
+from repro.loadgen.queue import ERROR, SERVED, SHED, AdmissionConfig
 from repro.loadgen.sim import simulate_traffic
 from repro.resilience.breaker import serving_breaker_config
 from repro.resilience.clients import ClientConfig, plan_resilience
@@ -160,3 +167,47 @@ class TestClosedLoopBehaviour:
         # few ticks of the horizon may never fire
         assert len(samples) >= TRAFFIC.duration_s / interval - 4
         assert (np.diff(samples[:, 0]) > 0).all()
+
+
+class TestRetryBurstEdges:
+    """A retry's burst membership is looked up by its instant over the
+    union of the windows, left-closed and right-open — the same rule the
+    index marking applies to first attempts.
+
+    One request arrives inside a first window, errors, and retries once
+    after a jitter-free backoff.  Every instant is a binary fraction of
+    an hour, so the retry lands exactly on a window edge in seconds."""
+
+    UNIT_H = 2.0 ** -10
+    POLICY = RetryPolicy(max_attempts=2, base_backoff_hours=UNIT_H, jitter=0.0)
+
+    def retry(self, engine, bursts_h):
+        arrival_s = 2 * self.UNIT_H * 3600.0
+        retry_s = arrival_s + self.POLICY.backoff_seconds(1)
+        assert retry_s == 3 * self.UNIT_H * 3600.0  # the edge the windows use
+        trace = RequestTrace(
+            config=TrafficConfig(seed=0, pattern="poisson", duration_hours=0.01),
+            arrivals_s=np.array([arrival_s]),
+        )
+        calendar = FaultCalendar(
+            config=FaultPlanConfig(seed=0, sites=(SERVING_SITE,)),
+            horizon_hours=0.01,
+            bursts=tuple(ApiErrorBurst(SERVING_SITE, s, e) for s, e in bursts_h),
+            outages=(),
+        )
+        model = plan_resilience(trace, ClientConfig(retry=self.POLICY))
+        result = simulate_traffic(trace, engine, calendar=calendar, resilience=model, **OPS)
+        assert result.resilience.attempts[0] == 2  # the first attempt errored
+        return result.status[0]
+
+    def test_retry_at_a_window_start_errors(self, engine):
+        u = self.UNIT_H
+        assert self.retry(engine, [(u, 2.5 * u), (3 * u, 4 * u)]) == ERROR
+
+    def test_retry_at_a_window_end_is_served(self, engine):
+        u = self.UNIT_H
+        assert self.retry(engine, [(u, 3 * u)]) == SERVED
+
+    def test_retry_at_the_shared_edge_of_touching_windows_errors(self, engine):
+        u = self.UNIT_H
+        assert self.retry(engine, [(u, 3 * u), (3 * u, 4 * u)]) == ERROR
