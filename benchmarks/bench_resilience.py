@@ -14,7 +14,8 @@ the naive rung (verified in ``tests/resilience/test_scenario.py`` with
 the same configuration).
 """
 
-from repro.resilience.scenario import StormConfig, run_storm
+from repro.resilience.scenario import StormConfig
+from repro.resilience.sweep import run_storm
 
 
 def test_retry_storm_ladder(benchmark, quick):

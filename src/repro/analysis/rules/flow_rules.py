@@ -8,8 +8,8 @@ prove properties the per-file pack can only spot-check:
   shard-execution entry point may construct RNG state, read the wall
   clock or entropy pool, or mutate a module global.  This is the static
   form of the ``records_digest`` serial/parallel equality tests.
-* **SEED001** — seed provenance: a ``numpy`` ``Generator`` outside the
-  plan-time modules must be seeded from a parameter, attribute, or
+* **SEED001** — seed provenance: every ``numpy`` ``Generator``, the
+  planners' included, must be seeded from a parameter, attribute, or
   spawned ``SeedSequence`` — never a literal or module constant, which
   would silently correlate streams across call sites.
 * **RES004** — CFG-path-complete span pairing: when a function both
@@ -51,17 +51,6 @@ SHARD_ENTRY_POINTS = (
     "repro.resilience.sweep._simulate_point",
 )
 
-#: Modules whose whole purpose is resolving randomness at plan time; they
-#: root the SeedSequence tree and may seed from config literals.
-PLAN_TIME_MODULES = frozenset(
-    {
-        "repro.columnar.planner",
-        "repro.faults.plan",
-        "repro.loadgen.arrivals",
-        "repro.resilience.clients",
-    }
-)
-
 #: RES004 runs where the metering/span contract lives (same as RES001).
 _SPAN_SCOPES = ("repro.cloud", "repro.spot")
 _SPAN_OPENS = frozenset({"open_span"})
@@ -95,8 +84,6 @@ def seed001_provenance(program: ProgramContext) -> Iterator[Finding]:
     for module in sorted(program.index.modules):
         if not module.startswith("repro."):
             continue
-        if module in PLAN_TIME_MODULES:
-            continue
         ctx = program.index.modules[module]
         for hit in seed_provenance_findings(ctx):
             origin = "/".join(sorted(hit.tags))
@@ -104,9 +91,9 @@ def seed001_provenance(program: ProgramContext) -> Iterator[Finding]:
                 hit.node,
                 "SEED001",
                 Severity.ERROR,
-                f"Generator seeded from a {origin} value; outside the plan-time "
-                f"modules every Generator must derive from a spawned SeedSequence "
-                f"that flows in as a parameter (literal seeds silently correlate "
+                f"Generator seeded from a {origin} value; every Generator must "
+                f"derive from a seed or spawned SeedSequence that flows in as a "
+                f"parameter or attribute (literal seeds silently correlate "
                 f"streams across call sites)",
             )
 

@@ -55,12 +55,16 @@ class ServingLoadReport:
         return self.device_hourly_usd * self.result.replica_hours
 
     @property
-    def cost_per_million_usd(self) -> float | None:
-        """Dollars per million *served* requests at the cheapest provider
-        with a catalog equivalent (device rate when none has one)."""
+    def cost_usd(self) -> float:
+        """The run's cost at the cheapest provider with a catalog
+        equivalent (device rate when none has one)."""
         priced = [r.cost_usd for r in self.cost_rows if r.cost_usd is not None]
-        cost = min(priced) if priced else self.device_cost_usd
-        return _cost_per_million(cost, self.result.served)
+        return min(priced) if priced else self.device_cost_usd
+
+    @property
+    def cost_per_million_usd(self) -> float | None:
+        """Dollars per million *served* requests at :attr:`cost_usd`."""
+        return _cost_per_million(self.cost_usd, self.result.served)
 
     def render(self) -> str:
         r = self.result

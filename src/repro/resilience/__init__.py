@@ -16,12 +16,13 @@ retries from becoming the outage:
 * `repro.resilience.scenario` — the metastable retry-storm experiment:
   one outage, the client-policy ladder, reported as amplification,
   time-to-recovery, and storm cost per policy.
-* `repro.resilience.sweep` + `repro.resilience.report` — the phase-map
-  campaign: the storm fanned over load × outage length × outage scope ×
-  policy × budget fill × breaker threshold through `repro.parallel`,
-  every point classified RECOVERED / DEGRADED / LOCKED and the defended
-  survivors priced into a ($/M effective, time-to-recovery) Pareto
-  frontier.
+* `repro.resilience.sweep` + `repro.resilience.report` — the one storm
+  runner and the phase-map campaign: the storm fanned over load × outage
+  length × outage scope × policy × budget fill × breaker threshold
+  through `repro.parallel`, every point classified RECOVERED / DEGRADED /
+  LOCKED and the defended survivors priced into a ($/M effective,
+  time-to-recovery) Pareto frontier.  The ladder (`run_storm`) is its
+  one-cell case.
 
 Same determinism contract as every other subsystem: all randomness is
 resolved at plan time, and ``python -m repro.verify storm sweep`` proves
@@ -58,8 +59,6 @@ from repro.resilience.scenario import (
     StormConfig,
     StormReport,
     policy_spec,
-    run_rung,
-    run_storm,
     storm_ladder,
 )
 from repro.resilience.shedding import CongestionConfig, SheddingConfig, assign_tiers
@@ -71,6 +70,7 @@ from repro.resilience.sweep import (
     build_points,
     classify,
     quick_sweep_config,
+    run_storm,
     run_sweep,
 )
 
@@ -108,7 +108,6 @@ __all__ = [
     "classify",
     "policy_spec",
     "quick_sweep_config",
-    "run_rung",
     "run_storm",
     "run_sweep",
     "storm_ladder",

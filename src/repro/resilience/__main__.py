@@ -18,6 +18,11 @@ default; ``--quick`` swaps in the 24-point CI grid)::
     python -m repro.resilience --sweep --workers 4
     python -m repro.resilience --sweep --phase-map      # just the map
 
+The storm flags (``--seed``, ``--rpd``, ``--duration-s``, ...) set
+:class:`~repro.resilience.scenario.StormConfig` fields for the ladder;
+the sweep takes its storms from its own config, so it refuses them, and
+the ladder refuses ``--quick`` and ``--phase-map`` (exit 2).
+
 ``python -m repro.verify storm sweep`` proves both digests invariant under
 rerun, evaluation-order perturbation and worker count.
 """
@@ -28,8 +33,21 @@ import argparse
 import json
 import sys
 
-from repro.resilience.scenario import StormConfig, run_storm
-from repro.resilience.sweep import SweepConfig, quick_sweep_config, run_sweep
+from repro.resilience.scenario import StormConfig
+from repro.resilience.sweep import SweepConfig, quick_sweep_config, run_storm, run_sweep
+
+#: The storm flags: (flag, StormConfig field, type, help).  Each defaults
+#: to the dataclass's own default, and none applies to ``--sweep``.
+STORM_FLAGS = (
+    ("--seed", "seed", int, "scenario seed"),
+    ("--rpd", "requests_per_day", float, "mean offered requests per day"),
+    ("--duration-s", "duration_s", float, "simulated horizon in seconds"),
+    ("--outage-start-s", "outage_start_s", float, "outage start instant in seconds"),
+    ("--outage-end-s", "outage_end_s", float, "outage end instant in seconds"),
+    ("--replicas", "max_replicas", int, "fixed fleet size"),
+    ("--queue-cap", "queue_capacity", int, "admission-control queue capacity"),
+    ("--budget-fill", "retry_budget_fill", float, "retry-budget tokens earned per fresh request"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,34 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--phase-map", action="store_true",
         help="with --sweep: print only the rendered phase map",
     )
-    parser.add_argument("--seed", type=int, default=11, help="scenario seed (default 11)")
-    parser.add_argument(
-        "--rpd", type=float, default=2.16e7,
-        help="mean offered requests per day (default 2.16e7 = 250 rps)",
-    )
-    parser.add_argument(
-        "--duration-s", type=float, default=1200.0,
-        help="simulated horizon in seconds (default 1200)",
-    )
-    parser.add_argument(
-        "--outage-start-s", type=float, default=300.0,
-        help="outage start instant in seconds (default 300)",
-    )
-    parser.add_argument(
-        "--outage-end-s", type=float, default=420.0,
-        help="outage end instant in seconds (default 420)",
-    )
-    parser.add_argument(
-        "--replicas", type=int, default=2, help="fixed fleet size (default 2)"
-    )
-    parser.add_argument(
-        "--queue-cap", type=int, default=256,
-        help="admission-control queue capacity (default 256)",
-    )
-    parser.add_argument(
-        "--budget-fill", type=float, default=0.1,
-        help="retry-budget tokens earned per fresh request (default 0.1)",
-    )
+    defaults = StormConfig()
+    for flag, field, kind, text in STORM_FLAGS:
+        parser.add_argument(
+            flag, dest=field, type=kind, default=None,
+            metavar=flag[2:].upper().replace("-", "_"),
+            help=f"storm only: {text} (default {getattr(defaults, field):g})",
+        )
     parser.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for the rung fan-out (default 1)",
@@ -93,7 +90,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    given = {f: getattr(args, f) for _, f, _, _ in STORM_FLAGS if getattr(args, f) is not None}
+    if args.sweep and given:
+        flags = ", ".join(flag for flag, f, _, _ in STORM_FLAGS if f in given)
+        parser.error(f"{flags}: storm flags do not apply to --sweep")
+    if not args.sweep and (args.quick or args.phase_map):
+        parser.error("--quick and --phase-map apply only with --sweep")
 
     if args.sweep:
         report = run_sweep(
@@ -102,17 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         rendered = report.render_phase_map() if args.phase_map else report.render()
         label = "sweep digest"
     else:
-        config = StormConfig(
-            seed=args.seed,
-            requests_per_day=args.rpd,
-            duration_s=args.duration_s,
-            outage_start_s=args.outage_start_s,
-            outage_end_s=args.outage_end_s,
-            queue_capacity=args.queue_cap,
-            max_replicas=args.replicas,
-            retry_budget_fill=args.budget_fill,
-        )
-        report = run_storm(config, workers=args.workers)
+        report = run_storm(StormConfig(**given), workers=args.workers)
         rendered = report.render()
         label = "storm digest"
     payload = report.to_dict()

@@ -8,8 +8,8 @@ closes the loop without breaking the determinism contract:
 * **Plan time** (:func:`plan_resilience`): every random draw a client
   could ever need — per-retry jitter for each request, the priority-tier
   assignment — is resolved here from spawned ``SeedSequence`` streams
-  into arrays on the :class:`ResilienceModel`.  This module is a
-  plan-time module in the SEED001 sense: it roots its own seed tree.
+  into arrays on the :class:`ResilienceModel`.  The streams root at
+  the client config's ``seed``, never at a literal (SEED001).
 * **Simulation time** (:class:`ClosedLoopRuntime`): the loadgen loop
   drives the runtime through pure hooks — count an attempt, ask the
   front door, book an outcome, maybe get a retry instant back.  No RNG,

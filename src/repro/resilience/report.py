@@ -11,7 +11,7 @@ $/M served) or ($/M effective, time-to-recovery).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ValidationError
@@ -58,30 +58,6 @@ class PointMetrics:
     def cell(self) -> tuple[float, float, int]:
         """(load, outage length, scope) — the physical operating point."""
         return (self.load_rps, self.outage_length_s, self.dark_replicas)
-
-    def to_dict(self) -> dict:
-        return {
-            "load_rps": self.load_rps,
-            "outage_length_s": self.outage_length_s,
-            "dark_replicas": self.dark_replicas,
-            "policy": self.policy,
-            "budget_fill": self.budget_fill,
-            "breaker_error_threshold": self.breaker_error_threshold,
-            "phase": self.phase,
-            "digest": self.digest,
-            "offered": self.offered,
-            "served": self.served,
-            "shed": self.shed,
-            "loss_rate": self.loss_rate,
-            "p99_ms": self.p99_ms,
-            "amplification": self.amplification,
-            "retries_declined_deadline": self.retries_declined_deadline,
-            "breaker_opens": self.breaker_opens,
-            "time_to_recovery_s": self.time_to_recovery_s,
-            "locked": self.locked,
-            "cost_usd": self.cost_usd,
-            "usd_per_million_effective": self.usd_per_million_effective,
-        }
 
 
 @dataclass(frozen=True)
@@ -303,8 +279,8 @@ class SweepReport:
         return {
             "config": repr(self.config),
             "digest": self.digest(),
-            "points": [p.to_dict() for p in self.points],
-            "frontier": [p.to_dict() for p in self.defense_frontier()],
+            "points": [asdict(p) for p in self.points],
+            "frontier": [asdict(p) for p in self.defense_frontier()],
         }
 
 

@@ -24,9 +24,11 @@ Each rung is priced through the serving cost model with brownout
 servings quality-discounted, so the ladder lands on the paper's axis:
 what does operational robustness cost, per million answers?
 
-Determinism: rungs are pure functions of :class:`RungSpec` (trace,
-calendar, and resilience plan are all seeded and resolved before the
-simulation), executed through
+This module defines the experiment; :func:`repro.resilience.sweep.run_storm`
+runs it, as a one-cell sweep through the phase map's plan and execute
+halves.  Determinism: rungs are pure functions of :class:`RungSpec`
+(trace, calendar, and resilience plan are all seeded and resolved before
+the simulation), fanned out through
 :func:`repro.parallel.engine.deterministic_map` — the storm digest is
 byte-identical under rerun, ``perturb=True``, and any worker count.
 """
@@ -34,23 +36,14 @@ byte-identical under rerun, ``perturb=True``, and any worker count.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from repro.common.breaker import BreakerConfig
 from repro.common.errors import ValidationError
 from repro.common.tables import format_table
-from repro.core.costmodel import quality_adjusted_served
-from repro.faults.plan import build_outage_calendar
-from repro.loadgen.arrivals import TrafficConfig, generate_trace
-from repro.loadgen.autoscaler import AutoscalerConfig
-from repro.loadgen.queue import AdmissionConfig
-from repro.loadgen.report import build_report
-from repro.loadgen.sim import TrafficResult, simulate_traffic
-from repro.parallel.engine import deterministic_map
 from repro.resilience.breaker import serving_breaker_config
-from repro.resilience.clients import ClientConfig, plan_resilience
+from repro.resilience.clients import ClientConfig
 from repro.resilience.shedding import CongestionConfig, SheddingConfig
-from repro.serving import DEVICE_CATALOG, BatchingConfig, InferenceEngine, food11_classifier
 
 #: The policy ladder, weakest defense first.
 RUNGS = ("no-retry", "naive-retry", "budgeted-retry+breaker")
@@ -275,91 +268,6 @@ def recovery_from_samples(
     return last - outage_end_s, False
 
 
-def _storm_engine() -> InferenceEngine:
-    return InferenceEngine(food11_classifier(), DEVICE_CATALOG["server-cpu-16c"])
-
-
-def run_rung(spec: RungSpec) -> tuple[RungMetrics, TrafficResult]:
-    """Simulate one rung (pure function of the spec; pool-safe)."""
-    storm = spec.storm
-    trace = generate_trace(
-        TrafficConfig(
-            seed=storm.seed,
-            pattern="poisson",
-            requests_per_day=storm.requests_per_day,
-            duration_hours=storm.duration_hours,
-        )
-    )
-    engine = _storm_engine()
-    calendar = build_outage_calendar(
-        outage_start_s=storm.outage_start_s,
-        outage_end_s=storm.outage_end_s,
-        horizon_hours=storm.duration_hours,
-        dark_replicas=storm.outage_dark_replicas,
-    )
-    model = plan_resilience(
-        trace,
-        spec.client,
-        shedding=spec.shedding,
-        breaker=spec.breaker,
-        congestion=spec.congestion,
-    )
-    result = simulate_traffic(
-        trace,
-        engine,
-        admission=AdmissionConfig(
-            queue_capacity=storm.queue_capacity, deadline_ms=storm.deadline_ms
-        ),
-        batching=BatchingConfig(max_batch=storm.max_batch),
-        autoscaler=AutoscalerConfig(
-            min_replicas=storm.max_replicas,
-            max_replicas=storm.max_replicas,
-            control_interval_s=storm.control_interval_s,
-            provisioning_lag_s=storm.provisioning_lag_s,
-        ),
-        calendar=calendar,
-        resilience=model,
-        perturb=spec.perturb,
-    )
-    outcome = result.resilience
-    assert outcome is not None
-    ttr, locked = recovery_from_samples(
-        outcome.depth_samples,
-        outage_end_s=storm.outage_end_s,
-        congestion_depth=storm.congestion_depth,
-    )
-    report = build_report(result, engine)
-    priced = [r.cost_usd for r in report.cost_rows if r.cost_usd is not None]
-    cost = min(priced) if priced else report.device_cost_usd
-    discount = spec.shedding.quality_discount if spec.shedding is not None else 0.0
-    effective = quality_adjusted_served(
-        result.served - outcome.brownout_served, outcome.brownout_served, discount
-    )
-    metrics = RungMetrics(
-        name=spec.name,
-        digest=result.digest(),
-        offered=result.offered,
-        served=result.served,
-        shed=result.shed,
-        loss_rate=result.loss_rate,
-        p99_ms=result.p99_ms,
-        amplification=outcome.amplification,
-        attempts_total=outcome.attempts_total,
-        brownout_served=outcome.brownout_served,
-        breaker_opens=outcome.breaker_opens,
-        time_to_recovery_s=ttr,
-        locked=locked,
-        cost_usd=cost,
-        usd_per_million_effective=(cost / effective * 1e6 if effective else None),
-    )
-    return metrics, result
-
-
-def _run_rung_metrics(spec: RungSpec) -> RungMetrics:
-    """Pool entry point: the metrics alone (small, picklable)."""
-    return run_rung(spec)[0]
-
-
 @dataclass(frozen=True)
 class StormReport:
     """The ladder's verdict: per-rung metrics over one shared storm."""
@@ -391,26 +299,7 @@ class StormReport:
         return {
             "config": repr(self.config),
             "digest": self.digest(),
-            "rungs": [
-                {
-                    "name": m.name,
-                    "digest": m.digest,
-                    "offered": m.offered,
-                    "served": m.served,
-                    "shed": m.shed,
-                    "loss_rate": m.loss_rate,
-                    "p99_ms": m.p99_ms,
-                    "amplification": m.amplification,
-                    "attempts_total": m.attempts_total,
-                    "brownout_served": m.brownout_served,
-                    "breaker_opens": m.breaker_opens,
-                    "time_to_recovery_s": m.time_to_recovery_s,
-                    "locked": m.locked,
-                    "cost_usd": m.cost_usd,
-                    "usd_per_million_effective": m.usd_per_million_effective,
-                }
-                for m in self.rungs
-            ],
+            "rungs": [asdict(m) for m in self.rungs],
         }
 
     def render(self) -> str:
@@ -475,21 +364,6 @@ class StormReport:
         )
 
 
-def run_storm(
-    config: StormConfig | None = None, *, workers: int = 1, perturb: bool = False
-) -> StormReport:
-    """Run the full ladder; rung fan-out via :func:`deterministic_map`.
-
-    Neither ``workers`` nor ``perturb`` may change
-    :meth:`StormReport.digest` — that is the scenario's determinism
-    contract, and what ``python -m repro.verify storm`` (and CI) pin.
-    """
-    config = config if config is not None else StormConfig()
-    specs = storm_ladder(config, perturb=perturb)
-    metrics = deterministic_map(_run_rung_metrics, specs, workers=workers)
-    return StormReport(config=config, rungs=tuple(metrics))
-
-
 __all__ = [
     "DEFENDED_POLICIES",
     "POLICIES",
@@ -500,7 +374,5 @@ __all__ = [
     "StormReport",
     "policy_spec",
     "recovery_from_samples",
-    "run_rung",
-    "run_storm",
     "storm_ladder",
 ]

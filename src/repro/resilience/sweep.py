@@ -19,12 +19,17 @@ frontier* (:meth:`~repro.resilience.report.SweepReport.defense_frontier`)
 is the Pareto set over ($/M effective, time-to-recovery) at one cell —
 robustness priced the way ``slo_cost_frontier`` prices latency nines.
 
-Determinism: a point is a pure function of its :class:`PointSpec`.  All
+The scenario's ladder is the one-cell case: :func:`run_storm` runs its
+three rungs through the same plan → simulate → price path as every grid
+point, and projects each into a :class:`RungMetrics` instead of a
+:class:`PointMetrics`.
+
+Determinism: a storm is a pure function of its :class:`RungSpec`.  All
 randomness (trace, jitter grid, tier draws) resolves in
 :func:`_plan_point`; :func:`_simulate_point` — registered as a PUR001
-shard entry point — is RNG-free and clock-free, so every point's storm
-digest is byte-identical under rerun, evaluation-order perturbation, and
-any worker count.
+shard entry point — is RNG-free and clock-free, so every storm digest is
+byte-identical under rerun, evaluation-order perturbation, and any
+worker count.
 """
 
 from __future__ import annotations
@@ -38,20 +43,22 @@ from repro.loadgen.arrivals import TrafficConfig, generate_trace
 from repro.loadgen.autoscaler import AutoscalerConfig
 from repro.loadgen.queue import AdmissionConfig
 from repro.loadgen.report import build_report
-from repro.loadgen.sim import simulate_traffic
+from repro.loadgen.sim import TrafficResult, simulate_traffic
 from repro.parallel.engine import deterministic_map
 from repro.resilience.clients import plan_resilience
 from repro.resilience.report import PointMetrics, SweepReport
 from repro.resilience.scenario import (
     DEFENDED_POLICIES,
     POLICIES,
+    RungMetrics,
     RungSpec,
     StormConfig,
-    _storm_engine,
+    StormReport,
     policy_spec,
     recovery_from_samples,
+    storm_ladder,
 )
-from repro.serving import BatchingConfig
+from repro.serving import DEVICE_CATALOG, BatchingConfig, InferenceEngine, food11_classifier
 
 #: The three phases, benign first.  Order matters: it is the collapse
 #: order for "worst phase in a cell" renderings.
@@ -256,14 +263,14 @@ def build_points(
     return tuple(points)
 
 
-def _plan_point(spec: PointSpec):
-    """The plan-time half of one point: every random draw happens here.
+def _plan_point(rung: RungSpec):
+    """The plan-time half of one storm: every random draw happens here.
 
     Trace generation, the outage calendar, and the resilience plan
     (jitter grid, tier assignment) are all seeded and resolved before
     the simulation starts — the execute half below never draws.
     """
-    storm = spec.rung.storm
+    storm = rung.storm
     trace = generate_trace(
         TrafficConfig(
             seed=storm.seed,
@@ -280,23 +287,24 @@ def _plan_point(spec: PointSpec):
     )
     model = plan_resilience(
         trace,
-        spec.rung.client,
-        shedding=spec.rung.shedding,
-        breaker=spec.rung.breaker,
-        congestion=spec.rung.congestion,
+        rung.client,
+        shedding=rung.shedding,
+        breaker=rung.breaker,
+        congestion=rung.congestion,
     )
-    return trace, _storm_engine(), calendar, model
+    engine = InferenceEngine(food11_classifier(), DEVICE_CATALOG["server-cpu-16c"])
+    return trace, engine, calendar, model
 
 
-def _simulate_point(spec: PointSpec, trace, engine, calendar, model):
-    """The execute half of one point: simulate, measure, classify.
+def _simulate_point(rung: RungSpec, trace, engine, calendar, model):
+    """The execute half of one storm: simulate and measure recovery.
 
     Registered in ``SHARD_ENTRY_POINTS`` (PUR001): nothing reachable
     from here may construct RNG state, read a clock, or mutate module
     globals — all of that already happened in :func:`_plan_point`.
-    Returns ``(result, time_to_recovery_s, locked, phase)``.
+    Returns ``(result, time_to_recovery_s, locked)``.
     """
-    storm = spec.rung.storm
+    storm = rung.storm
     result = simulate_traffic(
         trace,
         engine,
@@ -312,7 +320,7 @@ def _simulate_point(spec: PointSpec, trace, engine, calendar, model):
         ),
         calendar=calendar,
         resilience=model,
-        perturb=spec.rung.perturb,
+        perturb=rung.perturb,
     )
     outcome = result.resilience
     assert outcome is not None
@@ -321,22 +329,48 @@ def _simulate_point(spec: PointSpec, trace, engine, calendar, model):
         outage_end_s=storm.outage_end_s,
         congestion_depth=storm.congestion_depth,
     )
-    phase = classify(ttr, locked, recovery_grace_s=spec.recovery_grace_s)
-    return result, ttr, locked, phase
+    return result, ttr, locked
+
+
+def _measure_storm(rung: RungSpec) -> tuple[TrafficResult, dict]:
+    """Plan, simulate and price one storm: the ladder's and the sweep's runner.
+
+    Returns the full result and the twelve observables that
+    :class:`RungMetrics` and :class:`PointMetrics` share, by field name.
+    Brownout servings count at the shedding config's quality discount in
+    the $/M effective figure.
+    """
+    trace, engine, calendar, model = _plan_point(rung)
+    result, ttr, locked = _simulate_point(rung, trace, engine, calendar, model)
+    outcome = result.resilience
+    cost = build_report(result, engine).cost_usd
+    discount = rung.shedding.quality_discount if rung.shedding is not None else 0.0
+    effective = quality_adjusted_served(
+        result.served - outcome.brownout_served, outcome.brownout_served, discount
+    )
+    return result, dict(
+        digest=result.digest(),
+        offered=result.offered,
+        served=result.served,
+        shed=result.shed,
+        loss_rate=result.loss_rate,
+        p99_ms=result.p99_ms,
+        amplification=outcome.amplification,
+        breaker_opens=outcome.breaker_opens,
+        time_to_recovery_s=ttr,
+        locked=locked,
+        cost_usd=cost,
+        usd_per_million_effective=(cost / effective * 1e6 if effective else None),
+    )
 
 
 def _run_point(spec: PointSpec) -> PointMetrics:
-    """Pool entry point: plan, execute, price, classify — one point."""
-    trace, engine, calendar, model = _plan_point(spec)
-    result, ttr, locked, phase = _simulate_point(spec, trace, engine, calendar, model)
-    outcome = result.resilience
-    report = build_report(result, engine)
-    priced = [r.cost_usd for r in report.cost_rows if r.cost_usd is not None]
-    cost = min(priced) if priced else report.device_cost_usd
-    shedding = spec.rung.shedding
-    discount = shedding.quality_discount if shedding is not None else 0.0
-    effective = quality_adjusted_served(
-        result.served - outcome.brownout_served, outcome.brownout_served, discount
+    """Pool entry point: one sweep point, measured and classified."""
+    result, shared = _measure_storm(spec.rung)
+    phase = classify(
+        shared["time_to_recovery_s"],
+        shared["locked"],
+        recovery_grace_s=spec.recovery_grace_s,
     )
     return PointMetrics(
         load_rps=spec.load_rps,
@@ -346,19 +380,20 @@ def _run_point(spec: PointSpec) -> PointMetrics:
         budget_fill=spec.budget_fill,
         breaker_error_threshold=spec.breaker_error_threshold,
         phase=phase,
-        digest=result.digest(),
-        offered=result.offered,
-        served=result.served,
-        shed=result.shed,
-        loss_rate=result.loss_rate,
-        p99_ms=result.p99_ms,
-        amplification=outcome.amplification,
-        retries_declined_deadline=outcome.retries_declined_deadline,
-        breaker_opens=outcome.breaker_opens,
-        time_to_recovery_s=ttr,
-        locked=locked,
-        cost_usd=cost,
-        usd_per_million_effective=(cost / effective * 1e6 if effective else None),
+        retries_declined_deadline=result.resilience.retries_declined_deadline,
+        **shared,
+    )
+
+
+def _run_ladder_rung(rung: RungSpec) -> RungMetrics:
+    """Pool entry point: one ladder rung, measured."""
+    result, shared = _measure_storm(rung)
+    outcome = result.resilience
+    return RungMetrics(
+        name=rung.name,
+        attempts_total=outcome.attempts_total,
+        brownout_served=outcome.brownout_served,
+        **shared,
     )
 
 
@@ -378,6 +413,24 @@ def run_sweep(
     return SweepReport(config=config, points=tuple(metrics))
 
 
+def run_storm(
+    config: StormConfig | None = None, *, workers: int = 1, perturb: bool = False
+) -> StormReport:
+    """Run the three-rung ladder: a one-cell sweep over the policy axis.
+
+    The rungs come from :func:`storm_ladder`, which carries ``config``
+    itself into every spec.  A grid point rebuilds its storm from its
+    coordinates instead, and ``load_rps * 86400`` does not always
+    round-trip a caller's ``requests_per_day``.  Neither ``workers`` nor
+    ``perturb`` may change :meth:`StormReport.digest` — the ladder's
+    determinism contract, pinned by ``python -m repro.verify storm``.
+    """
+    config = config if config is not None else StormConfig()
+    specs = storm_ladder(config, perturb=perturb)
+    metrics = deterministic_map(_run_ladder_rung, specs, workers=workers)
+    return StormReport(config=config, rungs=tuple(metrics))
+
+
 __all__ = [
     "PHASES",
     "PointSpec",
@@ -386,5 +439,6 @@ __all__ = [
     "build_points",
     "classify",
     "quick_sweep_config",
+    "run_storm",
     "run_sweep",
 ]

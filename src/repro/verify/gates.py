@@ -29,8 +29,8 @@ from repro.faults.plan import (
 from repro.loadgen.arrivals import TrafficConfig, generate_trace
 from repro.loadgen.sim import simulate_traffic
 from repro.parallel.engine import run_parallel
-from repro.resilience.scenario import StormConfig, run_storm
-from repro.resilience.sweep import SweepConfig, quick_sweep_config, run_sweep
+from repro.resilience.scenario import StormConfig
+from repro.resilience.sweep import SweepConfig, quick_sweep_config, run_storm, run_sweep
 from repro.serving.devices import DEVICE_CATALOG
 from repro.serving.engine import InferenceEngine
 from repro.serving.models import food11_classifier

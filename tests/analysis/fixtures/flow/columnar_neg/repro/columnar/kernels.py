@@ -1,9 +1,10 @@
 """Fixture: pure columnar kernel — closed forms over planner-resolved columns.
 
 Mirrors the real ``repro.columnar.kernels``: all randomness was resolved
-at plan time, emission is arithmetic on arrays.  The planner module may
-root its own Generator (plan-time module, exempt from SEED001), and that
-must not trip the kernel's purity check because emission never calls it.
+at plan time, emission is arithmetic on arrays.  The planner module
+roots its own Generator (from the config's seed, as SEED001 requires),
+and that must not trip the kernel's purity check because emission never
+calls it.
 """
 
 import numpy as np

@@ -1,8 +1,8 @@
 """Fixture: the columnar planner roots the seed tree from config.
 
-``repro.columnar.planner`` is a plan-time module: it may construct
-Generators from config-carried seeds without tripping SEED001 (that is
-where randomness is *supposed* to be resolved).
+``repro.columnar.planner`` is where randomness is *supposed* to be
+resolved, but it gets no SEED001 exemption: its Generators are quiet
+because they are seeded from the config it is handed, not a literal.
 """
 
 import numpy as np

@@ -1,8 +1,8 @@
 """Fixture: the resilience discipline done right.
 
-``repro.resilience.clients`` is a plan-time module (it roots its own
-seed tree — SEED001-exempt by registration), and the runtime the
-simulation drives is a pure state machine over plan-time arrays.
+``plan_resilience`` roots its seed tree from the seed it is handed (no
+module is exempt from SEED001), and the runtime the simulation drives is
+a pure state machine over plan-time arrays.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ class ClosedLoopRuntime:
         return now_s + u
 
 
-def plan_resilience(n):
-    # plan-time modules may root the SeedSequence tree from literals
-    base = np.random.default_rng(np.random.SeedSequence(11))
+def plan_resilience(n, seed):
+    # the plan draws from a seed that flows in, never from a literal
+    base = np.random.default_rng(np.random.SeedSequence(seed))
     return base.random(n)

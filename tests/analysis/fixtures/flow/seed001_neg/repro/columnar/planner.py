@@ -1,7 +1,7 @@
-"""Fixture: a plan-time module may root the seed tree from a literal."""
+"""Fixture: the planner roots the seed tree from a seed it is handed."""
 
 import numpy as np
 
 
-def plan():
-    return np.random.default_rng(np.random.SeedSequence(2024))
+def plan(seed):
+    return np.random.default_rng(np.random.SeedSequence(seed))

@@ -1,9 +1,9 @@
-"""Fixture: plan-time module rooting the sweep's seed tree (SEED001-exempt)."""
+"""Fixture: the plan-time clients module roots the sweep's seed tree from a parameter."""
 
 import numpy as np
 
 
-def plan_resilience(n):
-    # plan-time modules may root the SeedSequence tree from literals
-    base = np.random.default_rng(np.random.SeedSequence(23))
+def plan_resilience(n, seed):
+    # the plan draws from a seed that flows in, never from a literal
+    base = np.random.default_rng(np.random.SeedSequence(seed))
     return base.random(n)

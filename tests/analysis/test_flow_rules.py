@@ -32,7 +32,7 @@ class TestPUR001:
 class TestColumnarEntryPoint:
     """The columnar kernel is a shard-execution entry point (DESIGN §11):
     ``repro.columnar.kernels.emit_records`` must be transitively pure, and
-    ``repro.columnar.planner`` is plan-time (may root the seed tree)."""
+    ``repro.columnar.planner`` roots the seed tree from the config's seed."""
 
     def test_fires_on_rng_and_wall_clock_reachable_from_emit_records(self):
         result = run_rule("columnar_pos", "PUR001")
@@ -54,8 +54,8 @@ class TestColumnarEntryPoint:
 class TestResilienceEntryPoint:
     """The closed-loop runtime lives inside ``simulate_traffic``'s purity
     boundary (DESIGN §12): its hooks must consume plan-time draws, never
-    make their own, while ``repro.resilience.clients`` is registered
-    plan-time (may root the seed tree)."""
+    make their own, while ``repro.resilience.clients`` roots the seed tree
+    from a seed it is handed."""
 
     def test_fires_on_rng_and_clock_in_runtime_hooks(self):
         result = run_rule("resilience_pos", "PUR001")
@@ -99,11 +99,14 @@ class TestSweepEntryPoint:
 
 class TestSEED001:
     def test_fires_on_literal_and_module_constant_seeds(self):
+        """Three in ``mergex.py`` and one in ``repro/columnar/planner.py``:
+        no module, not even a planner, may seed from a literal."""
         result = run_rule("seed001_pos", "SEED001")
-        assert len(result.findings) == 3
+        assert len(result.findings) == 4
         assert all(f.rule_id == "SEED001" for f in result.findings)
-        lines = sorted(f.line for f in result.findings)
-        assert len(set(lines)) == 3
+        sites = {(Path(f.file).name, f.line) for f in result.findings}
+        assert len(sites) == 4
+        assert sum(name == "planner.py" for name, _ in sites) == 1
 
     def test_quiet_on_parameter_spawn_and_plan_time_seeds(self):
         result = run_rule("seed001_neg", "SEED001")

@@ -506,8 +506,8 @@ def test_closed_loop_matches_reference(seed, policy, dark):
     assert_same(fast, simulate_traffic(trace, ENGINE, **args))
 
 
-# sweep points: the perfbench --tiny storm cell, through the sweep's own
-# plan and execute halves
+# sweep points: the perfbench --tiny storm cell, through the plan and
+# execute halves that the sweep and the storm ladder share
 SWEEP = replace(
     sweep.quick_sweep_config(),
     base=StormConfig(duration_s=150.0, outage_start_s=40.0, outage_end_s=85.0),
@@ -523,7 +523,7 @@ def sweep_points(seed):
 
 def simulate_point(spec, loop, monkeypatch):
     monkeypatch.setattr(sweep, "simulate_traffic", loop)
-    return sweep._simulate_point(spec, *sweep._plan_point(spec))
+    return sweep._simulate_point(spec.rung, *sweep._plan_point(spec.rung))
 
 
 @pytest.mark.parametrize("k", range(4))

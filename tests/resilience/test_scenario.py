@@ -4,28 +4,42 @@ One shared storm (shorter than the CLI default, same physics): the naive
 client must lock into sustained overload after the fault clears, the
 no-retry client must recover instantly, and the budgeted+breaker client
 must drain under its amplification cap.  The ladder digest must be
-byte-identical under rerun, perturbation, and worker fan-out.
+byte-identical under rerun, perturbation, and worker fan-out, and equal
+to its pinned value.  The ladder runs through the sweep's runner, so
+each rung must also equal its point of the one-cell sweep.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from repro.common.errors import ValidationError
+from repro.resilience.report import PointMetrics
 from repro.resilience.scenario import (
     RUNGS,
+    RungMetrics,
     StormConfig,
     policy_spec,
     recovery_from_samples,
-    run_rung,
-    run_storm,
     storm_ladder,
+)
+from repro.resilience.sweep import (
+    SECONDS_PER_DAY,
+    SweepAxes,
+    SweepConfig,
+    _measure_storm,
+    _run_ladder_rung,
+    run_storm,
+    run_sweep,
 )
 
 #: Ten minutes with a 90-second mid-run outage: locks the naive rung in
 #: a few seconds of wall clock.
 STORM = StormConfig(duration_s=600.0, outage_start_s=150.0, outage_end_s=240.0)
+
+#: ``run_storm(STORM).digest()`` (numpy 2 scalar reprs; ROADMAP item 2).
+STORM_DIGEST = "e6746398e42b3c5cf849098c8f3ca536dbce6180b739e6f4220f8238e9ee1e12"
 
 
 @pytest.fixture(scope="module")
@@ -102,11 +116,57 @@ class TestDigestContract:
         )
         assert other.digest() != report.digest()
 
-    def test_rung_metrics_match_the_full_result(self):
+    def test_rung_metrics_match_the_full_result(self, report):
         spec = storm_ladder(STORM)[0]
-        metrics, result = run_rung(spec)
-        assert metrics.digest == result.digest()
+        result, shared = _measure_storm(spec)
+        metrics = report.rung(spec.name)
+        assert metrics.digest == shared["digest"] == result.digest()
         assert metrics.served == result.served
+
+    def test_storm_digest_is_pinned(self, report):
+        """A refactor that moves any rung's bytes fails here, not only
+        one that breaks rerun/perturb/workers agreement."""
+        assert report.digest() == STORM_DIGEST
+
+    def test_ladder_runs_the_callers_rate_unrebuilt(self):
+        """1.24e7 req/day does not survive ``/ 86400 * 86400``: a ladder
+        rebuilt from sweep coordinates would run a different storm."""
+        storm = StormConfig(
+            duration_s=300.0, outage_start_s=75.0, outage_end_s=165.0,
+            requests_per_day=1.24e7,
+        )
+        rate = storm.requests_per_day / SECONDS_PER_DAY
+        assert rate * SECONDS_PER_DAY != storm.requests_per_day
+        assert run_storm(storm).digest() == (
+            "27ad25b36469a19deef620388e2b941bd5f0be0338f82deac7d85305c7e854ed"
+        )
+
+
+class TestOneRunner:
+    def test_every_rung_equals_its_one_cell_sweep_point(self, report):
+        """The ladder is the one-cell sweep over its own policies: at
+        250 rps, where the rate round-trips, every rung matches its
+        point on all twelve fields the two records share, repr for repr."""
+        cell = SweepConfig(
+            base=STORM,
+            axes=SweepAxes(
+                loads_rps=(250.0,),
+                outage_lengths_s=(90.0,),
+                dark_replicas=(0,),
+                policies=RUNGS,
+                budget_fills=(0.1,),
+                breaker_error_thresholds=(0.5,),
+            ),
+        )
+        points = run_sweep(cell).points
+        point_fields = {f.name for f in fields(PointMetrics)}
+        shared = [f.name for f in fields(RungMetrics) if f.name in point_fields]
+        assert len(shared) == 12
+        assert [p.policy for p in points] == [r.name for r in report.rungs]
+        for rung, point in zip(report.rungs, points):
+            assert [repr(getattr(rung, f)) for f in shared] == [
+                repr(getattr(point, f)) for f in shared
+            ]
 
 
 class TestReporting:
@@ -142,7 +202,7 @@ class TestPolicySpecs:
             assert spec.client.give_up_deadline_s == pytest.approx(10.0)
 
     def test_hedged_rung_recovers_under_the_cap(self):
-        metrics, _ = run_rung(policy_spec("hedged-retry+breaker", STORM))
+        metrics = _run_ladder_rung(policy_spec("hedged-retry+breaker", STORM))
         assert metrics.locked is False
         assert metrics.amplification <= 1.0 + STORM.retry_budget_fill + 1e-9
 
@@ -160,10 +220,10 @@ class TestPartialOutage:
         crosses the trip threshold and the breaker must ride the whole
         storm out closed."""
         storm = replace(STORM, outage_dark_replicas=1)
-        metrics, result = run_rung(policy_spec("budgeted-retry+breaker", storm))
+        metrics = _run_ladder_rung(policy_spec("budgeted-retry+breaker", storm))
         assert metrics.breaker_opens == 0
         assert metrics.locked is False
-        assert result.served > 0
+        assert metrics.served > 0
 
     def test_partial_scope_is_not_a_smaller_full_outage(self):
         """The blackout drops its backlog fast and recovers instantly;
@@ -171,10 +231,10 @@ class TestPartialOutage:
         at the queue cap — congestion collapse locks the fleet without a
         single retry.  (The defended policies escape exactly this via
         depth shedding; see the breaker test above.)"""
-        full = run_rung(policy_spec("no-retry", STORM))[0]
-        partial = run_rung(
+        full = _run_ladder_rung(policy_spec("no-retry", STORM))
+        partial = _run_ladder_rung(
             policy_spec("no-retry", replace(STORM, outage_dark_replicas=1))
-        )[0]
+        )
         assert full.digest != partial.digest
         assert full.locked is False and full.time_to_recovery_s == 0.0
         assert partial.locked is True

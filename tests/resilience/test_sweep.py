@@ -153,6 +153,13 @@ class TestDigestContract:
         assert run_sweep(TINY, perturb=True).digest() == baseline
         assert run_sweep(TINY, workers=1).digest() == baseline
 
+    def test_report_digest_is_pinned(self, report):
+        """Numpy 2 scalar reprs (ROADMAP item 2): ``cost_usd`` and
+        ``usd_per_million_effective`` print as ``np.float64(...)``."""
+        assert report.digest() == (
+            "41667ca0ccf10d8ae4c42249ccef8d3b7599d27c1038d9bb36f391cf3ac90b32"
+        )
+
     def test_config_reaches_the_digest(self, report):
         reseeded = SweepConfig(
             base=StormConfig(
