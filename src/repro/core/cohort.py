@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from repro.cloud.inventory import CHAMELEON_NODE_TYPES, EDGE_DEVICE_TYPES
 from repro.cloud.metering import UsageRecord
@@ -109,7 +109,7 @@ def stratified_lognormal(mean: float, sigma: float, n: int, rng: np.random.Gener
         raise ValidationError("invalid stratified-lognormal parameters")
     mu = np.log(mean) - sigma**2 / 2.0
     quantiles = (np.arange(n) + rng.uniform(0.02, 0.98, size=n)) / n
-    draws = np.exp(mu + sigma * stats.norm.ppf(quantiles))
+    draws = np.exp(mu + sigma * ndtri(quantiles))
     rng.shuffle(draws)
     return draws
 
@@ -129,7 +129,8 @@ def capped_mean_compensation(target_mean: float, sigma: float, cap: float) -> fl
         mu = np.log(raw_mean) - sigma**2 / 2.0
         z1 = (np.log(cap) - mu - sigma**2) / sigma
         z2 = (np.log(cap) - mu) / sigma
-        return float(raw_mean * stats.norm.cdf(z1) + cap * stats.norm.sf(z2))
+        # ndtr(-z2) is the upper tail norm.sf computes, not 1 - ndtr(z2)
+        return float(raw_mean * ndtr(z1) + cap * ndtr(-z2))
 
     lo, hi = target_mean, target_mean * 10.0
     for _ in range(200):

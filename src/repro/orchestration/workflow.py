@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
-import networkx as nx
-
 from repro.common.errors import ConflictError, NotFoundError, ValidationError
 
 
@@ -70,7 +68,14 @@ class Workflow:
         self.steps[name] = step
         return step
 
-    def graph(self) -> nx.DiGraph:
+    def order(self) -> list[str]:
+        """Step names in deterministic topological order (lexicographic tie-break).
+
+        networkx is imported here, on first use, so that importing
+        :mod:`repro.cloud` (which reaches this module) does not load it.
+        """
+        import networkx as nx
+
         g = nx.DiGraph()
         for step in self.steps.values():
             g.add_node(step.name)
@@ -81,7 +86,7 @@ class Workflow:
                 g.add_edge(dep, step.name)
         if not nx.is_directed_acyclic_graph(g):
             raise ValidationError(f"workflow {self.name!r} has a cycle")
-        return g
+        return list(nx.lexicographical_topological_sort(g))
 
 
 @dataclass
@@ -105,8 +110,7 @@ class WorkflowEngine:
 
     def run(self, workflow: Workflow, params: dict[str, Any] | None = None) -> WorkflowRun:
         """Execute ``workflow``; ``params`` seed the context under ``"params"``."""
-        g = workflow.graph()
-        order = list(nx.lexicographical_topological_sort(g))
+        order = workflow.order()
         results: dict[str, StepResult] = {}
         context: dict[str, Any] = {"params": dict(params or {})}
 

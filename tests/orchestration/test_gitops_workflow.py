@@ -188,13 +188,13 @@ class TestWorkflowEngine:
         wf = Workflow("c")
         wf.add_step("a", lambda ctx: 1, dependencies=("b",))
         wf.add_step("b", lambda ctx: 1, dependencies=("a",))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="has a cycle"):
             WorkflowEngine().run(wf)
 
     def test_unknown_dependency_rejected(self):
         wf = Workflow("u")
         wf.add_step("a", lambda ctx: 1, dependencies=("ghost",))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="depends on unknown"):
             WorkflowEngine().run(wf)
 
     def test_duplicate_step_rejected(self):
