@@ -54,9 +54,10 @@ def run_columnar(
 ) -> ColumnarRun:
     """Simulate one semester through the columnar engine.
 
-    ``digest=False`` skips record materialization entirely (the merge
-    still sorts and counts — useful for throughput benchmarks where the
-    digest's per-record Python cost would dominate).  ``spill_dir``
+    ``digest=False`` skips the digest (the merge still sorts, counts and
+    sums unit-hours).  The digest formats each distinct field value once
+    per slice of sorted rows, which adds about half again to a
+    500×-cohort run, so throughput benchmarks leave it off.  ``spill_dir``
     bounds peak memory by spilling merge buckets to scratch files.
     """
     config = config if config is not None else CohortConfig()

@@ -22,9 +22,17 @@ holding all records sorted at once:
   counters advance by row order within each bucket and carry across
   buckets — exactly the first-appearance order of the serial
   canonicalizer.
-* **Digest.** SHA-256 over ``repr(astuple(record))`` per row, streamed
-  bucket by bucket; floats materialize via ``.tolist()`` so their reprs
-  are Python-float reprs, byte-identical to the object path's.
+* **Digest.** SHA-256 over ``repr(astuple(record))`` per row — the
+  definition :func:`repro.core.report.records_digest` applies to the
+  object path — built column-wise instead of per row.  A tuple's repr is
+  ``"(" + ", ".join(map(repr, fields)) + ")"`` and hashing a
+  concatenation equals streaming its parts, so finalize formats each
+  distinct value once: one ``repr`` per vocabulary code (kind, rtype,
+  user, lab, site), one per distinct 64-bit float pattern in a slice (by
+  pattern, not value: ``-0.0 == 0.0`` but their reprs differ; the reprs
+  are Python-float reprs, as ``.tolist()`` would give), one per minted
+  id.  It interleaves the pieces row-major and hashes each slice of
+  :data:`DIGEST_SLICE_ROWS` sorted rows with one ``update``.
 * **Totals.** ``quantity * (end - start)`` per row, summed with
   :func:`repro.common.numerics.stable_sum` over the whole multiset —
   exactly equal to ``total_unit_hours`` over the materialized records,
@@ -54,6 +62,11 @@ from repro.columnar.schema import (
 )
 from repro.common.errors import ValidationError
 from repro.common.numerics import stable_sum
+
+#: Rows per digest slice: finalize formats and hashes a sorted bucket this
+#: many rows at a time, so its per-column text lists stay bounded however
+#: large a bucket grows.
+DIGEST_SLICE_ROWS = 65_536
 
 
 @dataclass(frozen=True)
@@ -146,15 +159,16 @@ class CanonicalMerger:
         self, *, digest: bool = True, collect_records: bool = False
     ) -> MergeResult:
         """Sort each bucket, mint ids across buckets, stream the digest."""
+        if self._finalized:
+            raise ValidationError("merger already finalized")
         self._finalized = True
         schema = self._schema
         sha = hashlib.sha256() if digest else None
         counters: dict[tuple[int, int], int] = {}  # (site, kind) -> last serial
         unit_parts: list[np.ndarray] = []
         records: list[UsageRecord] | None = [] if collect_records else None
-        user_strings = (
-            _user_string_table(schema) if (digest or collect_records) else None
-        )
+        user_strings = _user_string_table(schema) if (digest or collect_records) else None
+        reprs = _ReprTables(schema, user_strings) if digest else None
         count = 0
         for b in range(self._n_buckets):
             cols = self._load_bucket(b)
@@ -182,28 +196,29 @@ class CanonicalMerger:
                     counters[(s, k)] = counters.get((s, k), 0) + m
                 continue
             ids = _mint_ids(cols, counters)
-            kind_names = np.take(np.array(KIND_NAMES, dtype=object), cols.kind)
-            rtype_names = np.take(np.array(schema.rtype_names, dtype=object), cols.rtype)
-            site_names = np.take(np.array(SITE_NAMES, dtype=object), cols.site)
-            lab_names = np.take(np.array(schema.lab_names, dtype=object), cols.lab)
-            users = np.take(user_strings, cols.user)
-            rows = zip(
-                ids, kind_names, rtype_names,
-                cols.start.tolist(), cols.end.tolist(), cols.quantity.tolist(),
-                users, lab_names, site_names,
-            )
-            for rid, kind, rtype, start, end, qty, user, lab, site in rows:
-                tup = (rid, kind, rtype, "course", start, end, qty, user, lab, site)
-                if sha is not None:
-                    sha.update(repr(tup).encode())
-                if records is not None:
-                    records.append(
-                        UsageRecord(
-                            resource_id=rid, kind=kind, resource_type=rtype,
-                            project="course", start=start, end=end,
-                            quantity=qty, user=user, lab=lab, site=site,
-                        )
+            if sha is not None:
+                for lo in range(0, n, DIGEST_SLICE_ROWS):
+                    part = slice(lo, lo + DIGEST_SLICE_ROWS)
+                    sha.update(reprs.rows(cols, ids, part).encode())
+            if records is not None:
+                kind_names = np.take(np.array(KIND_NAMES, dtype=object), cols.kind)
+                rtype_names = np.take(np.array(schema.rtype_names, dtype=object), cols.rtype)
+                site_names = np.take(np.array(SITE_NAMES, dtype=object), cols.site)
+                lab_names = np.take(np.array(schema.lab_names, dtype=object), cols.lab)
+                users = np.take(user_strings, cols.user)
+                rows = zip(
+                    ids, kind_names, rtype_names,
+                    cols.start.tolist(), cols.end.tolist(), cols.quantity.tolist(),
+                    users, lab_names, site_names,
+                )
+                records.extend(
+                    UsageRecord(
+                        resource_id=rid, kind=kind, resource_type=rtype,
+                        project="course", start=start, end=end,
+                        quantity=qty, user=user, lab=lab, site=site,
                     )
+                    for rid, kind, rtype, start, end, qty, user, lab, site in rows
+                )
         unit_hours = stable_sum(chain.from_iterable(part.tolist() for part in unit_parts))
         return MergeResult(
             count=count,
@@ -221,6 +236,54 @@ def _user_string_table(schema: ColumnSchema) -> np.ndarray:
         + [group_user(j) for j in range(schema.n_groups)],
         dtype=object,
     )
+
+
+class _ReprTables:
+    """The digest's text, built column-wise (see the module docstring).
+
+    Each piece is one field's ``repr`` with the separator that follows it
+    in the tuple's repr, so a slice's text is the row-major interleave of
+    its columns' pieces.  Adjacent code fields share one table: kind with
+    rtype (and the constant project), lab with site.
+    """
+
+    def __init__(self, schema: ColumnSchema, user_strings: np.ndarray) -> None:
+        self._n_rtypes = len(schema.rtype_names)
+        self._kind_rtype = np.array(
+            [
+                f"{kind!r}, {rtype!r}, {'course'!r}, "
+                for kind in KIND_NAMES
+                for rtype in schema.rtype_names
+            ],
+            dtype=object,
+        )
+        self._user = np.array([f"{user!r}, " for user in user_strings], dtype=object)
+        self._lab_site = np.array(
+            [f"{lab!r}, {site!r})" for lab in schema.lab_names for site in SITE_NAMES],
+            dtype=object,
+        )
+
+    def rows(self, cols: RecordColumns, ids: np.ndarray, part: slice) -> str:
+        """The concatenated ``repr(tuple)`` text of rows ``part``."""
+        kind_rtype = cols.kind[part].astype(np.int64) * self._n_rtypes + cols.rtype[part]
+        lab_site = cols.lab[part].astype(np.int64) * len(SITE_NAMES) + cols.site[part]
+        pieces = zip(
+            [f"({rid!r}, " for rid in ids[part].tolist()],
+            np.take(self._kind_rtype, kind_rtype).tolist(),
+            _float_pieces(cols.start[part]),
+            _float_pieces(cols.end[part]),
+            _float_pieces(cols.quantity[part]),
+            np.take(self._user, cols.user[part]).tolist(),
+            np.take(self._lab_site, lab_site).tolist(),
+        )
+        return "".join(chain.from_iterable(pieces))
+
+
+def _float_pieces(col: np.ndarray) -> list[str]:
+    """``repr(x) + ", "`` per row, formatted once per distinct bit pattern."""
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    table = np.array([f"{x!r}, " for x in bits.view(np.float64).tolist()], dtype=object)
+    return np.take(table, inverse).tolist()
 
 
 def _site_kind_runs(cols: RecordColumns):

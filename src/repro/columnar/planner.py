@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.columnar.schema import SITE_CODES, SITE_NAMES, ColumnSchema
 from repro.common.errors import ValidationError
 from repro.core.cohort import (
     EDGE_SITE,
@@ -51,7 +52,6 @@ from repro.core.cohort import (
     student_seed_sequence,
 )
 from repro.core.course import COURSE, CourseDefinition, LabKind
-from repro.columnar.schema import SITE_CODES, SITE_NAMES, ColumnSchema
 
 if TYPE_CHECKING:
     from repro.core.cohort import FaultModel
@@ -236,29 +236,36 @@ def _student_range_draws(
     are rebuilt from ``(seed, spawn_key=(1, i))``, so the fan-out ships
     two ints per range instead of pickled SeedSequences and any worker
     count reassembles to identical arrays.
+
+    A VM lab's ``random()`` then ``uniform(0.0, 96.0)`` is drawn as one
+    ``random(2)`` at the same stream positions: numpy's uniform is
+    ``low + range * u``, and ``0.0 + 96.0 * u == 96.0 * u`` for ``u >= 0``.
+    Everything else stays scalar: ``lognormal`` and ``poisson`` consume a
+    data-dependent number of words, and a reserved lab averages under two
+    slot picks, where one ``random(c)`` array costs more than ``c`` scalar
+    calls.
     """
     course, config, lo, hi, propensity = args
     metas = _lab_metas(course)
-    vm_positions = [j for j, (tag, _) in enumerate(metas) if tag == "vm"]
-    res_positions = [j for j, (tag, _) in enumerate(metas) if tag == "res"]
-    n_vm, n_res = len(vm_positions), len(res_positions)
+    n_vm = sum(tag == "vm" for tag, _ in metas)
+    n_res = len(metas) - n_vm
     count = hi - lo
 
-    participates = np.zeros((count, n_vm), dtype=bool)
-    start_jitter = np.zeros((count, n_vm), dtype=np.float64)
-    score_jitter = np.zeros((count, n_vm), dtype=np.float64)
-    slot_counts = np.zeros((count, n_res), dtype=np.int32)
+    # flat (student, lab)-ordered cells, shaped into grids once at the end
+    participates: list[bool] = []
+    start_jitter: list[float] = []
+    score_jitter: list[float] = []
+    slot_counts: list[int] = []
     slot_codes: list[int] = []  # option index per slot, (student, lab, k) order
     slot_code_lab: list[int] = []  # reserved-lab position per slot, same order
 
     # per-lab dispatch table, hoisted out of the hot loop; cdfs as plain
     # float lists so bisect_right replays choice's searchsorted exactly
     lab_seq: list[tuple[bool, int, float, list[float]]] = []
-    vm_j = res_j = 0
+    res_j = 0
     for tag, meta in metas:
         if tag == "vm":
-            lab_seq.append((True, vm_j, 0.0, []))
-            vm_j += 1
+            lab_seq.append((True, 0, 0.0, []))
         else:
             lab_seq.append((False, res_j, meta.mean_slots, list(meta.cdf)))
             res_j += 1
@@ -271,27 +278,27 @@ def _student_range_draws(
     default_rng = np.random.default_rng
     for row in range(count):
         rng = default_rng(student_seed_sequence(seed, lo + row))
-        random, uniform = rng.random, rng.uniform
-        lognormal, poisson = rng.lognormal, rng.poisson
+        random, lognormal, poisson = rng.random, rng.lognormal, rng.poisson
         prop = prop_list[row]
         for is_vm, j, mean_slots, cdf in lab_seq:
             if is_vm:
-                participates[row, j] = random() < participation
-                start_jitter[row, j] = uniform(0.0, 96.0)
-                score_jitter[row, j] = lognormal(0.0, 0.5)
+                u, v = random(2).tolist()
+                participates.append(u < participation)
+                start_jitter.append(96.0 * v)
+                score_jitter.append(lognormal(0.0, 0.5))
             else:
                 c = int(poisson(mean_slots * prop))
-                slot_counts[row, j] = c
+                slot_counts.append(c)
                 for _ in range(c):
                     # bisect_right == searchsorted(side="right"), which is
                     # what Generator.choice(p=...) does with its one draw
                     slot_codes.append(bisect_right(cdf, random()))
                     slot_code_lab.append(j)
     return {
-        "participates": participates,
-        "start_jitter": start_jitter,
-        "score_jitter": score_jitter,
-        "slot_counts": slot_counts,
+        "participates": np.array(participates, dtype=bool).reshape(count, n_vm),
+        "start_jitter": np.array(start_jitter, dtype=np.float64).reshape(count, n_vm),
+        "score_jitter": np.array(score_jitter, dtype=np.float64).reshape(count, n_vm),
+        "slot_counts": np.array(slot_counts, dtype=np.int32).reshape(count, n_res),
         "slot_codes": np.asarray(slot_codes, dtype=np.int16),
         "slot_code_lab": np.asarray(slot_code_lab, dtype=np.int16),
     }

@@ -81,11 +81,14 @@ def test_draw_fanout_boundaries_never_leak(reference, workers):
 )
 def test_unit_hours_conserved_exactly(seed, n_buckets):
     """The streamed per-bucket total equals the record-level fsum with
-    zero tolerance, for arbitrary seeds and bucketings."""
+    zero tolerance, for arbitrary seeds and bucketings; and the digest,
+    built from per-column repr tables, equals the per-row definition over
+    the same records."""
     run = run_columnar(
         ONE, CohortConfig(seed=seed), n_buckets=n_buckets, collect_records=True
     )
     assert run.unit_hours == total_unit_hours(run.record_list)
+    assert run.digest == records_digest(run.record_list)
     assert math.isfinite(run.unit_hours) and run.unit_hours >= 0.0
 
 
