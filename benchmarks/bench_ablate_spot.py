@@ -26,14 +26,13 @@ HAZARDS = (0.01, 0.05, 0.2, 1.0, 5.0)
 
 def test_spot_savings_vs_hazard(benchmark, semester_records):
     model = CostModel()
-    base = model.lab_totals(model.lab_rows(semester_records))["aws_cost"]
+    on_demand = model.lab_rows(semester_records)
+    base = model.lab_totals(on_demand)["aws_cost"]
 
     def sweep():
         return [
-            model.spot_lab_totals(
-                model.spot_lab_rows(
-                    semester_records, SpotScenario(preempt_rate_per_hour=lam)
-                )
+            model.whatif_lab_totals(
+                model.whatif_lab_rows(on_demand, SpotScenario(preempt_rate_per_hour=lam))
             )["aws_cost"]
             for lam in HAZARDS
         ]

@@ -15,8 +15,12 @@ cost per lab assignment), Fig 1 (expected vs actual duration), Fig 2
   drives the :mod:`repro.cloud` testbed and produces usage records.
 * :mod:`repro.core.usage` — aggregation of usage records into the
   per-assignment rows of Table 1.
-* :mod:`repro.core.costmodel` — usage -> commercial-cloud dollars.
-* :mod:`repro.core.report` — the table/figure generators.
+* :mod:`repro.core.costmodel` — usage -> commercial-cloud dollars:
+  :class:`CostModel` matches each requirement once per provider and
+  prices Table 1, the per-student and project costs, and the spot and
+  outage what-ifs (Table 1 re-priced under a time inflation).
+* :mod:`repro.core.report` — the table/figure generators, including
+  the :class:`WhatIf` report both what-ifs render through.
 """
 
 from repro.core.catalog import AWS_CATALOG, GCP_CATALOG, CloudInstance, PricingCatalog
@@ -31,11 +35,10 @@ from repro.core.cohort import (
 from repro.core.costmodel import (
     CostModel,
     LabCostRow,
-    OutageLabCostRow,
     OutageScenario,
     ServingCostRow,
-    SpotLabCostRow,
     SpotScenario,
+    WhatIfLabCostRow,
     serving_cost_row,
     serving_equivalent,
 )
@@ -50,7 +53,7 @@ from repro.core.course import (
 from repro.core.matching import cheapest_match
 from repro.core.report import (
     FaultReport,
-    OutageWhatIf,
+    WhatIf,
     fault_accounting,
     fig1_duration_data,
     fig2_cost_distribution,
@@ -93,11 +96,10 @@ __all__ = [
     "records_digest",
     "CostModel",
     "LabCostRow",
-    "SpotLabCostRow",
+    "WhatIfLabCostRow",
     "SpotScenario",
-    "OutageLabCostRow",
     "OutageScenario",
-    "OutageWhatIf",
+    "WhatIf",
     "ServingCostRow",
     "serving_cost_row",
     "serving_equivalent",

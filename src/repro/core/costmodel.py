@@ -18,7 +18,7 @@ import numpy as np
 from repro.cloud.metering import UsageRecord
 from repro.common.errors import ValidationError
 from repro.core.catalog import AWS_CATALOG, GCP_CATALOG, CloudInstance, PricingCatalog
-from repro.core.course import COURSE, CourseDefinition, LabKind, TABLE1_ROWS
+from repro.core.course import COURSE, CourseDefinition, TABLE1_ROWS
 from repro.core.matching import RequirementSpec, cheapest_match
 from repro.core.usage import (
     AssignmentUsage,
@@ -113,6 +113,13 @@ class SpotScenario:
             restart_overhead_hours=self.restart_overhead_hours,
         )
 
+    def hourly_usd(self, inst: CloudInstance) -> float:
+        """The instance's spot rate (a fixed fraction of on-demand when the
+        catalog has none)."""
+        if inst.spot_hourly_usd is not None:
+            return inst.spot_hourly_usd
+        return inst.hourly_usd * self.default_spot_fraction
+
 
 @dataclass(frozen=True)
 class OutageScenario:
@@ -172,10 +179,14 @@ class OutageScenario:
             restart_overhead_hours=self.restart_overhead_hours,
         )
 
+    def hourly_usd(self, inst: CloudInstance) -> float:
+        """The instance's on-demand rate: unreliability earns no discount."""
+        return inst.hourly_usd
+
 
 @dataclass(frozen=True)
-class OutageLabCostRow:
-    """A Table-1 row re-priced under infrastructure interruptions (None = NA)."""
+class WhatIfLabCostRow:
+    """A Table-1 row re-priced under a spot or outage scenario (None = NA)."""
 
     lab_id: str
     title: str
@@ -185,20 +196,6 @@ class OutageLabCostRow:
     floating_ip_hours: float
     aws_cost: float | None
     gcp_cost: float | None
-
-
-@dataclass(frozen=True)
-class SpotLabCostRow:
-    """A Table-1 row re-priced on preemptible capacity (None = NA)."""
-
-    lab_id: str
-    title: str
-    resource_type: str
-    instance_hours: float
-    billed_instance_hours: float  # instance_hours × scenario inflation
-    floating_ip_hours: float
-    aws_spot_cost: float | None
-    gcp_spot_cost: float | None
 
 
 @dataclass(frozen=True)
@@ -220,7 +217,12 @@ class ProjectCost:
 
 
 class CostModel:
-    """The §5 cost analysis over a set of usage records."""
+    """The §5 cost analysis over a set of usage records.
+
+    Each requirement (a lab's, or a project resource type's) is matched
+    to its cheapest instance once per provider and model, in a memo that
+    lives on the model and dies with it (DESIGN §15).
+    """
 
     def __init__(
         self,
@@ -231,28 +233,45 @@ class CostModel:
     ) -> None:
         self.course = course
         self.catalogs = {"aws": aws, "gcp": gcp}
+        self._matches: dict[tuple[str, str, str], CloudInstance | None] = {}
 
     # -- matching helpers --------------------------------------------------------
 
     def lab_equivalent(self, lab_id: str, provider: str) -> CloudInstance | None:
         """The cheapest instance for a lab's requirement (None for edge)."""
-        spec = self.course.lab(lab_id).requirement
-        if spec is None:
-            return None
-        return cheapest_match(spec, self._catalog(provider))
+        return self._match("lab", lab_id, provider)
 
-    def project_equivalent(self, resource_type: str, provider: str) -> CloudInstance | None:
-        try:
-            spec = PROJECT_SPECS[resource_type]
-        except KeyError:
-            raise ValidationError(f"no project spec for {resource_type!r}") from None
-        if spec is None:
-            return None
-        return cheapest_match(spec, self._catalog(provider))
+    def record_equivalent(
+        self, lab: str | None, resource_type: str, provider: str
+    ) -> CloudInstance | None:
+        """The instance that prices usage of ``resource_type`` in ``lab``.
+
+        Project (and unattributed, ``lab=None``) usage takes the project
+        spec's match for its resource type; lab usage takes the lab's
+        match.  None means no commercial equivalent (the paper's "NA").
+        """
+        if lab == "project" or lab is None:
+            return self._match("project", resource_type, provider)
+        return self._match("lab", lab, provider)
 
     def hourly_rate(self, lab_id: str, provider: str) -> float | None:
         inst = self.lab_equivalent(lab_id, provider)
         return None if inst is None else inst.hourly_usd
+
+    def _match(self, scope: str, name: str, provider: str) -> CloudInstance | None:
+        """The memoized match for lab ``name`` or project type ``name``."""
+        key = (scope, name, provider)
+        if key not in self._matches:
+            if scope == "lab":
+                spec = self.course.lab(name).requirement
+            elif name in PROJECT_SPECS:
+                spec = PROJECT_SPECS[name]
+            else:
+                raise ValidationError(f"no project spec for {name!r}")
+            self._matches[key] = (
+                None if spec is None else cheapest_match(spec, self._catalog(provider))
+            )
+        return self._matches[key]
 
     # -- Table 1 --------------------------------------------------------------------
 
@@ -294,92 +313,34 @@ class CostModel:
             gcp_cost=out["gcp"][1],
         )
 
-    # -- spot what-if (§5 extension) ---------------------------------------------------
+    # -- spot and outage what-ifs ------------------------------------------------------
 
-    def spot_hourly_rate(
-        self, lab_id: str, provider: str, scenario: SpotScenario | None = None
-    ) -> float | None:
-        """The matched instance's spot rate (None for edge labs)."""
-        scenario = scenario if scenario is not None else SpotScenario()
-        inst = self.lab_equivalent(lab_id, provider)
-        if inst is None:
-            return None
-        if inst.spot_hourly_usd is not None:
-            return inst.spot_hourly_usd
-        return inst.hourly_usd * scenario.default_spot_fraction
-
-    def spot_lab_rows(
-        self, records: list[UsageRecord], scenario: SpotScenario | None = None
-    ) -> list[SpotLabCostRow]:
-        """Table 1 re-priced as if every VM lab ran on spot capacity.
+    def whatif_lab_rows(
+        self, rows: list[LabCostRow], scenario: SpotScenario | OutageScenario
+    ) -> list[WhatIfLabCostRow]:
+        """Table-1 rows (:meth:`lab_rows`) re-priced under a spot or outage
+        scenario.
 
         Billable hours are the metered hours times the scenario's expected
-        time inflation (preemption re-work, checkpoint writes); floating-IP
-        hours inflate identically because the address is held for the whole
-        — longer — run.
+        time inflation (preemption or interruption re-work, checkpoint
+        writes, restarts); floating-IP hours inflate identically because
+        the address is held for the whole — longer — run.  Instance hours
+        are billed at the scenario's rate for the lab's matched instance:
+        the spot rate, or on-demand for outages.
         """
-        scenario = scenario if scenario is not None else SpotScenario()
         inflation = scenario.time_inflation
-        out: list[SpotLabCostRow] = []
-        for row in self.lab_rows(records):
+        out: list[WhatIfLabCostRow] = []
+        for row in rows:
             billed = row.instance_hours * inflation
             billed_fip = row.floating_ip_hours * inflation
             costs: dict[str, float | None] = {}
             for provider in ("aws", "gcp"):
-                rate = self.spot_hourly_rate(row.lab_id, provider, scenario)
-                if rate is None:
-                    costs[provider] = None
-                    continue
-                catalog = self._catalog(provider)
-                costs[provider] = billed * rate + billed_fip * catalog.ip_hourly_usd
-            out.append(SpotLabCostRow(
-                lab_id=row.lab_id,
-                title=row.title,
-                resource_type=row.resource_type,
-                instance_hours=row.instance_hours,
-                billed_instance_hours=billed,
-                floating_ip_hours=row.floating_ip_hours,
-                aws_spot_cost=costs["aws"],
-                gcp_spot_cost=costs["gcp"],
-            ))
-        return out
-
-    def spot_lab_totals(self, rows: list[SpotLabCostRow]) -> dict[str, float]:
-        """Totals of the spot what-if table."""
-        return {
-            "instance_hours": sum(r.instance_hours for r in rows),
-            "billed_instance_hours": sum(r.billed_instance_hours for r in rows),
-            "floating_ip_hours": sum(r.floating_ip_hours for r in rows),
-            "aws_cost": sum(r.aws_spot_cost or 0.0 for r in rows),
-            "gcp_cost": sum(r.gcp_spot_cost or 0.0 for r in rows),
-        }
-
-    # -- outage what-if ----------------------------------------------------------------
-
-    def outage_lab_rows(
-        self, records: list[UsageRecord], scenario: OutageScenario | None = None
-    ) -> list[OutageLabCostRow]:
-        """Table 1 re-priced as if the testbed suffered the scenario's
-        interruptions: the same on-demand rates, but every metered hour
-        inflates by the expected re-work (redo after kills, checkpoint
-        writes, restart overheads).  Floating-IP hours inflate identically
-        — the address is held for the whole, longer, run.
-        """
-        scenario = scenario if scenario is not None else OutageScenario()
-        inflation = scenario.time_inflation
-        out: list[OutageLabCostRow] = []
-        for row in self.lab_rows(records):
-            billed = row.instance_hours * inflation
-            billed_fip = row.floating_ip_hours * inflation
-            costs: dict[str, float | None] = {}
-            for provider in ("aws", "gcp"):
-                rate = self.hourly_rate(row.lab_id, provider)
-                if rate is None:
-                    costs[provider] = None
-                    continue
-                catalog = self._catalog(provider)
-                costs[provider] = billed * rate + billed_fip * catalog.ip_hourly_usd
-            out.append(OutageLabCostRow(
+                inst = self.lab_equivalent(row.lab_id, provider)
+                costs[provider] = None if inst is None else (
+                    billed * scenario.hourly_usd(inst)
+                    + billed_fip * self._catalog(provider).ip_hourly_usd
+                )
+            out.append(WhatIfLabCostRow(
                 lab_id=row.lab_id,
                 title=row.title,
                 resource_type=row.resource_type,
@@ -391,8 +352,8 @@ class CostModel:
             ))
         return out
 
-    def outage_lab_totals(self, rows: list[OutageLabCostRow]) -> dict[str, float]:
-        """Totals of the outage what-if table."""
+    def whatif_lab_totals(self, rows: list[WhatIfLabCostRow]) -> dict[str, float]:
+        """Totals row of a what-if table."""
         return {
             "instance_hours": sum(r.instance_hours for r in rows),
             "billed_instance_hours": sum(r.billed_instance_hours for r in rows),
@@ -409,17 +370,14 @@ class CostModel:
         lab_ids = {lab.id for lab in self.course.labs}
         inst_hours = per_user_instance_hours(records, labs=lab_ids)
         fip_hours = per_user_fip_hours(records, labs=lab_ids)
-        rates: dict[str, float | None] = {}  # one catalog match per lab
         costs: dict[str, float] = {}
         for user, by_row in inst_hours.items():
             total = 0.0
-            for (lab_id, _rtype), hours in by_row.items():
-                if lab_id not in rates:
-                    rates[lab_id] = self.hourly_rate(lab_id, provider)
-                rate = rates[lab_id]
-                if rate is None:
+            for (lab_id, rtype), hours in by_row.items():
+                inst = self.record_equivalent(lab_id, rtype, provider)
+                if inst is None:
                     continue  # edge lab: excluded from the commercial estimate
-                total += hours * rate
+                total += hours * inst.hourly_usd
             total += fip_hours.get(user, 0.0) * catalog.ip_hourly_usd
             costs[user] = total
         return costs
@@ -432,13 +390,8 @@ class CostModel:
             rate = self.hourly_rate(lab.id, provider)
             if rate is None:
                 continue
-            if lab.kind is LabKind.VM:
-                inst_hours = lab.expected_hours * lab.vm_count
-                fip_hours = lab.expected_hours
-            else:
-                inst_hours = lab.expected_hours
-                fip_hours = lab.expected_hours
-            total += inst_hours * rate + fip_hours * catalog.ip_hourly_usd
+            # every VM of a lab bills, but the lab holds one floating IP
+            total += lab.expected_instance_hours * rate + lab.expected_hours * catalog.ip_hourly_usd
         return total
 
     # -- project costs (§5) -------------------------------------------------------------
@@ -449,15 +402,11 @@ class CostModel:
         fip_usd = 0.0
         block_usd = 0.0
         object_usd = 0.0
-        matched: dict[str, CloudInstance | None] = {}  # one catalog match per type
         for rec in records:
             if rec.lab != "project":
                 continue
             if rec.kind in ("server", "baremetal", "edge"):
-                rtype = rec.resource_type
-                if rtype not in matched:
-                    matched[rtype] = self.project_equivalent(rtype, provider)
-                inst = matched[rtype]
+                inst = self.record_equivalent(rec.lab, rec.resource_type, provider)
                 if inst is not None:
                     instance_usd += rec.unit_hours * inst.hourly_usd
             elif rec.kind == "floating_ip":
@@ -577,10 +526,18 @@ class ServingCostRow:
 
     def cost_per_million(self, served_requests: int) -> float | None:
         """Dollars per one million served requests (None = NA / no traffic)."""
-        cost = self.cost_usd
-        if cost is None or served_requests <= 0:
-            return None
-        return cost / served_requests * 1e6
+        return usd_per_million(self.cost_usd, served_requests)
+
+
+def usd_per_million(cost_usd: float | None, served: float) -> float | None:
+    """Dollars per one million served requests (None = NA / no traffic).
+
+    ``served`` may be a quality-adjusted count
+    (:func:`quality_adjusted_served`).
+    """
+    if cost_usd is None or served <= 0:
+        return None
+    return cost_usd / served * 1e6
 
 
 def serving_equivalent(

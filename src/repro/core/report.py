@@ -17,14 +17,14 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from repro.cloud.metering import UsageRecord
+from repro.common.errors import ValidationError
 from repro.common.tables import format_table
 from repro.core.costmodel import (
     CostModel,
     LabCostRow,
-    OutageLabCostRow,
     OutageScenario,
-    SpotLabCostRow,
     SpotScenario,
+    WhatIfLabCostRow,
     distribution_stats,
 )
 from repro.core.course import COURSE, CourseDefinition, LabKind
@@ -51,6 +51,37 @@ def records_digest(records: Iterable[UsageRecord]) -> str:
     return h.hexdigest()
 
 
+def _by_provider(provider: str, aws: dict[str, float], gcp: dict[str, float]) -> dict[str, float]:
+    """The AWS or the GCP figures; any other provider is an error."""
+    if provider == "aws":
+        return aws
+    if provider == "gcp":
+        return gcp
+    raise ValidationError(f"unknown provider {provider!r}")
+
+
+def _cost_table_body(
+    rows: list[LabCostRow] | list[WhatIfLabCostRow],
+    totals: dict[str, float],
+    hours: str,
+    enrollment: int,
+) -> list[list[object]]:
+    """Table 1's body: each row, then the totals, with metered hours, the
+    ``hours`` column and each provider's ``$total ($per-student)`` cell."""
+
+    def usd(cost: float | None) -> str | None:
+        return None if cost is None else f"${cost:,.0f} (${cost / enrollment:,.2f})"
+
+    body: list[list[object]] = [
+        [r.title, r.resource_type, round(r.instance_hours), round(getattr(r, hours)),
+         usd(r.aws_cost), usd(r.gcp_cost)]
+        for r in rows
+    ]
+    body.append(["Total", "", round(totals["instance_hours"]), round(totals[hours]),
+                 usd(totals["aws_cost"]), usd(totals["gcp_cost"])])
+    return body
+
+
 # -- Table 1 ---------------------------------------------------------------------
 
 
@@ -61,30 +92,10 @@ class Table1:
     enrollment: int
 
     def render(self) -> str:
-        body = []
-        for r in self.rows:
-            body.append([
-                r.title,
-                r.resource_type,
-                round(r.instance_hours),
-                round(r.floating_ip_hours),
-                None if r.aws_cost is None else
-                f"${r.aws_cost:,.0f} (${r.aws_cost / self.enrollment:,.2f})",
-                None if r.gcp_cost is None else
-                f"${r.gcp_cost:,.0f} (${r.gcp_cost / self.enrollment:,.2f})",
-            ])
-        t = self.totals
-        body.append([
-            "Total", "",
-            round(t["instance_hours"]),
-            round(t["floating_ip_hours"]),
-            f"${t['aws_cost']:,.0f} (${t['aws_cost'] / self.enrollment:,.2f})",
-            f"${t['gcp_cost']:,.0f} (${t['gcp_cost'] / self.enrollment:,.2f})",
-        ])
         return format_table(
             ["Assignment", "Instance Type", "Instance Hours", "Floating IP Hours",
              "AWS Cost", "GCP Cost"],
-            body,
+            _cost_table_body(self.rows, self.totals, "floating_ip_hours", self.enrollment),
             title="Table 1: Usage and estimated cost overall (and per student) "
                   "by lab assignment and Chameleon node type or VM flavor.",
         )
@@ -174,7 +185,7 @@ class Fig2:
     gcp_stats: dict[str, float]
 
     def histogram(self, provider: str, *, bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
-        costs = np.array(sorted((self.aws if provider == "aws" else self.gcp).values()))
+        costs = np.array(sorted(_by_provider(provider, self.aws, self.gcp).values()))
         return np.histogram(costs, bins=bins)
 
     def render(self) -> str:
@@ -295,22 +306,25 @@ def fig3_project_usage(
     )
 
 
-# -- Spot what-if (§5 extension) ---------------------------------------------------------
+# -- Spot and outage what-ifs -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SpotWhatIf:
-    """Table 1 re-priced under "VM labs on preemptible capacity".
+class WhatIf:
+    """Table 1 re-priced under a spot or an outage scenario.
 
-    ``rows``/``totals`` are the spot what-if numbers; ``on_demand_totals``
-    are the matching Table-1 totals so the rendering can show the saving
-    directly.  Edge rows stay NA, exactly as in Table 1.
+    ``rows``/``totals`` are the what-if numbers; ``on_demand_totals`` are
+    the matching Table-1 totals so the rendering can show the delta
+    directly.  Spot trades interruptions for a discount (:meth:`savings`);
+    outages add the same interruption re-work at full on-demand rates
+    (:meth:`overhead`), the pure cost of infrastructure unreliability.
+    Edge rows stay NA, exactly as in Table 1.
     """
 
-    rows: list[SpotLabCostRow]
+    rows: list[WhatIfLabCostRow]
     totals: dict[str, float]
     on_demand_totals: dict[str, float]
-    scenario: SpotScenario
+    scenario: SpotScenario | OutageScenario
     enrollment: int
 
     def savings(self, provider: str) -> float:
@@ -318,40 +332,48 @@ class SpotWhatIf:
         key = f"{provider}_cost"
         return self.on_demand_totals[key] - self.totals[key]
 
+    def overhead(self, provider: str) -> float:
+        """$ added vs the reliable-testbed Table 1."""
+        key = f"{provider}_cost"
+        return self.totals[key] - self.on_demand_totals[key]
+
     def render(self) -> str:
-        body = []
-        for r in self.rows:
-            body.append([
-                r.title,
-                r.resource_type,
-                round(r.instance_hours),
-                round(r.billed_instance_hours),
-                None if r.aws_spot_cost is None else
-                f"${r.aws_spot_cost:,.0f} (${r.aws_spot_cost / self.enrollment:,.2f})",
-                None if r.gcp_spot_cost is None else
-                f"${r.gcp_spot_cost:,.0f} (${r.gcp_spot_cost / self.enrollment:,.2f})",
-            ])
-        t = self.totals
-        body.append([
-            "Total", "",
-            round(t["instance_hours"]),
-            round(t["billed_instance_hours"]),
-            f"${t['aws_cost']:,.0f} (${t['aws_cost'] / self.enrollment:,.2f})",
-            f"${t['gcp_cost']:,.0f} (${t['gcp_cost'] / self.enrollment:,.2f})",
-        ])
-        inflation = self.scenario.time_inflation
+        s = self.scenario
+        if isinstance(s, SpotScenario):
+            billed, cost, verb, delta = "Billed Hours (spot)", "Spot Cost", "saves", self.savings
+            lead = ("Spot what-if: lab costs on preemptible capacity "
+                    f"(preemption rate {s.preempt_rate_per_hour:.3g}/h")
+        else:
+            billed, cost, verb, delta = "Billed Hours (w/ redo)", "Cost", "adds", self.overhead
+            lead = ("Outage what-if: lab costs under infrastructure interruptions "
+                    f"(rate {s.interruption_rate_per_hour:.3g}/h")
         return format_table(
-            ["Assignment", "Instance Type", "Metered Hours", "Billed Hours (spot)",
-             "AWS Spot Cost", "GCP Spot Cost"],
-            body,
+            ["Assignment", "Instance Type", "Metered Hours", billed,
+             f"AWS {cost}", f"GCP {cost}"],
+            _cost_table_body(self.rows, self.totals, "billed_instance_hours", self.enrollment),
             title=(
-                "Spot what-if: lab costs on preemptible capacity "
-                f"(preemption rate {self.scenario.preempt_rate_per_hour:.3g}/h, "
-                f"time inflation ×{inflation:.3f}; "
-                f"saves ${self.savings('aws'):,.0f} AWS / "
-                f"${self.savings('gcp'):,.0f} GCP vs Table 1)."
+                f"{lead}, time inflation ×{s.time_inflation:.3f}; "
+                f"{verb} ${delta('aws'):,.0f} AWS / ${delta('gcp'):,.0f} GCP vs Table 1)."
             ),
         )
+
+
+def _whatif(
+    records: list[UsageRecord],
+    course: CourseDefinition,
+    model: CostModel | None,
+    scenario: SpotScenario | OutageScenario,
+) -> WhatIf:
+    model = model if model is not None else CostModel(course)
+    on_demand = model.lab_rows(records)
+    rows = model.whatif_lab_rows(on_demand, scenario)
+    return WhatIf(
+        rows=rows,
+        totals=model.whatif_lab_totals(rows),
+        on_demand_totals=model.lab_totals(on_demand),
+        scenario=scenario,
+        enrollment=course.enrollment,
+    )
 
 
 def spot_whatif(
@@ -360,18 +382,21 @@ def spot_whatif(
     course: CourseDefinition = COURSE,
     model: CostModel | None = None,
     scenario: SpotScenario | None = None,
-) -> SpotWhatIf:
+) -> WhatIf:
     """The "VM labs on spot + guardrails" §5 extension table."""
-    model = model if model is not None else CostModel(course)
-    scenario = scenario if scenario is not None else SpotScenario()
-    rows = model.spot_lab_rows(records, scenario)
-    on_demand = model.lab_rows(records)
-    return SpotWhatIf(
-        rows=rows,
-        totals=model.spot_lab_totals(rows),
-        on_demand_totals=model.lab_totals(on_demand),
-        scenario=scenario,
-        enrollment=course.enrollment,
+    return _whatif(records, course, model, scenario if scenario is not None else SpotScenario())
+
+
+def outage_whatif(
+    records: list[UsageRecord],
+    *,
+    course: CourseDefinition = COURSE,
+    model: CostModel | None = None,
+    scenario: OutageScenario | None = None,
+) -> WhatIf:
+    """The "unreliable testbed" what-if table."""
+    return _whatif(
+        records, course, model, scenario if scenario is not None else OutageScenario()
     )
 
 
@@ -392,7 +417,7 @@ def spot_headline_summary(
     what_if = spot_whatif(records, course=course, model=model, scenario=scenario)
     f3 = fig3_project_usage(records, course=course, model=model)
     n = course.enrollment
-    base = headline_summary(records, course=course)
+    on_demand = what_if.on_demand_totals
     return {
         "aws_lab_per_student": what_if.totals["aws_cost"] / n,
         "gcp_lab_per_student": what_if.totals["gcp_cost"] / n,
@@ -402,92 +427,12 @@ def spot_headline_summary(
         "gcp_course_total": what_if.totals["gcp_cost"] + f3.gcp_total_usd,
         "aws_lab_savings": what_if.savings("aws"),
         "gcp_lab_savings": what_if.savings("gcp"),
-        "aws_course_savings": base["aws_course_total"]
+        "aws_course_savings": on_demand["aws_cost"] + f3.aws_total_usd
         - (what_if.totals["aws_cost"] + f3.aws_total_usd),
-        "gcp_course_savings": base["gcp_course_total"]
+        "gcp_course_savings": on_demand["gcp_cost"] + f3.gcp_total_usd
         - (what_if.totals["gcp_cost"] + f3.gcp_total_usd),
         "time_inflation": scenario.time_inflation,
     }
-
-
-# -- Outage what-if (robustness extension) -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class OutageWhatIf:
-    """Table 1 re-priced under "the testbed is unreliable".
-
-    The mirror image of :class:`SpotWhatIf`: spot trades interruptions
-    for a discount, outages add the same interruption re-work at full
-    on-demand rates, so the delta vs Table 1 is the pure cost of
-    infrastructure unreliability.
-    """
-
-    rows: list[OutageLabCostRow]
-    totals: dict[str, float]
-    on_demand_totals: dict[str, float]
-    scenario: OutageScenario
-    enrollment: int
-
-    def overhead(self, provider: str) -> float:
-        """$ added vs the reliable-testbed Table 1."""
-        key = f"{provider}_cost"
-        return self.totals[key] - self.on_demand_totals[key]
-
-    def render(self) -> str:
-        body = []
-        for r in self.rows:
-            body.append([
-                r.title,
-                r.resource_type,
-                round(r.instance_hours),
-                round(r.billed_instance_hours),
-                None if r.aws_cost is None else
-                f"${r.aws_cost:,.0f} (${r.aws_cost / self.enrollment:,.2f})",
-                None if r.gcp_cost is None else
-                f"${r.gcp_cost:,.0f} (${r.gcp_cost / self.enrollment:,.2f})",
-            ])
-        t = self.totals
-        body.append([
-            "Total", "",
-            round(t["instance_hours"]),
-            round(t["billed_instance_hours"]),
-            f"${t['aws_cost']:,.0f} (${t['aws_cost'] / self.enrollment:,.2f})",
-            f"${t['gcp_cost']:,.0f} (${t['gcp_cost'] / self.enrollment:,.2f})",
-        ])
-        return format_table(
-            ["Assignment", "Instance Type", "Metered Hours", "Billed Hours (w/ redo)",
-             "AWS Cost", "GCP Cost"],
-            body,
-            title=(
-                "Outage what-if: lab costs under infrastructure interruptions "
-                f"(rate {self.scenario.interruption_rate_per_hour:.3g}/h, "
-                f"time inflation ×{self.scenario.time_inflation:.3f}; "
-                f"adds ${self.overhead('aws'):,.0f} AWS / "
-                f"${self.overhead('gcp'):,.0f} GCP vs Table 1)."
-            ),
-        )
-
-
-def outage_whatif(
-    records: list[UsageRecord],
-    *,
-    course: CourseDefinition = COURSE,
-    model: CostModel | None = None,
-    scenario: OutageScenario | None = None,
-) -> OutageWhatIf:
-    """The "unreliable testbed" what-if table."""
-    model = model if model is not None else CostModel(course)
-    scenario = scenario if scenario is not None else OutageScenario()
-    rows = model.outage_lab_rows(records, scenario)
-    on_demand = model.lab_rows(records)
-    return OutageWhatIf(
-        rows=rows,
-        totals=model.outage_lab_totals(rows),
-        on_demand_totals=model.lab_totals(on_demand),
-        scenario=scenario,
-        enrollment=course.enrollment,
-    )
 
 
 # -- Failure accounting (fault-plan ledger -> dollars) -----------------------------------
@@ -526,7 +471,7 @@ class FaultReport:
         return self.gcp_redo_usd / self.enrollment
 
     def worst_user_redo(self, provider: str) -> float:
-        by_user = self.aws_redo_by_user if provider == "aws" else self.gcp_redo_by_user
+        by_user = _by_provider(provider, self.aws_redo_by_user, self.gcp_redo_by_user)
         return max(by_user.values(), default=0.0)
 
     def render(self) -> str:
@@ -567,22 +512,14 @@ def fault_accounting(
     model = model if model is not None else CostModel(course)
     redo_usd = {"aws": 0.0, "gcp": 0.0}
     by_user: dict[str, dict[str, float]] = {"aws": {}, "gcp": {}}
-    rate_cache: dict[tuple[str, str, str], float | None] = {}
     for event in ledger.events:
         if not event.redo_hours:
             continue
         for provider in ("aws", "gcp"):
-            key = (provider, event.lab, event.resource_type)
-            if key not in rate_cache:
-                if event.lab == "project":
-                    inst = model.project_equivalent(event.resource_type, provider)
-                    rate_cache[key] = None if inst is None else inst.hourly_usd
-                else:
-                    rate_cache[key] = model.hourly_rate(event.lab, provider)
-            rate = rate_cache[key]
-            if rate is None:
+            inst = model.record_equivalent(event.lab, event.resource_type, provider)
+            if inst is None:
                 continue
-            cost = event.redo_hours * rate
+            cost = event.redo_hours * inst.hourly_usd
             redo_usd[provider] += cost
             by_user[provider][event.user] = by_user[provider].get(event.user, 0.0) + cost
     return FaultReport(

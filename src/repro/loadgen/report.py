@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.common.tables import format_table
-from repro.core.costmodel import ServingCostRow, serving_cost_row
+from repro.core.costmodel import ServingCostRow, serving_cost_row, usd_per_million
 from repro.faults.plan import FaultCalendar
 from repro.loadgen.arrivals import RequestTrace
 from repro.loadgen.autoscaler import AutoscalerConfig
@@ -31,12 +31,6 @@ from repro.serving.batching import BatchingConfig
 from repro.serving.engine import InferenceEngine
 
 PROVIDERS = ("aws", "gcp")
-
-
-def _cost_per_million(cost_usd: float | None, served: int) -> float | None:
-    if cost_usd is None or served == 0:
-        return None
-    return cost_usd / served * 1e6
 
 
 @dataclass(frozen=True)
@@ -64,7 +58,7 @@ class ServingLoadReport:
     @property
     def cost_per_million_usd(self) -> float | None:
         """Dollars per million *served* requests at :attr:`cost_usd`."""
-        return _cost_per_million(self.cost_usd, self.result.served)
+        return usd_per_million(self.cost_usd, self.result.served)
 
     def render(self) -> str:
         r = self.result
@@ -107,7 +101,7 @@ class ServingLoadReport:
                 r.device_name,
                 self.device_hourly_usd,
                 self.device_cost_usd,
-                _cost_per_million(self.device_cost_usd, r.served),
+                usd_per_million(self.device_cost_usd, r.served),
             )
         )
         slo = self.slo

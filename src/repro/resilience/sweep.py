@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.common.errors import ValidationError
-from repro.core.costmodel import quality_adjusted_served
+from repro.core.costmodel import quality_adjusted_served, usd_per_million
 from repro.faults.plan import build_outage_calendar
 from repro.loadgen.arrivals import TrafficConfig, generate_trace
 from repro.loadgen.autoscaler import AutoscalerConfig
@@ -360,7 +360,7 @@ def _measure_storm(rung: RungSpec) -> tuple[TrafficResult, dict]:
         time_to_recovery_s=ttr,
         locked=locked,
         cost_usd=cost,
-        usd_per_million_effective=(cost / effective * 1e6 if effective else None),
+        usd_per_million_effective=usd_per_million(cost, effective),
     )
 
 

@@ -54,12 +54,8 @@ def commercial_rate_fn(model: CostModel | None = None, provider: str = "aws") ->
             return 0.0
         key = (rec.lab, rec.resource_type)
         if key not in cache:
-            inst = None
             try:
-                if rec.lab == "project" or rec.lab is None:
-                    inst = model.project_equivalent(rec.resource_type, provider)
-                else:
-                    inst = model.lab_equivalent(rec.lab, provider)
+                inst = model.record_equivalent(rec.lab, rec.resource_type, provider)
             except ValidationError:
                 inst = None  # no spec for this type -> not commercially priced
             cache[key] = 0.0 if inst is None else inst.hourly_usd

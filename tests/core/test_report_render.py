@@ -3,8 +3,9 @@
 import pytest
 
 from repro.cloud.metering import UsageRecord
+from repro.common.errors import ValidationError
 from repro.core import fig1_duration_data, fig2_cost_distribution, fig3_project_usage, table1
-from repro.core.report import headline_summary
+from repro.core.report import FaultReport, headline_summary
 
 
 def rec(kind, rtype, lab, hours, *, user="s1", quantity=1.0):
@@ -66,3 +67,27 @@ class TestRendering:
         f3 = fig3_project_usage(MINIMAL)
         # lab1's m1.small must not leak into project VM hours
         assert "m1.small" not in f3.vm_hours_by_flavor
+
+
+class TestUnknownProvider:
+    """A provider other than "aws" or "gcp" is an error, never GCP's figures."""
+
+    @pytest.mark.parametrize("provider", ["AWS", "azure"])
+    def test_fig2_histogram(self, provider):
+        f2 = fig2_cost_distribution(MINIMAL)
+        assert f2.histogram("gcp")[0].sum() == 1
+        with pytest.raises(ValidationError, match="unknown provider"):
+            f2.histogram(provider)
+
+    @pytest.mark.parametrize("provider", ["AWS", "azure"])
+    def test_fault_report_worst_user_redo(self, provider):
+        report = FaultReport(
+            enrollment=1, events=1, hardware_kills=1, outage_kills=0,
+            delayed_starts=0, abandoned=0, lost_instance_hours=0.0,
+            redo_instance_hours=2.0, delay_hours=0.0,
+            aws_redo_usd=1.0, gcp_redo_usd=3.0,
+            aws_redo_by_user={"s1": 1.0}, gcp_redo_by_user={"s1": 3.0},
+        )
+        assert report.worst_user_redo("gcp") == 3.0
+        with pytest.raises(ValidationError, match="unknown provider"):
+            report.worst_user_redo(provider)

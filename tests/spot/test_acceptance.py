@@ -54,17 +54,18 @@ class TestSpotWhatIfSavings:
     def test_edge_rows_stay_na(self, lab_records):
         for row in spot_whatif(lab_records).rows:
             if row.resource_type in ("raspberrypi5", "jetson-nano"):
-                assert row.aws_spot_cost is None
-                assert row.gcp_spot_cost is None
+                assert row.aws_cost is None
+                assert row.gcp_cost is None
 
     def test_savings_shrink_with_hazard(self, lab_records):
         model = CostModel()
         savings = []
         for lam in (0.01, 0.05, 0.2, 1.0, 5.0):
-            rows = model.spot_lab_rows(lab_records, SpotScenario(preempt_rate_per_hour=lam))
+            on_demand = model.lab_rows(lab_records)
+            rows = model.whatif_lab_rows(on_demand, SpotScenario(preempt_rate_per_hour=lam))
             savings.append(
-                model.lab_totals(model.lab_rows(lab_records))["aws_cost"]
-                - model.spot_lab_totals(rows)["aws_cost"]
+                model.lab_totals(on_demand)["aws_cost"]
+                - model.whatif_lab_totals(rows)["aws_cost"]
             )
         assert savings == sorted(savings, reverse=True)
 
