@@ -25,17 +25,14 @@ and, under ``--whole-program``, the flow pack built on the module index
 * **DET004** unordered iteration flowing into journaled/digested output
 
 Run it with ``python -m repro.analysis src benchmarks examples
---whole-program``.  Findings can be suppressed inline
-(``# repro: noqa RULE (reason)`` — the reason is mandatory) or carried
-in a committed baseline file for incremental adoption; ``--cache`` makes
-repeat runs incremental and ``--graph`` dumps reachability for
-debugging.
+--whole-program``.  Every finding gates unless an inline
+``# repro: noqa RULE (reason)`` comment waives it — the reason is
+mandatory, and the comment is the only waiver.  ``--graph`` dumps
+reachability for debugging.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline, BaselineEntry
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.engine import (
     AnalysisResult,
     analyze_paths,
@@ -53,10 +50,7 @@ from repro.analysis.registry import (
 )
 
 __all__ = [
-    "AnalysisCache",
     "AnalysisResult",
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "RULES",
     "Rule",

@@ -1,10 +1,11 @@
 """Command-line interface: ``python -m repro.analysis [paths...]``.
 
-Exit codes: 0 clean (or everything waived), 1 new findings, 2 usage error.
+Exit codes: 0 clean (or every finding waived inline), 1 new findings,
+2 usage error.  A ``# repro: noqa RULE (reason)`` comment is the only
+waiver: every other finding gates.
 
 The whole-program flow pass (``--whole-program``) runs the PUR001 /
-SEED001 / RES004 / DET004 pack over the full module set; ``--cache``
-makes repeat runs incremental (only changed files re-analyze), and
+SEED001 / RES004 / DET004 pack over the full module set, and
 ``--graph`` dumps the call graph + shard reachability as JSON for
 debugging why PUR001 does or does not reach a function.
 """
@@ -16,18 +17,14 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.cache import AnalysisCache
-from repro.analysis.engine import analyze_paths, iter_python_files, module_name_for
-from repro.analysis.findings import Severity
+from repro.analysis.engine import (
+    analyze_paths,
+    build_program_context,
+    iter_python_files,
+    module_name_for,
+)
 from repro.analysis.registry import RULES, WHOLE_PROGRAM_RULES, load_builtin_rules
 from repro.analysis.reporters import render_github, render_json, render_text
-from repro.common.errors import ReproError
-
-DEFAULT_BASELINE = "analysis-baseline.json"
-
-#: Severity rank for ``--min-severity`` (higher = more severe).
-_SEVERITY_RANK = {Severity.WARNING: 0, Severity.ERROR: 1}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,25 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (github = GitHub Actions ::error annotations)",
     )
     parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=f"baseline file (default: {DEFAULT_BASELINE}; missing file = empty)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept every current finding into the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="report baseline entries no current finding matches and rewrite "
-        "the baseline without them",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
-        help="print per-rule new/suppressed/baselined counts",
+        help="print per-rule new/suppressed counts",
     )
     parser.add_argument(
         "--select",
@@ -81,44 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump the call graph and shard-execution reachability as JSON "
         "and exit (no findings are reported)",
     )
-    parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        default=None,
-        help="incremental cache file: unchanged files (by sha256) are not "
-        "re-analyzed",
-    )
-    parser.add_argument(
-        "--min-severity",
-        choices=tuple(s.value for s in Severity),
-        default=None,
-        help="findings below this severity are reported as advisory and do "
-        "not affect the exit code",
-    )
     return parser
 
 
 def _graph_dump(paths: list[Path]) -> str:
     """JSON call-graph dump for ``--graph``."""
-    import ast as _ast
-
-    from repro.analysis.engine import ModuleContext
-    from repro.analysis.flow import build_program
     from repro.analysis.rules.flow_rules import SHARD_ENTRY_POINTS
 
-    contexts = []
-    for file in iter_python_files(paths):
-        source = file.read_text()
-        try:
-            tree = _ast.parse(source)
-        except SyntaxError:
-            continue
-        contexts.append(
-            ModuleContext(
-                path=str(file), module=module_name_for(file), source=source, tree=tree
-            )
-        )
-    program = build_program(contexts)
+    program = build_program_context(
+        [(str(f), module_name_for(f), f.read_text()) for f in iter_python_files(paths)]
+    )
     entries = [e for e in SHARD_ENTRY_POINTS if e in program.index.functions]
     parents = program.graph.reachable_from(entries)
     payload = {
@@ -158,55 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         print(_graph_dump(paths))
         return 0
 
-    cache: AnalysisCache | None = None
-    if args.cache is not None:
-        selected = rules if rules is not None else sorted(RULES) + sorted(WHOLE_PROGRAM_RULES)
-        rules_key = ",".join(selected)
-        cache = AnalysisCache.load(Path(args.cache), rules_key)
-
-    baseline_path = Path(args.baseline)
-    try:
-        baseline = Baseline.load(baseline_path)
-        result = analyze_paths(
-            paths,
-            baseline=baseline,
-            rules=rules,
-            whole_program=args.whole_program,
-            cache=cache,
-        )
-    except ReproError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if cache is not None:
-        cache.prune_missing({str(f) for f in iter_python_files(paths)})
-        cache.save()
-
-    if args.write_baseline:
-        sources = {str(f): f.read_text() for f in iter_python_files(paths)}
-        merged = result.findings + result.baselined
-        merged.sort()
-        Baseline.from_findings(merged, sources).save(baseline_path)
-        print(f"wrote {len(merged)} finding(s) to {baseline_path}")
-        return 0
-
-    if args.prune_baseline:
-        stale = result.stale_baseline
-        if stale:
-            for entry in stale:
-                print(f"stale baseline entry: {entry.file}: {entry.rule_id} {entry.snippet!r}")
-            baseline.without(stale).save(baseline_path)
-            print(f"pruned {len(stale)} stale entr{'y' if len(stale) == 1 else 'ies'}")
-        else:
-            print("baseline has no stale entries")
-
-    if args.min_severity is not None:
-        threshold = _SEVERITY_RANK[Severity(args.min_severity)]
-        gating = [f for f in result.findings if _SEVERITY_RANK[f.severity] >= threshold]
-        result.advisory = [
-            f for f in result.findings if _SEVERITY_RANK[f.severity] < threshold
-        ]
-        result.findings = gating
-
+    result = analyze_paths(paths, rules=rules, whole_program=args.whole_program)
     if args.format == "json":
         print(render_json(result, stats=args.stats))
     elif args.format == "github":

@@ -4,7 +4,7 @@ The engine is deliberately dumb about *what* to check — rules own that —
 and smart about the plumbing every rule needs: import-alias resolution
 (so ``np.random.rand`` is recognised under any ``import numpy as ...``
 spelling), dotted module names (so rules can scope themselves to e.g.
-``repro.cloud``), inline suppressions, and the committed baseline.
+``repro.cloud``), and inline suppressions — the only waiver.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import RULES, WHOLE_PROGRAM_RULES, load_builtin_rules
-from repro.analysis.suppressions import Suppression, parse_suppressions
+from repro.analysis.suppressions import parse_suppressions
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (engine never imports it)
-    from repro.analysis.cache import AnalysisCache
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flow imports the engine)
+    from repro.analysis.flow import ProgramContext
 
 
 @dataclass
@@ -99,32 +98,23 @@ class AnalysisResult:
 
     findings: list[Finding] = field(default_factory=list)  # new (gate-failing)
     suppressed: list[SuppressedFinding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    #: findings demoted below ``--min-severity``: reported, never gating
-    advisory: list[Finding] = field(default_factory=list)
-    #: baseline entries no current finding consumes (``--prune-baseline``)
-    stale_baseline: list[BaselineEntry] = field(default_factory=list)
     files_checked: int = 0
-    #: files actually parsed+analyzed this run (< files_checked on cache hits)
-    files_reanalyzed: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.findings
 
     def stats(self) -> dict[str, dict[str, int]]:
-        """Per-rule counts: new / inline-suppressed / baseline-suppressed."""
+        """Per-rule counts: new / inline-suppressed."""
         out: dict[str, dict[str, int]] = {}
 
         def bucket(rule_id: str) -> dict[str, int]:
-            return out.setdefault(rule_id, {"new": 0, "suppressed": 0, "baselined": 0})
+            return out.setdefault(rule_id, {"new": 0, "suppressed": 0})
 
-        for f in self.findings + self.advisory:
+        for f in self.findings:
             bucket(f.rule_id)["new"] += 1
         for s in self.suppressed:
             bucket(s.finding.rule_id)["suppressed"] += 1
-        for f in self.baselined:
-            bucket(f.rule_id)["baselined"] += 1
         return out
 
 
@@ -184,46 +174,14 @@ def analyze_source(
         if module_rule is not None:
             findings.extend(module_rule.check(ctx))
     findings.sort()
-    return _apply_suppressions(findings, parse_suppressions(source))
+    return _apply_suppressions(findings, {path: source})
 
 
 def _apply_suppressions(
-    findings: list[Finding], suppressions: dict[int, Suppression]
+    findings: list[Finding], sources: dict[str, str]
 ) -> tuple[list[Finding], list[SuppressedFinding]]:
-    active: list[Finding] = []
-    waived: list[SuppressedFinding] = []
-    for f in findings:
-        sup = suppressions.get(f.line)
-        if sup is not None and sup.covers(f.rule_id):
-            waived.append(SuppressedFinding(finding=f, reason=sup.reason))
-        else:
-            active.append(f)
-    return active, waived
-
-
-def _run_whole_program(
-    files: list[tuple[str, str, str]],  # (display path, module, source)
-    rules: list[str] | None,
-) -> tuple[list[Finding], list[SuppressedFinding]]:
-    """Build the ProgramContext and run the whole-program rule pack."""
-    from repro.analysis.flow import build_program
-
-    contexts: list[ModuleContext] = []
-    for display, module, source in files:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            continue  # the per-file pass already reported SYNTAX
-        contexts.append(ModuleContext(path=display, module=module, source=source, tree=tree))
-    program = build_program(contexts)
-    selected = rules if rules is not None else list(WHOLE_PROGRAM_RULES)
-    findings: list[Finding] = []
-    for rule_id in selected:
-        wp = WHOLE_PROGRAM_RULES.get(rule_id)
-        if wp is not None:
-            findings.extend(wp.check(program))
-    findings.sort()
-    suppressions = {d: parse_suppressions(src) for d, _m, src in files}
+    """Split ``findings`` into (active, waived) by the comments in ``sources``."""
+    suppressions = {path: parse_suppressions(src) for path, src in sources.items()}
     active: list[Finding] = []
     waived: list[SuppressedFinding] = []
     for f in findings:
@@ -233,6 +191,39 @@ def _run_whole_program(
         else:
             active.append(f)
     return active, waived
+
+
+def build_program_context(files: list[tuple[str, str, str]]) -> ProgramContext:
+    """Index ``(display path, module, source)`` triples and build the call graph.
+
+    Files that do not parse are left out; the per-file pass reports them.
+    """
+    from repro.analysis.flow import build_program
+
+    contexts: list[ModuleContext] = []
+    for display, module, source in files:
+        try:
+            tree = ast.parse(source)
+        except SyntaxError:
+            continue
+        contexts.append(ModuleContext(path=display, module=module, source=source, tree=tree))
+    return build_program(contexts)
+
+
+def _run_whole_program(
+    files: list[tuple[str, str, str]],  # (display path, module, source)
+    rules: list[str] | None,
+) -> tuple[list[Finding], list[SuppressedFinding]]:
+    """Build the ProgramContext and run the whole-program rule pack."""
+    program = build_program_context(files)
+    selected = rules if rules is not None else list(WHOLE_PROGRAM_RULES)
+    findings: list[Finding] = []
+    for rule_id in selected:
+        wp = WHOLE_PROGRAM_RULES.get(rule_id)
+        if wp is not None:
+            findings.extend(wp.check(program))
+    findings.sort()
+    return _apply_suppressions(findings, {d: src for d, _m, src in files})
 
 
 def analyze_program(
@@ -252,54 +243,25 @@ def analyze_program(
 def analyze_paths(
     paths: list[Path],
     *,
-    baseline: Baseline | None = None,
     rules: list[str] | None = None,
     whole_program: bool = False,
-    cache: AnalysisCache | None = None,
 ) -> AnalysisResult:
-    """Analyze every ``.py`` file under ``paths`` and apply the baseline.
+    """Analyze every ``.py`` file under ``paths``.
 
     With ``whole_program=True`` the flow rule pack runs over the full
-    module set after the per-file pass.  ``cache`` (an
-    :class:`~repro.analysis.cache.AnalysisCache`) skips re-analysis of
-    files whose sha256 is unchanged since the cached run.
+    module set after the per-file pass.  Every finding that no reasoned
+    inline comment waives is gate-failing.
     """
     load_builtin_rules()
-    result = AnalysisResult()
-    all_active: list[Finding] = []
-    sources: dict[str, str] = {}
-    modules: list[tuple[str, str]] = []  # (display, module)
-    for file in iter_python_files(paths):
-        display = str(file)
-        source = file.read_text()
-        sources[display] = source
-        module = module_name_for(file)
-        modules.append((display, module))
-        cached = cache.lookup_file(display, source) if cache is not None else None
-        if cached is not None:
-            active, waived = cached
-        else:
-            active, waived = analyze_source(source, path=display, module=module, rules=rules)
-            result.files_reanalyzed += 1
-            if cache is not None:
-                cache.store_file(display, source, active, waived)
-        all_active.extend(active)
+    files = [(str(f), module_name_for(f), f.read_text()) for f in iter_python_files(paths)]
+    result = AnalysisResult(files_checked=len(files))
+    for display, module, source in files:
+        active, waived = analyze_source(source, path=display, module=module, rules=rules)
+        result.findings.extend(active)
         result.suppressed.extend(waived)
-        result.files_checked += 1
     if whole_program:
-        cached_wp = cache.lookup_program(sources) if cache is not None else None
-        if cached_wp is not None:
-            wp_active, wp_waived = cached_wp
-        else:
-            files = [(d, m, sources[d]) for d, m in modules]
-            wp_active, wp_waived = _run_whole_program(files, rules)
-            if cache is not None:
-                cache.store_program(sources, wp_active, wp_waived)
-        all_active.extend(wp_active)
-        result.suppressed.extend(wp_waived)
-    all_active.sort()
-    if baseline is None:
-        baseline = Baseline()
-    result.findings, result.baselined = baseline.partition(all_active, sources)
-    result.stale_baseline = baseline.stale_entries(all_active, sources)
+        active, waived = _run_whole_program(files, rules)
+        result.findings.extend(active)
+        result.suppressed.extend(waived)
+    result.findings.sort()
     return result

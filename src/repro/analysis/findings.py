@@ -11,7 +11,7 @@ class Severity(str, Enum):
 
     ``ERROR`` findings break the determinism/hygiene contract outright;
     ``WARNING`` findings are hazards that need a human look.  Both fail the
-    CI gate unless suppressed or baselined — the split only affects report
+    CI gate unless suppressed inline — the split only affects report
     presentation and triage order.
     """
 
@@ -23,7 +23,7 @@ class Severity(str, Enum):
 class Finding:
     """One rule violation at one source location.
 
-    Orders by ``(file, line, rule_id)`` so reports and baselines are stable
+    Orders by ``(file, line, rule_id)`` so reports are stable
     regardless of rule registration or traversal order.
     """
 

@@ -14,8 +14,8 @@ this package assembles all of them into a :class:`ProgramContext`:
 
 ``whole_program`` rules (see :mod:`repro.analysis.rules.flow_rules`)
 consume the :class:`ProgramContext` instead of a single module; the
-engine builds it once per run and threads the same inline-suppression
-and baseline machinery over the findings.
+engine builds it once per run and applies the same inline suppressions
+to the findings.
 """
 
 from __future__ import annotations

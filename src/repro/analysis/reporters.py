@@ -8,38 +8,30 @@ from repro.analysis.engine import AnalysisResult
 from repro.analysis.registry import RULES, WHOLE_PROGRAM_RULES, rule_description
 
 
+def _summary(result: AnalysisResult) -> str:
+    n, s = len(result.findings), len(result.suppressed)
+    return (
+        f"{result.files_checked} files checked: {n} new finding{'s' if n != 1 else ''}, "
+        f"{s} suppressed inline"
+    )
+
+
 def render_text(result: AnalysisResult, *, stats: bool = False) -> str:
-    lines: list[str] = []
-    for f in result.findings:
-        lines.append(f.render())
-    for f in result.advisory:
-        lines.append(f"{f.render()} (advisory)")
+    lines = [f.render() for f in result.findings]
     if stats:
         lines.extend(_render_stats(result))
-    n, s, b = len(result.findings), len(result.suppressed), len(result.baselined)
-    summary = (
-        f"{result.files_checked} files checked: {n} new finding{'s' if n != 1 else ''}, "
-        f"{s} suppressed inline, {b} baselined"
-    )
-    if result.advisory:
-        summary += f", {len(result.advisory)} advisory"
-    if result.files_reanalyzed < result.files_checked:
-        summary += (
-            f" ({result.files_checked - result.files_reanalyzed} unchanged, from cache)"
-        )
-    lines.append(summary)
+    lines.append(_summary(result))
     return "\n".join(lines)
 
 
 def _render_stats(result: AnalysisResult) -> list[str]:
     per_rule = result.stats()
-    lines = ["", "per-rule counts (new / suppressed / baselined):"]
+    lines = ["", "per-rule counts (new / suppressed):"]
     for rule_id in sorted(set(per_rule) | set(RULES) | set(WHOLE_PROGRAM_RULES)):
-        counts = per_rule.get(rule_id, {"new": 0, "suppressed": 0, "baselined": 0})
+        counts = per_rule.get(rule_id, {"new": 0, "suppressed": 0})
         desc = rule_description(rule_id)
         lines.append(
-            f"  {rule_id:<8} {counts['new']:>4} / {counts['suppressed']:>4} / "
-            f"{counts['baselined']:>4}  {desc}"
+            f"  {rule_id:<8} {counts['new']:>4} / {counts['suppressed']:>4}  {desc}"
         )
     lines.append("")
     return lines
@@ -48,7 +40,6 @@ def _render_stats(result: AnalysisResult) -> list[str]:
 def render_json(result: AnalysisResult, *, stats: bool = False) -> str:
     payload: dict = {
         "files_checked": result.files_checked,
-        "files_reanalyzed": result.files_reanalyzed,
         "findings": [
             {
                 "file": f.file,
@@ -59,16 +50,6 @@ def render_json(result: AnalysisResult, *, stats: bool = False) -> str:
             }
             for f in result.findings
         ],
-        "advisory": [
-            {
-                "file": f.file,
-                "line": f.line,
-                "rule_id": f.rule_id,
-                "severity": f.severity.value,
-                "message": f.message,
-            }
-            for f in result.advisory
-        ],
         "suppressed": [
             {
                 "file": s.finding.file,
@@ -77,13 +58,6 @@ def render_json(result: AnalysisResult, *, stats: bool = False) -> str:
                 "reason": s.reason,
             }
             for s in result.suppressed
-        ],
-        "baselined": [
-            {"file": f.file, "line": f.line, "rule_id": f.rule_id} for f in result.baselined
-        ],
-        "stale_baseline": [
-            {"file": e.file, "rule_id": e.rule_id, "snippet": e.snippet}
-            for e in result.stale_baseline
         ],
     }
     if stats:
@@ -97,25 +71,14 @@ def _gh_escape(text: str) -> str:
 
 
 def render_github(result: AnalysisResult) -> str:
-    """GitHub Actions ``::error``/``::warning`` annotations, one per finding.
+    """GitHub Actions ``::error`` annotations, one per finding.
 
-    Gating findings annotate as errors regardless of rule severity (they
-    fail the job); advisory findings annotate as warnings so they surface
-    inline on the PR without failing it.
+    Every finding annotates as an error regardless of rule severity: each
+    one fails the job.
     """
-    lines: list[str] = []
-    for f in result.findings:
-        lines.append(
-            f"::error file={f.file},line={f.line},title={f.rule_id}::{_gh_escape(f.message)}"
-        )
-    for f in result.advisory:
-        lines.append(
-            f"::warning file={f.file},line={f.line},title={f.rule_id}::"
-            f"{_gh_escape(f.message)} (advisory)"
-        )
-    n = len(result.findings)
-    lines.append(
-        f"{result.files_checked} files checked: {n} new finding{'s' if n != 1 else ''}, "
-        f"{len(result.advisory)} advisory"
-    )
+    lines = [
+        f"::error file={f.file},line={f.line},title={f.rule_id}::{_gh_escape(f.message)}"
+        for f in result.findings
+    ]
+    lines.append(_summary(result))
     return "\n".join(lines)

@@ -37,14 +37,14 @@ from repro.analysis.flow.taint import (
 from repro.analysis.registry import whole_program_rule
 
 #: Functions whose transitive callees must be pure: the columnar record
-#: kernel, the parallel engine's per-worker shard executor, the serial
-#: shard executor it wraps, the loadgen simulation loop, and the
-#: resilience sweep's per-point execute half (the digest-equality
-#: contracts in CI).  The sweep's plan half (`_plan_point`) draws all
+#: kernels' batch iterator, the parallel engine's per-worker shard
+#: executor, the serial shard executor it wraps, the loadgen simulation
+#: loop, and the resilience sweep's per-point execute half (the
+#: digest-equality contracts in CI).  The sweep's plan half (`_plan_point`) draws all
 #: randomness before this boundary — registering `_simulate_point`
 #: proves the split statically.
 SHARD_ENTRY_POINTS = (
-    "repro.columnar.kernels.emit_records",
+    "repro.columnar.kernels.iter_record_batches",
     "repro.core.cohort.execute_shard",
     "repro.loadgen.sim.simulate_traffic",
     "repro.parallel.engine._execute_batch",

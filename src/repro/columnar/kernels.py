@@ -23,8 +23,8 @@ the runtime in ``repro/core/cohort.py`` + ``repro/cloud``:
   duration here, a deliberate asymmetry with the VM-lab span).
 
 Kernels are shard-execution code in the flow-analysis sense
-(``repro.columnar.kernels.emit_records`` is a PUR001/SEED001 entry
-point): they must stay RNG-free and wall-clock-free — all randomness
+(``repro.columnar.kernels.iter_record_batches`` is a PUR001/SEED001
+entry point): they must stay RNG-free and wall-clock-free — all randomness
 was resolved by the planner, all admission by the sweeps.
 """
 
@@ -182,15 +182,6 @@ def _emit_project_storage(tables, schema: ColumnSchema, H: float, lo: int, hi: i
     return [vol, obj]
 
 
-_FAMILIES = (
-    ("vm_start", _emit_vm_labs),
-    ("slot_start", _emit_slots),
-    ("pvm_start", _emit_project_vms),
-    ("pl_start", _emit_project_leases),
-    ("ps_start", _emit_project_storage),
-)
-
-
 def iter_record_batches(
     tables, schema: ColumnSchema, semester_hours: float, *, chunk_rows: int = 2_000_000
 ) -> Iterator[RecordColumns]:
@@ -199,21 +190,21 @@ def iter_record_batches(
     Chunking bounds peak memory: nothing here ever materializes the full
     record set — batches flow straight into the canonical merge, which
     buckets them by start time.
+
+    This is the kernels' PUR001/SEED001 entry point.  The family table is
+    built here, not at module level, because the call graph follows calls
+    and not module-level tables: built here, it reaches all five kernels.
     """
-    for length_attr, emit in _FAMILIES:
+    families = (
+        ("vm_start", _emit_vm_labs),
+        ("slot_start", _emit_slots),
+        ("pvm_start", _emit_project_vms),
+        ("pl_start", _emit_project_leases),
+        ("ps_start", _emit_project_storage),
+    )
+    for length_attr, emit in families:
         n = len(getattr(tables, length_attr))
         for lo in range(0, n, chunk_rows):
             for batch in emit(tables, schema, semester_hours, lo, min(lo + chunk_rows, n)):
                 if len(batch):
                     yield batch
-
-
-def emit_records(tables, schema: ColumnSchema, semester_hours: float) -> RecordColumns:
-    """All usage records of an admitted plan, as one column batch.
-
-    The shard-kernel entry point for whole-program flow analysis: every
-    transform reachable from here must be deterministic (no RNG, no
-    wall clock) — the differential digest gate would catch a violation,
-    but PUR001/SEED001 prove the absence statically.
-    """
-    return RecordColumns.concat(list(iter_record_batches(tables, schema, semester_hours)))

@@ -21,9 +21,10 @@ uniform per slot against a precomputed CDF — without paying
 ``choice``'s per-call setup a million times (``tests/columnar`` holds
 the tables to a scalar reference that calls ``choice`` itself).
 
-This module is plan-time by definition (SEED001's allow-list includes
-it): every Generator here is constructed from the seed tree before any
-shard kernel runs, and the kernels themselves stay RNG-free.
+This module is plan-time by definition: every Generator here seeds from
+the tree rooted at the caller's ``config.seed`` (SEED001 admits no
+literal, here or anywhere) and is built before any shard kernel runs.
+The kernels themselves stay RNG-free.
 """
 
 from __future__ import annotations

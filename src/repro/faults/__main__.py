@@ -72,7 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.whatif and args.json == "-":
+        parser.error("--whatif does not apply with --json - (the JSON summary has no what-if)")
     course = COURSE if args.scale == 1.0 else scaled_course(args.scale)
     config = CohortConfig(seed=args.seed)
     fault_config = FaultPlanConfig(

@@ -14,7 +14,7 @@ def _cap(end, horizon):
     return np.minimum(end, horizon - 1e-6)
 
 
-def emit_records(tables, schema, semester_hours):
+def iter_record_batches(tables, schema, semester_hours):
     start = np.asarray(tables["start"])
     end = _cap(start + np.asarray(tables["hours"]), semester_hours)
     return {"start": start, "end": end, "quantity": np.ones(len(start))}

@@ -21,6 +21,6 @@ def _stamp(columns):
     return columns
 
 
-def emit_records(tables, schema, semester_hours):
+def iter_record_batches(tables, schema, semester_hours):
     start = _rejitter(tables["start"])
     return _stamp({"start": start, "end": start + 1.0})

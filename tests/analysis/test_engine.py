@@ -71,7 +71,7 @@ class TestAnalyzePaths:
         )
         result = analyze_paths([tmp_path])
         stats = result.stats()
-        assert stats["DET001"] == {"new": 1, "suppressed": 1, "baselined": 0}
+        assert stats["DET001"] == {"new": 1, "suppressed": 1}
 
     def test_deterministic_ordering(self, tmp_path):
         for name in ("b.py", "a.py"):

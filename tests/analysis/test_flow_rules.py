@@ -1,8 +1,15 @@
 """Fixture-corpus tests for the whole-program rule pack (DESIGN §10)."""
 
+import re
 from pathlib import Path
 
-from repro.analysis.engine import analyze_paths, analyze_program
+from repro.analysis.engine import (
+    analyze_paths,
+    analyze_program,
+    build_program_context,
+    module_name_for,
+)
+from repro.analysis.rules.flow_rules import SHARD_ENTRY_POINTS
 
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -30,17 +37,18 @@ class TestPUR001:
 
 
 class TestColumnarEntryPoint:
-    """The columnar kernel is a shard-execution entry point (DESIGN §11):
-    ``repro.columnar.kernels.emit_records`` must be transitively pure, and
-    ``repro.columnar.planner`` roots the seed tree from the config's seed."""
+    """The columnar kernels are shard-execution code (DESIGN §11):
+    ``repro.columnar.kernels.iter_record_batches`` must be transitively
+    pure, and ``repro.columnar.planner`` roots the seed tree from the
+    config's seed."""
 
-    def test_fires_on_rng_and_wall_clock_reachable_from_emit_records(self):
+    def test_fires_on_rng_and_wall_clock_reachable_from_iter_record_batches(self):
         result = run_rule("columnar_pos", "PUR001")
         assert len(result.findings) == 2
         assert all(f.rule_id == "PUR001" for f in result.findings)
         messages = " | ".join(f.message for f in result.findings)
         assert "default_rng" in messages
-        assert all("emit_records" in f.message for f in result.findings)
+        assert all("iter_record_batches" in f.message for f in result.findings)
 
     def test_quiet_on_pure_kernels_and_plan_time_planner(self):
         result = analyze_paths(
@@ -170,6 +178,40 @@ class TestPlantedViolation:
         assert planted[0].rule_id == "PUR001"
         assert planted[0].file == target
         assert "execute_shard" in planted[0].message
+
+    def test_planted_rng_in_columnar_kernel_is_caught(self):
+        """``iter_record_batches`` reaches the five ``_emit_*`` kernels
+        through its family table; PUR001 must follow it into each one."""
+        sources = _real_sources()
+        target = "src/repro/columnar/kernels.py"
+        sources[target], planted_lines = re.subn(
+            r"(\ndef _emit_vm_labs\(.*\n)",
+            r"\1    np.random.default_rng(1234)\n",
+            sources[target],
+        )
+        assert planted_lines == 1
+        active, _waived = analyze_program(sources, rules=["PUR001"])
+        planted = [f for f in active if "_emit_vm_labs" in f.message]
+        assert planted, [f.message for f in active]
+        assert planted[0].rule_id == "PUR001"
+        assert planted[0].file == target
+        assert "iter_record_batches" in planted[0].message
+
+    def test_every_shard_entry_point_resolves_and_reaches_the_kernels(self):
+        """PUR001 skips entry names the index cannot find, so a rename
+        would silently end a proof: every registered name must resolve
+        in the real tree, and together they must reach every kernel."""
+        program = build_program_context(
+            [(d, module_name_for(Path(d)), s) for d, s in _real_sources().items()]
+        )
+        missing = [e for e in SHARD_ENTRY_POINTS if e not in program.index.functions]
+        assert missing == []
+        reachable = program.graph.reachable_from(list(SHARD_ENTRY_POINTS))
+        kernels = [
+            q for q in program.index.functions if q.startswith("repro.columnar.kernels._emit_")
+        ]
+        assert len(kernels) == 5
+        assert [k for k in kernels if k not in reachable] == []
 
     def test_unplanted_repo_is_clean(self):
         active, _waived = analyze_program(_real_sources(), rules=["PUR001"])

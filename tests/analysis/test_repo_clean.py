@@ -6,16 +6,13 @@ to run the linter.
 
 from pathlib import Path
 
-from repro.analysis import Baseline, analyze_paths
+from repro.analysis import analyze_paths
 
 REPO = Path(__file__).resolve().parents[2]
 
 
 def test_repo_has_no_new_findings():
-    baseline = Baseline.load(REPO / "analysis-baseline.json")
-    result = analyze_paths(
-        [REPO / "src", REPO / "benchmarks", REPO / "examples"], baseline=baseline
-    )
+    result = analyze_paths([REPO / "src", REPO / "benchmarks", REPO / "examples"])
     assert result.files_checked > 100
     rendered = "\n".join(f.render() for f in result.findings)
     assert result.ok, f"new analysis findings:\n{rendered}"
@@ -25,15 +22,11 @@ def test_repo_passes_the_whole_program_pass():
     """The flow pack (PUR001/SEED001/RES004/DET004) over the real call
     graph: shard execution is provably pure, every Generator's seed flows
     in, spans close on all CFG paths, no unordered flow reaches a sink."""
-    baseline = Baseline.load(REPO / "analysis-baseline.json")
     result = analyze_paths(
-        [REPO / "src", REPO / "benchmarks", REPO / "examples"],
-        baseline=baseline,
-        whole_program=True,
+        [REPO / "src", REPO / "benchmarks", REPO / "examples"], whole_program=True
     )
     rendered = "\n".join(f.render() for f in result.findings)
     assert result.ok, f"new analysis findings:\n{rendered}"
-    assert result.stale_baseline == [], "baseline entries no finding consumes"
 
 
 def test_every_inline_suppression_carries_a_reason():

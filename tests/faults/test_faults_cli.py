@@ -1,0 +1,13 @@
+"""``python -m repro.faults`` flag handling."""
+
+import pytest
+
+from repro.faults.__main__ import main as faults_main
+
+
+def test_whatif_with_json_stdout_is_usage_error(capsys):
+    """The JSON summary has no what-if, so the pair is refused, not dropped."""
+    with pytest.raises(SystemExit) as exc:
+        faults_main(["--outage-rate", "0.3", "--scale", "0.25", "--whatif", "--json", "-"])
+    assert exc.value.code == 2
+    assert "--whatif" in capsys.readouterr().err

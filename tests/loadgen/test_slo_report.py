@@ -157,6 +157,13 @@ class TestCli:
         assert "SLO-vs-cost frontier" in out
         assert "serving load report" in out
 
+    def test_cli_whatif_with_json_stdout_is_usage_error(self, capsys):
+        """The JSON summary has no what-if, so the pair is refused, not dropped."""
+        with pytest.raises(SystemExit) as exc:
+            loadgen_main(self.ARGS + ["--whatif", "--json", "-"])
+        assert exc.value.code == 2
+        assert "--whatif" in capsys.readouterr().err
+
     def test_cli_json_file_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "summary.json"
         assert loadgen_main(self.ARGS + ["--json", str(path)]) == 0
