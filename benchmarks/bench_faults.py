@@ -13,7 +13,8 @@ that must never regress.
 
 from repro.core import records_digest, scaled_course
 from repro.core.cohort import CohortConfig, CohortSimulation
-from repro.faults.plan import FaultPlanConfig, plan_faulted_cohort
+from repro.faults.plan import FaultPlanConfig
+from repro.faults.sweep import plan_faulted_cohort
 from repro.parallel.engine import execute_plan
 from repro.parallel.merge import merge_shard_records
 

@@ -52,7 +52,7 @@ def course_fingerprint(course: object) -> str:
 def fault_model_digest(faults: object | None) -> str:
     """Digest of the fault model a plan was swept with (``"-"`` = none).
 
-    The canonical :class:`~repro.faults.plan.FaultSweep` carries its
+    The canonical :class:`~repro.faults.sweep.FaultSweep` carries its
     resolved calendar and retry policies — all frozen dataclasses — so
     hashing their reprs pins every window, hazard draw, and backoff knob.
     Other :class:`~repro.core.cohort.FaultModel` implementations fall

@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.columnar.schema import KIND_CODES, SITE_CODES, ColumnSchema, RecordColumns
-from repro.core.cohort import KVM_SITE
+from repro.core.course import KVM_SITE
 
 _EPS = 1e-6
 

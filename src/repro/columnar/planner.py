@@ -37,8 +37,6 @@ import numpy as np
 from repro.columnar.schema import SITE_CODES, SITE_NAMES, ColumnSchema
 from repro.common.errors import ValidationError
 from repro.core.cohort import (
-    EDGE_SITE,
-    METAL_SITE,
     CohortConfig,
     ProjectLeaseActivity,
     ProjectStorageActivity,
@@ -52,7 +50,7 @@ from repro.core.cohort import (
     group_seed_sequence,
     student_seed_sequence,
 )
-from repro.core.course import COURSE, CourseDefinition, LabKind
+from repro.core.course import COURSE, EDGE_SITE, METAL_SITE, CourseDefinition, LabKind
 
 if TYPE_CHECKING:
     from repro.core.cohort import FaultModel
@@ -326,7 +324,7 @@ def _fan_out(fn, items: Sequence, *, workers: int) -> list:
     """Order-preserving map, pooled only when it pays."""
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    from repro.parallel.engine import deterministic_map
+    from repro.parallel.pool import deterministic_map
 
     return deterministic_map(fn, items, workers=workers)
 

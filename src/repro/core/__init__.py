@@ -21,17 +21,15 @@ cost per lab assignment), Fig 1 (expected vs actual duration), Fig 2
   outage what-ifs (Table 1 re-priced under a time inflation).
 * :mod:`repro.core.report` — the table/figure generators, including
   the :class:`WhatIf` report both what-ifs render through.
+
+The cohort and report names bind on first use (PEP 562), so the cost
+model loads without the cohort or the testbed (DESIGN §15).
 """
 
+import importlib
+from typing import TYPE_CHECKING
+
 from repro.core.catalog import AWS_CATALOG, GCP_CATALOG, CloudInstance, PricingCatalog
-from repro.core.cohort import (
-    CohortConfig,
-    CohortPlan,
-    CohortSimulation,
-    ShardPlan,
-    execute_shard,
-    plan_cohort,
-)
 from repro.core.costmodel import (
     CostModel,
     LabCostRow,
@@ -51,25 +49,35 @@ from repro.core.course import (
     scaled_course,
 )
 from repro.core.matching import cheapest_match
-from repro.core.report import (
-    FaultReport,
-    WhatIf,
-    fault_accounting,
-    fig1_duration_data,
-    fig2_cost_distribution,
-    fig3_project_usage,
-    outage_whatif,
-    records_digest,
-    spot_headline_summary,
-    spot_whatif,
-    table1,
-)
 from repro.core.usage import (
     AssignmentUsage,
     aggregate_by_assignment,
     canonical_sort_key,
     canonicalize_records,
 )
+
+if TYPE_CHECKING:  # bound on first use by __getattr__ below
+    from repro.core.cohort import (
+        CohortConfig,
+        CohortPlan,
+        CohortSimulation,
+        ShardPlan,
+        execute_shard,
+        plan_cohort,
+    )
+    from repro.core.report import (
+        FaultReport,
+        WhatIf,
+        fault_accounting,
+        fig1_duration_data,
+        fig2_cost_distribution,
+        fig3_project_usage,
+        outage_whatif,
+        records_digest,
+        spot_headline_summary,
+        spot_whatif,
+        table1,
+    )
 
 __all__ = [
     "CloudInstance",
@@ -113,3 +121,13 @@ __all__ = [
     "outage_whatif",
     "fault_accounting",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name in __all__:
+        for module in ("repro.core.cohort", "repro.core.report"):
+            namespace = vars(importlib.import_module(module))
+            if name in namespace:
+                globals()[name] = namespace[name]
+                return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

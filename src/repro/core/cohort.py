@@ -55,16 +55,12 @@ from repro.cloud.site import Site
 from repro.cloud.testbed import Testbed, chameleon
 from repro.common.errors import ConflictError, QuotaExceededError, ValidationError
 from repro.common.retry import RetryPolicy
-from repro.core.course import COURSE, CourseDefinition, LabKind
+from repro.core.course import COURSE, KVM_SITE, CourseDefinition, LabKind
 from repro.core.usage import canonicalize_records
 
 if TYPE_CHECKING:
     from repro.columnar.planner import ActivityTables
     from repro.columnar.schema import ColumnSchema
-
-KVM_SITE = "kvm@tacc"
-METAL_SITE = "chi@tacc"
-EDGE_SITE = "chi@edge"
 
 #: The enrollment the paper's KVM quota increase (§4) was granted for;
 #: larger cohorts get the quota scaled up proportionally.
@@ -263,7 +259,7 @@ class FaultModel(Protocol):
     """Anything that may rewrite the *raw* activity tables before admission.
 
     The canonical implementation is
-    :class:`repro.faults.plan.FaultSweep`, which resolves a seeded
+    :class:`repro.faults.sweep.FaultSweep`, which resolves a seeded
     :class:`~repro.faults.plan.FaultCalendar` into killed / relaunched /
     delayed activities.  The planner only sees this protocol, so neither
     :mod:`repro.core` nor :mod:`repro.columnar` imports

@@ -12,10 +12,10 @@ and cost ``None`` (the paper's "NA").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cloud.metering import UsageRecord
 from repro.common.errors import ValidationError
 from repro.core.catalog import AWS_CATALOG, GCP_CATALOG, CloudInstance, PricingCatalog
 from repro.core.course import COURSE, CourseDefinition, TABLE1_ROWS
@@ -26,6 +26,9 @@ from repro.core.usage import (
     per_user_fip_hours,
     per_user_instance_hours,
 )
+
+if TYPE_CHECKING:  # annotations only: repro.cloud loads the whole testbed
+    from repro.cloud.metering import UsageRecord
 
 HOURS_PER_MONTH = 730.0
 

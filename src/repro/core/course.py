@@ -21,6 +21,11 @@ from enum import Enum
 from repro.common.errors import ValidationError
 from repro.core.matching import RequirementSpec
 
+#: The testbed sites the labs run on: on-demand VMs, bare metal, edge devices.
+KVM_SITE = "kvm@tacc"
+METAL_SITE = "chi@tacc"
+EDGE_SITE = "chi@edge"
+
 
 class LabKind(str, Enum):
     VM = "vm"  # on-demand KVM instances: no reservation, no auto-kill

@@ -31,7 +31,7 @@ from repro.core.course import COURSE, CourseDefinition, LabKind
 from repro.core.usage import aggregate_by_assignment
 
 if TYPE_CHECKING:  # imported lazily: repro.faults imports repro.core
-    from repro.faults.plan import FaultLedger
+    from repro.faults.sweep import FaultLedger
 
 
 def records_digest(records: Iterable[UsageRecord]) -> str:
@@ -442,7 +442,7 @@ def spot_headline_summary(
 class FaultReport:
     """What a fault plan actually cost the cohort.
 
-    Priced from a :class:`~repro.faults.plan.FaultLedger`: redo hours are
+    Priced from a :class:`~repro.faults.sweep.FaultLedger`: redo hours are
     re-billed work (they appear in the metered records and in Table 1),
     lost hours are work that never ran (abandoned labs — an educational
     cost, not a billed one), delay hours shift work without billing it.

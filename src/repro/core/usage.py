@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.cloud.metering import UsageRecord
 from repro.common.numerics import stable_sum
+
+if TYPE_CHECKING:  # annotations only: repro.cloud loads the whole testbed
+    from repro.cloud.metering import UsageRecord
 
 _INSTANCE_KINDS = ("server", "baremetal", "edge")
 

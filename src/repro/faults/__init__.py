@@ -6,10 +6,11 @@ of a *perfectly reliable* testbed cannot ask how infrastructure
 unreliability reshapes the usage and cost distributions it measures.
 This package adds a seeded fault layer in two halves:
 
-* **Plan-time** (:mod:`repro.faults.plan`): seeded generators resolve
-  site outages, per-instance hardware failures, and transient API-error
-  bursts into a static :class:`~repro.faults.plan.FaultCalendar`, and a
-  :class:`~repro.faults.plan.FaultSweep` rewrites the planner's raw
+* **Plan-time** (:mod:`repro.faults.plan`, :mod:`repro.faults.sweep`):
+  seeded generators resolve site outages, per-instance hardware
+  failures, and transient API-error bursts into a static
+  :class:`~repro.faults.plan.FaultCalendar`, and a
+  :class:`~repro.faults.sweep.FaultSweep` rewrites the planner's raw
   activity tables — killed segments, backoff-delayed relaunches with redo
   hours, abandoned labs — *before* the admission sweeps.  Execution
   stays RNG-free, so ``run_parallel(workers=N)`` and ``run_columnar``
@@ -25,26 +26,36 @@ This package adds a seeded fault layer in two halves:
 
 ``python -m repro.faults`` runs the cohort under a fault plan and prints
 the failure accounting (see ``--help``).
+
+The sweep and injector names bind on first use (PEP 562), so the
+serving engines load the calendar half alone (DESIGN §15).
 """
+
+import importlib
+from typing import TYPE_CHECKING
 
 from repro.faults.plan import (
     SERVING_SITE,
     ApiErrorBurst,
     FaultCalendar,
-    FaultEvent,
-    FaultLedger,
     FaultPlanConfig,
-    FaultSweep,
-    HardwareFailure,
     OutageWindow,
     build_fault_calendar,
     build_outage_calendar,
     build_serving_calendar,
     partial_serving_site,
-    plan_faulted_cohort,
     serving_scope,
 )
-from repro.faults.inject import FaultInjector, InjectorStats
+
+if TYPE_CHECKING:  # bound on first use by __getattr__ below
+    from repro.faults.inject import FaultInjector, InjectorStats
+    from repro.faults.sweep import (
+        FaultEvent,
+        FaultLedger,
+        FaultSweep,
+        HardwareFailure,
+        plan_faulted_cohort,
+    )
 
 __all__ = [
     "FaultPlanConfig",
@@ -65,3 +76,13 @@ __all__ = [
     "FaultInjector",
     "InjectorStats",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name in __all__:
+        for module in ("repro.faults.inject", "repro.faults.sweep"):
+            namespace = vars(importlib.import_module(module))
+            if name in namespace:
+                globals()[name] = namespace[name]
+                return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,7 +26,8 @@ from repro.core.cohort import CohortConfig
 from repro.core.costmodel import OutageScenario
 from repro.core.course import COURSE, scaled_course
 from repro.core.report import fault_accounting, outage_whatif, records_digest
-from repro.faults.plan import FaultPlanConfig, plan_faulted_cohort
+from repro.faults.plan import FaultPlanConfig
+from repro.faults.sweep import plan_faulted_cohort
 from repro.parallel.engine import execute_plan
 from repro.parallel.merge import merge_shard_records, total_unit_hours
 

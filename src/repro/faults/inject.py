@@ -1,6 +1,6 @@
 """Runtime fault injection against a live testbed.
 
-The plan-time sweep (:mod:`repro.faults.plan`) is how the *cohort*
+The plan-time sweep (:mod:`repro.faults.sweep`) is how the *cohort*
 experiences faults — resolved before execution so the parallel digest
 contract holds.  This module is the other half: a
 :class:`FaultInjector` drives a running testbed directly, for chaos

@@ -25,19 +25,26 @@ Why that holds (the short version; EXPERIMENTS.md has the long one):
   sharding artifacts — record order and IdGenerator numbering — the
   same way for any shard partition, including the serial "one shard
   list" case.
+
+Every name below binds on first use (PEP 562), so that
+:mod:`repro.parallel.pool` loads without the cohort or the testbed.
 """
 
-from repro.parallel.engine import (
-    EngineTelemetry,
-    ShardResult,
-    SupervisedRun,
-    SupervisorHalt,
-    SupervisorPolicy,
-    run_parallel,
-    run_parallel_supervised,
-)
-from repro.parallel.merge import merge_shard_records, total_unit_hours
-from repro.parallel.planner import batch_shards
+import importlib
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # bound on first use by __getattr__ below
+    from repro.parallel.engine import (
+        EngineTelemetry,
+        ShardResult,
+        SupervisedRun,
+        SupervisorHalt,
+        SupervisorPolicy,
+        run_parallel,
+        run_parallel_supervised,
+    )
+    from repro.parallel.merge import merge_shard_records, total_unit_hours
+    from repro.parallel.planner import batch_shards
 
 __all__ = [
     "run_parallel",
@@ -51,3 +58,13 @@ __all__ = [
     "merge_shard_records",
     "total_unit_hours",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name in __all__:
+        for module in ("repro.parallel.merge", "repro.parallel.planner", "repro.parallel.engine"):
+            namespace = vars(importlib.import_module(module))
+            if name in namespace:
+                globals()[name] = namespace[name]
+                return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

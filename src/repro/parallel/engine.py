@@ -23,15 +23,15 @@ a run crashed and resumed at any point merges to the same sha256 as an
 uninterrupted serial run — the property ``tests/checkpoint`` holds under
 a kill matrix.
 
-This module is the one sanctioned home for process fan-out: the
-``repro.analysis`` rule PAR001 flags ``multiprocessing`` /
-``concurrent.futures`` imports anywhere outside ``repro.parallel`` so
-that every fan-out inherits this determinism contract.
+This package (this module and :mod:`repro.parallel.pool`) is the one
+sanctioned home for process fan-out: the ``repro.analysis`` rule PAR001
+flags ``multiprocessing`` / ``concurrent.futures`` imports anywhere
+outside ``repro.parallel`` so that every fan-out inherits this
+determinism contract.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -64,6 +64,7 @@ from repro.core.cohort import (
 from repro.core.course import COURSE, CourseDefinition
 from repro.parallel.merge import merge_shard_records
 from repro.parallel.planner import batch_shards
+from repro.parallel.pool import _pool_context
 
 #: Each pool round's shards are cut into this many batches (at least one
 #: per worker).  Batch boundaries never affect output (the merge is
@@ -224,36 +225,6 @@ def _execute_batch(batch: _ShardBatch) -> list[ShardResult]:
                 raise SystemExit(13)
             os.kill(os.getpid(), signal.SIGKILL)
     return results
-
-
-def deterministic_map(fn, items, *, workers: int) -> list:
-    """Order-preserving parallel map: ``[fn(x) for x in items]`` on a pool.
-
-    The sanctioned fan-out primitive for callers outside this package
-    (PAR001 bans them from touching ``multiprocessing`` directly — the
-    columnar planner's draw fan-out routes through here).  Results come
-    back in *item order* regardless of completion order, ``workers=1``
-    (or a single item) runs in-process with no pool, and ``fn`` must be a
-    picklable module-level callable that is a pure function of its item —
-    under those terms the output is identical for every worker count.
-    """
-    if workers < 1:
-        raise ValidationError(f"workers must be positive: {workers!r}")
-    items = list(items)
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(items)), mp_context=_pool_context()
-    ) as pool:
-        return list(pool.map(fn, items))
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    # fork skips re-importing numpy/scipy in every worker; fall back to
-    # the platform default where fork is unavailable (the engine's output
-    # is start-method independent either way).
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 # -- the supervisor loop -----------------------------------------------------------
@@ -582,7 +553,6 @@ __all__ = [
     "SupervisedRun",
     "SupervisorHalt",
     "SupervisorPolicy",
-    "deterministic_map",
     "execute_plan",
     "execute_plan_supervised",
     "run_parallel",

@@ -29,7 +29,7 @@ runs it, as a one-cell sweep through the phase map's plan and execute
 halves.  Determinism: rungs are pure functions of :class:`RungSpec`
 (trace, calendar, and resilience plan are all seeded and resolved before
 the simulation), fanned out through
-:func:`repro.parallel.engine.deterministic_map` — the storm digest is
+:func:`repro.parallel.pool.deterministic_map` — the storm digest is
 byte-identical under rerun, ``perturb=True``, and any worker count.
 """
 

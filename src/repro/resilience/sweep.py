@@ -4,7 +4,7 @@
 one operating point.  This module maps the *phase boundary*: it fans the
 storm over offered load × outage length × outage scope × client policy ×
 budget fill × breaker threshold through
-:func:`repro.parallel.engine.deterministic_map`, and classifies every
+:func:`repro.parallel.pool.deterministic_map`, and classifies every
 point by how the fleet came back:
 
 * **RECOVERED** — the queue drained within the recovery grace after the
@@ -44,7 +44,7 @@ from repro.loadgen.autoscaler import AutoscalerConfig
 from repro.loadgen.queue import AdmissionConfig
 from repro.loadgen.report import build_report
 from repro.loadgen.sim import TrafficResult, simulate_traffic
-from repro.parallel.engine import deterministic_map
+from repro.parallel.pool import deterministic_map
 from repro.resilience.clients import plan_resilience
 from repro.resilience.report import PointMetrics, SweepReport
 from repro.resilience.scenario import (

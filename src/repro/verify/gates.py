@@ -20,12 +20,8 @@ from repro.columnar.engine import run_columnar
 from repro.core.cohort import CohortConfig, CohortSimulation
 from repro.core.course import COURSE, CourseDefinition, scaled_course
 from repro.core.report import records_digest
-from repro.faults.plan import (
-    FaultPlanConfig,
-    FaultSweep,
-    build_fault_calendar,
-    build_serving_calendar,
-)
+from repro.faults.plan import FaultPlanConfig, build_fault_calendar, build_serving_calendar
+from repro.faults.sweep import FaultSweep
 from repro.loadgen.arrivals import TrafficConfig, generate_trace
 from repro.loadgen.sim import simulate_traffic
 from repro.parallel.engine import run_parallel

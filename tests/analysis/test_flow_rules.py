@@ -1,5 +1,7 @@
 """Fixture-corpus tests for the whole-program rule pack (DESIGN §10)."""
 
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -234,3 +236,28 @@ class TestSuppression:
         assert len(result.suppressed) == 1
         assert result.suppressed[0].finding.rule_id == "SEED001"
         assert "frozen replay seed" in result.suppressed[0].reason
+
+
+def test_lazy_package_reexports_resolve_in_the_real_tree():
+    """``repro.core``, ``repro.faults`` and ``repro.parallel`` bind most of
+    their names on first use (PEP 562), importing them only in a
+    ``TYPE_CHECKING`` block.  The index must still resolve each one to
+    its definition: an unresolved name silently drops every call-graph
+    edge through it.  Module constants (``COURSE``, the catalogs,
+    ``SERVING_SITE``) are not indexed, so only functions and classes
+    count."""
+    program = build_program_context(
+        [(d, module_name_for(Path(d)), s) for d, s in _real_sources().items()]
+    )
+    unresolved = []
+    for package in ("repro.core", "repro.faults", "repro.parallel"):
+        module = importlib.import_module(package)
+        names = [n for n in module.__all__ if inspect.isclass(getattr(module, n))
+                 or inspect.isfunction(getattr(module, n))]
+        assert names, package
+        for name in names:
+            value = getattr(module, name)
+            want = f"{value.__module__}.{value.__qualname__}"
+            if program.index.resolve_dotted(f"{package}.{name}") != want:
+                unresolved.append(f"{package}.{name}")
+    assert unresolved == []

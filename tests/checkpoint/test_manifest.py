@@ -10,7 +10,8 @@ from repro.checkpoint.manifest import (
 )
 from repro.core.cohort import CohortConfig, plan_cohort
 from repro.core.course import scaled_course
-from repro.faults.plan import FaultPlanConfig, FaultSweep, build_fault_calendar
+from repro.faults.plan import FaultPlanConfig, build_fault_calendar
+from repro.faults.sweep import FaultSweep
 
 COURSE = scaled_course(0.25)
 

@@ -26,12 +26,8 @@ from repro.cloud.quota import Quota
 from repro.columnar import admission, plan_columns, run_columnar
 from repro.core import records_digest, scaled_course
 from repro.core.cohort import CohortConfig, CohortSimulation, SlotCalendar
-from repro.faults.plan import (
-    FaultPlanConfig,
-    FaultSweep,
-    build_fault_calendar,
-    plan_faulted_cohort,
-)
+from repro.faults.plan import FaultPlanConfig, build_fault_calendar
+from repro.faults.sweep import FaultSweep, plan_faulted_cohort
 from repro.parallel import total_unit_hours
 
 #: 48-student cohort: big enough to populate every activity family.

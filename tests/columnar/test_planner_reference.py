@@ -14,8 +14,8 @@ import pytest
 
 from repro.columnar.planner import _raw_tables
 from repro.columnar.schema import SITE_NAMES
-from repro.core.cohort import EDGE_SITE, METAL_SITE, CohortConfig, SlotCalendar, draw_cohort_level
-from repro.core.course import COURSE, LabKind, scaled_course
+from repro.core.cohort import CohortConfig, SlotCalendar, draw_cohort_level
+from repro.core.course import COURSE, EDGE_SITE, METAL_SITE, LabKind, scaled_course
 
 SIZES = {"one": scaled_course(1.0 / 191.0), "quarter": scaled_course(0.25), "paper": COURSE}
 

@@ -11,12 +11,8 @@ from repro.columnar import run_columnar
 from repro.core.cohort import CohortConfig, CohortSimulation, plan_cohort
 from repro.core.course import scaled_course
 from repro.core.report import records_digest
-from repro.faults.plan import (
-    FaultPlanConfig,
-    FaultSweep,
-    build_fault_calendar,
-    plan_faulted_cohort,
-)
+from repro.faults.plan import FaultPlanConfig, build_fault_calendar
+from repro.faults.sweep import FaultSweep, plan_faulted_cohort
 from repro.parallel.engine import execute_plan
 from repro.parallel.merge import merge_shard_records
 

@@ -6,7 +6,7 @@ from repro.cloud.compute import ServerStatus
 from repro.cloud.leases import LeaseStatus
 from repro.cloud.testbed import chameleon
 from repro.common.errors import ServiceUnavailableError, TransientError
-from repro.core.cohort import KVM_SITE, METAL_SITE
+from repro.core.course import KVM_SITE, METAL_SITE
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import ApiErrorBurst, FaultCalendar, FaultPlanConfig, OutageWindow
 

@@ -8,17 +8,16 @@ import pytest
 from repro.columnar.planner import _raw_tables
 from repro.columnar.schema import SITE_CODES
 from repro.common.errors import InvalidStateError, ValidationError
-from repro.core.cohort import KVM_SITE, METAL_SITE, CohortConfig, plan_cohort
-from repro.core.course import scaled_course
+from repro.core.cohort import CohortConfig, plan_cohort
+from repro.core.course import KVM_SITE, METAL_SITE, scaled_course
 from repro.faults.plan import (
     ApiErrorBurst,
     FaultCalendar,
     FaultPlanConfig,
-    FaultSweep,
     OutageWindow,
     build_fault_calendar,
-    plan_faulted_cohort,
 )
+from repro.faults.sweep import FaultSweep, plan_faulted_cohort
 
 SMALL = scaled_course(0.25)
 #: The raw (pre-admission) tables of a 1-student cohort; sweep inputs

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro.core.cohort import CohortConfig, CohortSimulation
 from repro.core.course import scaled_course
 from repro.core.report import records_digest
-from repro.faults.plan import FaultPlanConfig, plan_faulted_cohort
+from repro.faults.plan import FaultPlanConfig
+from repro.faults.sweep import plan_faulted_cohort
 from repro.parallel.engine import execute_plan
 from repro.parallel.merge import merge_shard_records
 
