@@ -11,7 +11,6 @@ Run:  python examples/serving_optimization.py
 from repro.common.tables import format_table
 from repro.serving import (
     DEVICE_CATALOG,
-    BatchingConfig,
     InferenceEngine,
     LoadProfile,
     TritonServer,

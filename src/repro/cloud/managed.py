@@ -17,7 +17,7 @@ simulated site, with the billing semantics that distinguish it from IaaS:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.errors import ConflictError, InvalidStateError, NotFoundError, ValidationError

@@ -15,7 +15,7 @@ the ``lab``/``user`` fields (with the same effect and no parsing fragility).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.common.clock import SimClock

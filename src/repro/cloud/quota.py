@@ -12,7 +12,7 @@ exactly where it would on the real testbed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from repro.common.errors import QuotaExceededError, ValidationError
 

@@ -46,7 +46,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from repro.cloud.inventory import CHAMELEON_NODE_TYPES, EDGE_DEVICE_TYPES
 from repro.cloud.metering import UsageRecord
@@ -54,6 +53,7 @@ from repro.cloud.quota import Quota
 from repro.cloud.site import Site
 from repro.cloud.testbed import Testbed, chameleon
 from repro.common.errors import ConflictError, QuotaExceededError, ValidationError
+from repro.common.numerics import ndtr, ndtri
 from repro.common.retry import RetryPolicy
 from repro.core.course import COURSE, KVM_SITE, CourseDefinition, LabKind
 from repro.core.usage import canonicalize_records

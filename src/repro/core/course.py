@@ -15,7 +15,7 @@ multi-GPU) to the same cloud equivalent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from repro.common.errors import ValidationError

@@ -14,7 +14,7 @@ lakehouses".  Two pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.errors import ConflictError, NotFoundError, ValidationError

@@ -19,7 +19,7 @@ GourmetGram deployment would use:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Sequence
 

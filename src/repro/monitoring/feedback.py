@@ -10,7 +10,7 @@ GourmetGram lifecycle loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np

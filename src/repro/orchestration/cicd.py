@@ -18,7 +18,7 @@ GourmetGram group would run:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.errors import NotFoundError, ValidationError

@@ -14,7 +14,7 @@ GourmetGram's staging, canary, and production services".  The model here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 

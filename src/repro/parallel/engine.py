@@ -36,7 +36,7 @@ import os
 import signal
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.checkpoint.journal import ShardJournal
 from repro.checkpoint.manifest import RunManifest

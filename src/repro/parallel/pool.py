@@ -36,7 +36,7 @@ def deterministic_map(fn, items, *, workers: int) -> list:
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
-    # fork skips re-importing numpy/scipy in every worker; fall back to
+    # fork skips re-importing numpy and the testbed in every worker; fall back to
     # the platform default where fork is unavailable (the engine's output
     # is start-method independent either way).
     methods = multiprocessing.get_all_start_methods()

@@ -8,7 +8,7 @@ throughput under a load profile (paper §3.6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import NotFoundError, ValidationError
 from repro.serving.batching import BatchingConfig, BatchingResult, poisson_arrivals, simulate_batching

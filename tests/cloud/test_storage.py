@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cloud.metering import UsageMeter
 from repro.cloud.quota import Quota, QuotaManager
-from repro.cloud.storage import BlockStorageService, ObjectStorageService, VolumeStatus
+from repro.cloud.storage import BlockStorageService, ObjectStorageService
 from repro.common import (
     ConflictError,
     InvalidStateError,

@@ -1,11 +1,13 @@
 """The cohort's two normal-distribution draws are exact, not approximate.
 
 ``stratified_lognormal`` and ``capped_mean_compensation`` evaluate the
-standard normal through the ``scipy.special`` ufuncs (``ndtri``, ``ndtr``)
-that ``scipy.stats.norm`` itself calls at loc 0, scale 1.  Every cohort
-digest rests on that being bit-for-bit, so each property compares against
-a test-local reference written with ``scipy.stats.norm`` using ``==``,
-never a tolerance.
+standard normal through ``repro.common.numerics`` (``ndtri``, ``ndtr``), a
+port of the Cephes routines behind the ``scipy.special`` ufuncs that
+``scipy.stats.norm`` itself calls at loc 0, scale 1.  Every cohort digest
+rests on that being bit-for-bit, so each property compares against a
+test-local reference written with ``scipy.stats.norm`` using ``==``,
+never a tolerance.  ``tests/common/test_numerics.py`` holds the port to
+``scipy.special`` on its whole domain.
 """
 
 import numpy as np

@@ -6,7 +6,6 @@ import pytest
 
 from repro.common.errors import ValidationError
 from repro.loadgen import (
-    AdmissionConfig,
     AutoscalerConfig,
     SloPolicy,
     TrafficConfig,
@@ -17,7 +16,7 @@ from repro.loadgen import (
     slo_cost_frontier,
 )
 from repro.loadgen.__main__ import main as loadgen_main
-from repro.serving import DEVICE_CATALOG, BatchingConfig, InferenceEngine, food11_classifier
+from repro.serving import DEVICE_CATALOG, InferenceEngine, food11_classifier
 
 
 @pytest.fixture(scope="module")

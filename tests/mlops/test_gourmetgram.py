@@ -5,7 +5,6 @@ import pytest
 
 from repro.common import InvalidStateError, ValidationError
 from repro.mlops import FoodClassifier, FoodDatasetGenerator, MLOpsLifecycle
-from repro.tracking.registry import ModelStage
 
 
 class TestData:

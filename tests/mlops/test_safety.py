@@ -4,7 +4,6 @@ import pytest
 
 from repro.common import ValidationError
 from repro.mlops.safety import (
-    AttackCase,
     ContentFilter,
     FilterRule,
     Guardrail,

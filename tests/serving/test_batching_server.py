@@ -7,7 +7,6 @@ from repro.common import NotFoundError, ValidationError
 from repro.serving import (
     DEVICE_CATALOG,
     BatchingConfig,
-    InferenceEngine,
     LoadProfile,
     TritonServer,
     food11_classifier,

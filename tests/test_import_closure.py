@@ -1,8 +1,13 @@
 """Import-closure guard: what each engine package loads.
 
-Set-up cost is the import closure (DESIGN §15).  The engines need
-``scipy.special`` for the cohort draws, not ``scipy.stats``, and nothing
-on their paths orders a workflow DAG, so networkx stays out too.
+Set-up cost is the import closure (DESIGN §15).  The cohort engines
+load no scipy at all: ``repro.core.cohort`` draws the standard normal
+through the Cephes port in ``repro.common.numerics``, so neither it,
+``repro.columnar`` nor ``repro.core.report`` loads scipy, and nothing on
+their paths orders a workflow DAG, so networkx stays out too.  With every
+scipy import made to fail, a scaled cohort still runs through the serial
+testbed and the columnar engine to the digest it had when it drew
+through ``scipy.special``.
 
 The serving half pays nothing for the cohort half.  ``repro.core``,
 ``repro.faults.plan``, ``repro.loadgen``, ``repro.resilience`` and
@@ -28,7 +33,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-HEAVY = ("scipy.stats", "networkx")
+HEAVY = ("scipy", "networkx")
+COHORT_ENGINES = ("repro.columnar", "repro.core.cohort", "repro.core.report")
 #: Module prefixes the serving closure must not hold.
 COHORT = (
     "repro.core.cohort",
@@ -43,7 +49,7 @@ COHORT = (
 )
 SERVING = ("repro.core", "repro.faults.plan", "repro.loadgen", "repro.resilience", "repro.serving")
 #: Module prefixes each engine package must not load at import time.
-FORBIDDEN = {"repro.columnar": HEAVY, **dict.fromkeys(SERVING, COHORT)}
+FORBIDDEN = {**dict.fromkeys(COHORT_ENGINES, HEAVY), **dict.fromkeys(SERVING, COHORT)}
 LAZY = ("repro.core", "repro.faults", "repro.parallel")
 
 #: A tiny open-loop serving day priced into a report, then one closed-loop
@@ -69,15 +75,35 @@ assert len(run_sweep(replace(quick, base=base, axes=axes)).points) == 1
 """
 
 
-def _modules_after(code: str) -> list[str]:
+#: Every scipy import fails; then one scaled cohort runs through the serial
+#: testbed and through the columnar engine.
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None
+from repro.columnar import run_columnar
+from repro.core import CohortConfig, CohortSimulation, records_digest, scaled_course
+
+course, config = scaled_course(0.1), CohortConfig(seed=7)
+print(records_digest(CohortSimulation(course, config).run()))
+print(run_columnar(course, config).digest)
+"""
+#: Both engines' digest of that cohort, taken when it drew through scipy.special.
+NO_SCIPY_DIGEST = "fe1a7918f8743a02c760a510886df8d624a211e559eb79180a5166089060161e"
+
+
+def _stdout_lines(code: str) -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
         timeout=120,
     )
-    return json.loads(done.stdout.splitlines()[-1])
+    return done.stdout.splitlines()
+
+
+def _modules_after(code: str) -> list[str]:
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
+    return json.loads(_stdout_lines(code)[-1])
 
 
 def _loaded(modules: list[str], prefixes: tuple[str, ...]) -> list[str]:
@@ -103,3 +129,7 @@ def test_lazy_reexports_all_resolve():
     )
     modules = _modules_after(code)
     assert "repro.core.cohort" in modules and "repro.parallel.engine" in modules
+
+
+def test_cohort_runs_with_scipy_absent():
+    assert _stdout_lines(NO_SCIPY_RUN) == [NO_SCIPY_DIGEST, NO_SCIPY_DIGEST]
