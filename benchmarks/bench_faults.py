@@ -12,11 +12,10 @@ that must never regress.
 """
 
 from repro.core import records_digest, scaled_course
-from repro.core.cohort import CohortConfig, CohortSimulation
-from repro.faults.plan import FaultPlanConfig
-from repro.faults.sweep import plan_faulted_cohort
-from repro.parallel.engine import execute_plan
-from repro.parallel.merge import merge_shard_records
+from repro.core.cohort import CohortConfig, CohortSimulation, plan_cohort
+from repro.faults.plan import FaultPlanConfig, build_fault_calendar
+from repro.faults.sweep import FaultSweep
+from repro.parallel.engine import run_parallel
 
 WORKERS = 4
 
@@ -31,15 +30,15 @@ CHAOS = FaultPlanConfig(
 def test_faulted_cohort_end_to_end(benchmark, quick):
     course = scaled_course(0.25 if quick else 1.0)
     config = CohortConfig(seed=42)
+    calendar = build_fault_calendar(CHAOS, horizon_hours=course.semester_hours)
 
     def faulted_run():
-        plan, ledger = plan_faulted_cohort(course, config, CHAOS)
-        results = execute_plan(plan, config, workers=WORKERS)
-        return plan, ledger, merge_shard_records([r.records for r in results])
+        sweep = FaultSweep(calendar)
+        return sweep.ledger, run_parallel(course, config, workers=WORKERS, faults=sweep)
 
-    plan, ledger, merged = benchmark.pedantic(faulted_run, rounds=1, iterations=1)
+    ledger, merged = benchmark.pedantic(faulted_run, rounds=1, iterations=1)
 
-    serial = CohortSimulation(course, config, plan=plan).run()
+    serial = CohortSimulation(course, config, faults=FaultSweep(calendar)).run()
     assert records_digest(merged) == records_digest(serial)
     assert ledger.events  # the chaos config must actually bite
 
@@ -73,12 +72,12 @@ def test_fault_sweep_overhead(benchmark, quick):
     course = scaled_course(0.25 if quick else 1.0)
     config = CohortConfig(seed=42)
 
-    _, ledger = benchmark.pedantic(
-        plan_faulted_cohort,
-        args=(course, config, CHAOS),
-        rounds=1 if quick else 3,
-        iterations=1,
-    )
+    def faulted_plan():
+        sweep = FaultSweep(build_fault_calendar(CHAOS, horizon_hours=course.semester_hours))
+        plan_cohort(course, config, faults=sweep)
+        return sweep.ledger
+
+    ledger = benchmark.pedantic(faulted_plan, rounds=1 if quick else 3, iterations=1)
     assert ledger.events
     benchmark.extra_info.update(
         {"students": course.enrollment, "fault_events": len(ledger.events)}

@@ -15,9 +15,8 @@ import sys
 from repro.core import CohortConfig, OutageScenario
 from repro.core.course import COURSE
 from repro.core.report import fault_accounting, outage_whatif, records_digest, table1
-from repro.faults import FaultPlanConfig, build_fault_calendar, plan_faulted_cohort
-from repro.parallel.engine import execute_plan
-from repro.parallel.merge import merge_shard_records
+from repro.faults import FaultPlanConfig, FaultSweep, build_fault_calendar
+from repro.parallel.engine import run_parallel
 
 
 def main(seed: int = 42) -> None:
@@ -37,10 +36,10 @@ def main(seed: int = 42) -> None:
     print(f"  {'plan':10s} {'events':>7s} {'redo h':>9s} {'lost h':>9s} "
           f"{'AWS redo $':>11s} {'lab total $':>12s} {'digest':>12s}")
     for name, fault_config in ladder:
-        plan, ledger = plan_faulted_cohort(COURSE, config, fault_config)
-        results = execute_plan(plan, config, workers=2)
-        records = merge_shard_records([r.records for r in results])
-        report = fault_accounting(ledger)
+        calendar = build_fault_calendar(fault_config, horizon_hours=COURSE.semester_hours)
+        sweep = FaultSweep(calendar)
+        records = run_parallel(COURSE, config, workers=2, faults=sweep)
+        report = fault_accounting(sweep.ledger)
         totals = table1(records).totals
         print(f"  {name:10s} {report.events:>7d} "
               f"{report.redo_instance_hours:>9,.0f} "
@@ -50,15 +49,10 @@ def main(seed: int = 42) -> None:
               f"{records_digest(records)[:12]:>12s}")
     print()
 
-    # -- detailed accounting for the rough semester ------------------------
-    name, fault_config = ladder[-1]
-    calendar = build_fault_calendar(fault_config, horizon_hours=COURSE.semester_hours)
+    # -- detailed accounting for the rough semester (the loop's last run) --
     print(f"the {name!r} fault calendar: {len(calendar.outages)} outages, "
           f"{len(calendar.bursts)} API-error bursts across {len(fault_config.sites)} sites\n")
-    plan, ledger = plan_faulted_cohort(COURSE, config, fault_config)
-    results = execute_plan(plan, config, workers=2)
-    records = merge_shard_records([r.records for r in results])
-    print(fault_accounting(ledger).render(), "\n")
+    print(report.render(), "\n")
 
     # -- the analytic view: interruption rate -> cost inflation ------------
     scenario = OutageScenario.from_fault_plan(

@@ -28,6 +28,9 @@ from repro.core.course import COURSE, scaled_course
 from repro.core.report import records_digest
 from repro.parallel.engine import run_parallel_supervised
 
+#: The ``--resume`` flags ``--inspect`` refuses, with their resume defaults.
+RESUME_DEFAULTS = {"seed": 42, "scale": 0.25, "workers": 2}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -47,12 +50,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--journal", metavar="DIR", default=None,
         help="journal directory (required)",
     )
-    parser.add_argument("--seed", type=int, default=42, help="cohort seed (default 42)")
     parser.add_argument(
-        "--scale", type=float, default=0.25,
+        "--seed", type=int, default=None, help="--resume: cohort seed (default 42)"
+    )
+    parser.add_argument(
+        "--scale", type=float, default=None,
         help="--resume: cohort scale factor (default 0.25)",
     )
-    parser.add_argument("--workers", type=int, default=2, help="--resume: worker processes")
+    parser.add_argument(
+        "--workers", type=int, default=None, help="--resume: worker processes (default 2)"
+    )
     parser.add_argument(
         "--json", metavar="PATH", default=None,
         help="write the report as JSON to PATH ('-' for stdout)",
@@ -114,12 +121,23 @@ def _resume(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if not args.journal:
         print("--inspect/--resume require --journal DIR", file=sys.stderr)
         return 2
     if args.inspect:
+        given = [f"--{name}" for name in RESUME_DEFAULTS if getattr(args, name) is not None]
+        if given:
+            parser.error(f"{', '.join(given)}: resume flags do not apply to --inspect")
+        if not os.path.isdir(args.journal):
+            parser.error(f"--inspect: no journal directory at {args.journal}")
         return _inspect(args)
+    for name, default in RESUME_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1: {args.workers}")
     return _resume(args)
 
 

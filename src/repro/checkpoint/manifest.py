@@ -53,21 +53,15 @@ def fault_model_digest(faults: object | None) -> str:
     """Digest of the fault model a plan was swept with (``"-"`` = none).
 
     The canonical :class:`~repro.faults.sweep.FaultSweep` carries its
-    resolved calendar and retry policies — all frozen dataclasses — so
-    hashing their reprs pins every window, hazard draw, and backoff knob.
-    Other :class:`~repro.core.cohort.FaultModel` implementations fall
-    back to their own repr.
+    resolved calendar, a frozen dataclass, so hashing its repr pins every
+    window and hazard draw; the sweep's retry policies are constants of
+    its module, part of the code version like the planner itself.  Other
+    :class:`~repro.core.cohort.FaultModel` implementations fall back to
+    their own repr.
     """
     if faults is None:
         return "-"
-    calendar = getattr(faults, "calendar", None)
-    if calendar is not None:
-        body = repr(
-            (calendar, getattr(faults, "relaunch", None), getattr(faults, "transient", None))
-        )
-    else:
-        body = repr(faults)
-    return _sha(body)
+    return _sha(repr(getattr(faults, "calendar", faults)))
 
 
 def plan_fingerprint(plan: object, *, include_project: bool = True) -> str:

@@ -1,9 +1,10 @@
 """Plan-time admission: the quota and lease-calendar sweeps over tables.
 
-The testbed resolves quota exhaustion and lease-calendar conflicts
-*reactively* (retry events, next-slot fallbacks).  For shards to be
-order-independent those outcomes must be fixed at plan time, so two
-conservative chronological sweeps pre-admit every activity:
+Admission is decided here, once, at plan time: execution only
+provisions what these sweeps admitted, and the testbed raises
+``QuotaExceededError`` / ``ConflictError`` if an admitted activity does
+not fit (which would mean a sweep is wrong).  Two conservative
+chronological sweeps pre-admit every activity:
 
 * KVM quota: a bundle (FIP + instances + cores + RAM + volume) is
   admitted at time t only if it fits alongside every admitted bundle
@@ -12,13 +13,14 @@ conservative chronological sweeps pre-admit every activity:
   pure prefix-sum test, independent of same-instant event ordering, so
   a plan-admitted bundle can never hit QuotaExceededError at runtime
   (the runtime holds a subset of what the sweep assumed held).
-  Rejected bundles retry after the same backoff the reactive path uses.
+  Rejected student VM sets retry on :data:`QUOTA_RETRY`; rejected
+  project service VMs retry every 12 h.
 * Lease calendars: leases are half-open intervals [start, start+len);
   the sweep replays create_lease's capacity check in event order and
-  bumps conflicting bookings to the next slot, exactly as the runtime
-  ConflictError handler would.  (The cursor calendar is designed to be
-  conflict-free, so bumps are a determinism backstop; fault plans,
-  which move bookings, are what make them fire.)
+  bumps a conflicting booking to the next slot (a project lease at most
+  200 times).  (The cursor calendar is designed to be conflict-free, so
+  bumps are a determinism backstop; fault plans, which move bookings,
+  are what make them fire.)
 
 Each sweep is a **vectorized optimistic pass over an exact replay**:
 
@@ -34,7 +36,7 @@ Each sweep is a **vectorized optimistic pass over an exact replay**:
   about what happens after the first rejection (retries reshuffle the
   event order), so the sweep falls back to the serial heap sweep: heap
   keys ``(time, rank)``, one retry-rank counter above every initial
-  rank, the release strictness above, the cohort's retry policy.
+  rank, the release strictness above, the retry policies above.
 
 Two conservatism details the event ordering must honor (they differ
 between the sweeps, deliberately): the quota sweep frees releases
@@ -58,7 +60,8 @@ import numpy as np
 
 from repro.cloud.inventory import CHAMELEON_FLAVORS
 from repro.cloud.quota import Quota
-from repro.core.cohort import CohortConfig, SlotCalendar, quota_for
+from repro.common.retry import RetryPolicy
+from repro.core.cohort import SlotCalendar, quota_for
 from repro.core.course import CourseDefinition
 
 #: Canonical quota-dimension order for bundle vectors.
@@ -72,6 +75,10 @@ QUOTA_DIMS: tuple[str, ...] = (
 )
 
 _EPS = 1e-6  # the sweeps' semester-end guard band (semester_hours - 1e-6)
+
+#: How a student reacts to quota exhaustion: check again every 6 hours,
+#: give up after 60 retries (the student gives up this week).
+QUOTA_RETRY = RetryPolicy.quota_default()
 
 
 # -- bundle construction -----------------------------------------------------------
@@ -131,9 +138,7 @@ def _quota_limits(quota: Quota) -> np.ndarray:
 # -- the KVM quota sweep -----------------------------------------------------------
 
 
-def sweep_kvm_quota(
-    tables, *, course: CourseDefinition, config: CohortConfig, info: dict, schema
-):
+def sweep_kvm_quota(tables, *, course: CourseDefinition, info: dict, schema):
     """Fix quota admission outcomes on activity tables.
 
     Expects tables in rank order (student VM rows first, then the
@@ -184,7 +189,7 @@ def sweep_kvm_quota(
         pvm_admit = np.where(pvm_drop, np.nan, tables.pvm_start)
     else:
         vm_admit, pvm_admit = _exact_quota_replay(
-            tables, vm_b, pvm_b, ps_b, vm_rank, pvm_rank, ps_rank, limits, H, config
+            tables, vm_b, pvm_b, ps_b, vm_rank, pvm_rank, ps_rank, limits, H
         )
 
     vm_keep = np.isfinite(vm_admit)
@@ -234,16 +239,14 @@ def _prefix_sum_feasible(
     return bool(np.all(running[is_arrival] <= limits))
 
 
-def _exact_quota_replay(
-    tables, vm_b, pvm_b, ps_b, vm_rank, pvm_rank, ps_rank, limits, H, config
-):
+def _exact_quota_replay(tables, vm_b, pvm_b, ps_b, vm_rank, pvm_rank, ps_rank, limits, H):
     """The serial quota sweep over table rows.
 
     Heap keys ``(time, rank, family, row)``, one retry-rank counter, the
-    strict ``< t`` release rule, the cohort's retry policy — run only
-    when the fast path's no-retry hypothesis fails.
+    strict ``< t`` release rule, :data:`QUOTA_RETRY` — run only when the
+    fast path's no-retry hypothesis fails.
     """
-    policy = config.quota_retry
+    policy = QUOTA_RETRY
     lim = limits.tolist()
     in_use = [0.0] * len(lim)
     releases: list[tuple[float, int, tuple[float, ...]]] = []

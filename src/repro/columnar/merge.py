@@ -35,8 +35,8 @@ holding all records sorted at once:
   :data:`DIGEST_SLICE_ROWS` sorted rows with one ``update``.
 * **Totals.** ``quantity * (end - start)`` per row, summed with
   :func:`repro.common.numerics.stable_sum` over the whole multiset —
-  exactly equal to ``total_unit_hours`` over the materialized records,
-  independent of bucketing.
+  exactly equal to the same sum of ``UsageRecord.unit_hours`` over the
+  materialized records, independent of bucketing.
 
 ``spill_dir`` bounds memory further for huge cohorts: full buckets are
 flushed to ``.npz`` scratch files and reloaded one bucket at a time

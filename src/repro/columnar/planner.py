@@ -356,7 +356,7 @@ def plan_columns(
     if faults is not None:
         raw = faults.apply(raw, schema=schema, semester_hours=course.semester_hours)
     info: dict[str, bool] = {}
-    raw = sweep_kvm_quota(raw, course=course, config=config, info=info, schema=schema)
+    raw = sweep_kvm_quota(raw, course=course, info=info, schema=schema)
     raw = sweep_lease_calendar(raw, course=course, info=info, schema=schema)
     return ColumnarPlan(
         seed=config.seed,

@@ -42,7 +42,7 @@ per-student cost (Fig 2) emerges from the behaviour model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
@@ -50,11 +50,9 @@ import numpy as np
 from repro.cloud.inventory import CHAMELEON_NODE_TYPES, EDGE_DEVICE_TYPES
 from repro.cloud.metering import UsageRecord
 from repro.cloud.quota import Quota
-from repro.cloud.site import Site
 from repro.cloud.testbed import Testbed, chameleon
-from repro.common.errors import ConflictError, QuotaExceededError, ValidationError
+from repro.common.errors import ValidationError
 from repro.common.numerics import ndtr, ndtri
-from repro.common.retry import RetryPolicy
 from repro.core.course import COURSE, KVM_SITE, CourseDefinition, LabKind
 from repro.core.usage import canonicalize_records
 
@@ -73,10 +71,6 @@ class CohortConfig:
 
     seed: int = 42
     participation: float = 1.0  # fraction of students attempting each lab
-    # how a student reacts to quota exhaustion: check again every 6 hours,
-    # give up after 60 retries (the historical reactive behaviour, now one
-    # policy object shared with the fault layer's relaunch logic)
-    quota_retry: RetryPolicy = RetryPolicy.quota_default()
     vm_reaper: bool = False  # ablation: auto-terminate VM labs at expected+grace
     vm_reaper_grace: float = 2.0  # hours beyond expected before the reaper fires
     # per-student "negligence propensity": one lognormal factor applied to a
@@ -396,18 +390,17 @@ def plan_cohort(
 #
 # Executing a shard schedules its activities onto whatever testbed it is
 # handed: the serial path hands every shard the one shared testbed, the
-# parallel path hands each worker a fresh one.  The callbacks below are
-# the same provisioning flows the reactive simulator used; the retry /
-# conflict branches are kept as a defensive mirror but are dead code for
-# plan-admitted activities (see :mod:`repro.columnar.admission`).
+# parallel path hands each worker a fresh one.  Execution decides
+# nothing: plan-time admission (:mod:`repro.columnar.admission`) already
+# fixed every start, so the callbacks only provision and tear down.  A
+# quota or lease-calendar error from the testbed can only mean that
+# admission was wrong, so it propagates out of ``run_until`` unhandled.
 
 
-def execute_shard(
-    shard: ShardPlan, testbed: Testbed, *, semester_hours: float, config: CohortConfig
-) -> None:
+def execute_shard(shard: ShardPlan, testbed: Testbed, *, semester_hours: float) -> None:
     """Schedule every activity of ``shard`` onto ``testbed``."""
     for act in shard.vm_labs:
-        _schedule_vm_set(testbed, act, semester_hours, config)
+        _schedule_vm_set(testbed, act, semester_hours)
     for slot_act in shard.slots:
         _schedule_slot(testbed, slot_act)
     for vm_act in shard.project_vms:
@@ -418,87 +411,53 @@ def execute_shard(
         _schedule_project_storage(testbed, storage_act, semester_hours)
 
 
-def _schedule_vm_set(
-    testbed: Testbed, act: VmLabActivity, semester_hours: float, config: CohortConfig
-) -> None:
+def _schedule_vm_set(testbed: Testbed, act: VmLabActivity, semester_hours: float) -> None:
     site = testbed.site(KVM_SITE)
-    testbed.loop.schedule(
-        act.start,
-        lambda: _provision_vm_set(testbed, site, act, semester_hours, config, retries=0),
-        label=f"{act.lab_id}:{act.user}:provision",
-    )
 
-
-def _provision_vm_set(
-    testbed: Testbed,
-    site: Site,
-    act: VmLabActivity,
-    semester_hours: float,
-    config: CohortConfig,
-    *,
-    retries: int,
-) -> None:
-    now = testbed.clock.now
-    end = min(now + act.duration, semester_hours - 1e-6)
-    if end <= now:
-        return
-    try:
+    def provision() -> None:
+        now = testbed.clock.now
+        end = min(now + act.duration, semester_hours - 1e-6)
+        if end <= now:
+            return
         fip = site.network.allocate_floating_ip("course", lab=act.lab_id, user=act.user)
-        servers = []
-        try:
-            for k in range(act.vm_count):
-                servers.append(
-                    site.compute.create_server(
-                        "course", f"{act.user}-{act.lab_id}-node{k}", act.flavor,
-                        user=act.user, lab=act.lab_id,
-                    )
-                )
-        except QuotaExceededError:
+        servers = [
+            site.compute.create_server(
+                "course", f"{act.user}-{act.lab_id}-node{k}", act.flavor,
+                user=act.user, lab=act.lab_id,
+            )
+            for k in range(act.vm_count)
+        ]
+        site.compute.associate_floating_ip(servers[0].id, fip.id)
+        volume = None
+        if act.block_gb:
+            volume = site.block_storage.create_volume(
+                "course", f"{act.user}-{act.lab_id}-vol", act.block_gb,
+                user=act.user, lab=act.lab_id,
+            )
+            site.block_storage.attach(volume.id, servers[0].id)
+
+        def teardown() -> None:
             for s in servers:
-                site.compute.delete_server(s.id)
-            site.network.release_floating_ip(fip.id)
-            raise
-    except QuotaExceededError:
-        if not config.quota_retry.allows_retry(retries, elapsed_hours=now - act.start):
-            return  # the student gives up this week
-        testbed.loop.schedule(
-            now + config.quota_retry.backoff_hours(retries + 1),
-            lambda: _provision_vm_set(
-                testbed, site, act, semester_hours, config, retries=retries + 1
-            ),
-            label=f"{act.lab_id}:{act.user}:retry",
-        )
-        return
+                if s.id in site.compute.servers:
+                    site.compute.delete_server(s.id)
+            if fip.id in site.network.floating_ips:
+                site.network.release_floating_ip(fip.id)
+            if volume is not None and volume.id in site.block_storage.volumes:
+                site.block_storage.detach(volume.id)
+                site.block_storage.delete_volume(volume.id)
 
-    site.compute.associate_floating_ip(servers[0].id, fip.id)
-    volume = None
-    if act.block_gb:
-        volume = site.block_storage.create_volume(
-            "course", f"{act.user}-{act.lab_id}-vol", act.block_gb, user=act.user, lab=act.lab_id
-        )
-        site.block_storage.attach(volume.id, servers[0].id)
+        testbed.loop.schedule(end, teardown, label=f"{act.lab_id}:{act.user}:teardown")
+        if act.object_gb:
+            # object data persists as long as the lab instance
+            testbed.loop.schedule(
+                end,
+                lambda: site.object_storage.record_external_usage(
+                    "course", gb=act.object_gb, hours=end - now, user=act.user, lab=act.lab_id
+                ),
+                label=f"{act.lab_id}:{act.user}:objspan",
+            )
 
-    def teardown(servers=servers, fip=fip, volume=volume) -> None:
-        for s in servers:
-            if s.id in site.compute.servers:
-                site.compute.delete_server(s.id)
-        if fip.id in site.network.floating_ips:
-            site.network.release_floating_ip(fip.id)
-        if volume is not None and volume.id in site.block_storage.volumes:
-            site.block_storage.detach(volume.id)
-            site.block_storage.delete_volume(volume.id)
-
-    testbed.loop.schedule(max(now, end), teardown, label=f"{act.lab_id}:{act.user}:teardown")
-    if act.object_gb:
-        # object data persists as long as the lab instance
-        span_hours = max(0.0, end - now)
-        testbed.loop.schedule(
-            max(now, end),
-            lambda: site.object_storage.record_external_usage(
-                "course", gb=act.object_gb, hours=span_hours, user=act.user, lab=act.lab_id
-            ),
-            label=f"{act.lab_id}:{act.user}:objspan",
-        )
+    testbed.loop.schedule(act.start, provision, label=f"{act.lab_id}:{act.user}:provision")
 
 
 def _schedule_slot(testbed: Testbed, act: SlotActivity) -> None:
@@ -506,16 +465,11 @@ def _schedule_slot(testbed: Testbed, act: SlotActivity) -> None:
 
     def provision() -> None:
         now = testbed.clock.now
-        try:
-            lease = site.leases.create_lease(
-                "course", act.node_type,
-                start=now, end=now + act.slot_hours,
-                user=act.user, lab=act.lab_id,
-            )
-        except ConflictError:
-            # calendar contention: take the next slot
-            _schedule_slot(testbed, replace(act, start=now + act.slot_hours))
-            return
+        lease = site.leases.create_lease(
+            "course", act.node_type,
+            start=now, end=now + act.slot_hours,
+            user=act.user, lab=act.lab_id,
+        )
         fip = site.network.allocate_floating_ip("course", lab=act.lab_id, user=act.user)
         if act.edge:
             site.compute.create_edge_session(
@@ -544,17 +498,13 @@ def _schedule_project_vm(testbed: Testbed, act: ProjectVmActivity, semester_hour
     site = testbed.site(KVM_SITE)
 
     def provision() -> None:
+        server = site.compute.create_server(
+            "course", f"{act.user}-{act.flavor}", act.flavor, user=act.user, lab="project"
+        )
         fip = None
-        try:
-            server = site.compute.create_server(
-                "course", f"{act.user}-{act.flavor}", act.flavor, user=act.user, lab="project"
-            )
-            if act.with_fip:
-                fip = site.network.allocate_floating_ip("course", lab="project", user=act.user)
-                site.compute.associate_floating_ip(server.id, fip.id)
-        except QuotaExceededError:
-            testbed.loop.schedule_in(12.0, provision, label=f"project:{act.user}:retry")
-            return
+        if act.with_fip:
+            fip = site.network.allocate_floating_ip("course", lab="project", user=act.user)
+            site.compute.associate_floating_ip(server.id, fip.id)
         end = min(testbed.clock.now + act.hours, semester_hours - 1e-6)
 
         def teardown() -> None:
@@ -569,7 +519,7 @@ def _schedule_project_vm(testbed: Testbed, act: ProjectVmActivity, semester_hour
 
 
 def _schedule_project_lease(
-    testbed: Testbed, act: ProjectLeaseActivity, semester_hours: float, *, retries: int = 0
+    testbed: Testbed, act: ProjectLeaseActivity, semester_hours: float
 ) -> None:
     site = testbed.site(act.site)
 
@@ -578,17 +528,9 @@ def _schedule_project_lease(
         end = min(now + act.hours, semester_hours - 1e-6)
         if end <= now:
             return
-        try:
-            lease = site.leases.create_lease(
-                "course", act.node_type, start=now, end=end, user=act.user, lab="project"
-            )
-        except ConflictError:
-            if retries < 200:  # calendar contention: try the next slot
-                _schedule_project_lease(
-                    testbed, replace(act, start=now + act.hours), semester_hours,
-                    retries=retries + 1,
-                )
-            return
+        lease = site.leases.create_lease(
+            "course", act.node_type, start=now, end=end, user=act.user, lab="project"
+        )
         if act.edge_session:
             site.compute.create_edge_session(
                 "course", f"{act.user}-{act.node_type}", act.node_type, lease.id,
@@ -664,31 +606,21 @@ class CohortSimulation:
         config: CohortConfig | None = None,
         *,
         faults: FaultModel | None = None,
-        plan: CohortPlan | None = None,
     ) -> None:
         self.course = course
         self.config = config if config is not None else CohortConfig()
         self.faults = faults
         self.testbed: Testbed = chameleon(quota=quota_for(course))
         self._ran = False
-        # an injected plan (e.g. one already fault-swept) is reused as-is,
-        # so serial and parallel runs of the same plan share its bytes
-        self._plan: CohortPlan | None = plan
-
-    def plan(self) -> CohortPlan:
-        """The resolved semester plan (computed once, cached)."""
-        if self._plan is None:
-            self._plan = plan_cohort(self.course, self.config, faults=self.faults)
-        return self._plan
 
     def run(self, *, include_project: bool = True) -> list[UsageRecord]:
         """Simulate the semester and return all usage records."""
         if self._ran:
             raise ValidationError("simulation already ran; build a fresh CohortSimulation")
         self._ran = True
-        plan = self.plan()
+        plan = plan_cohort(self.course, self.config, faults=self.faults)
         for shard in plan.shards(include_project=include_project):
-            execute_shard(shard, self.testbed, semester_hours=plan.semester_hours, config=self.config)
+            execute_shard(shard, self.testbed, semester_hours=plan.semester_hours)
         self.testbed.run_until(plan.semester_hours)
         cleanup_leftovers(self.testbed)
         return canonicalize_records([self.testbed.usage_records()])

@@ -12,7 +12,9 @@ This package adds a seeded fault layer in two halves:
   :class:`~repro.faults.plan.FaultCalendar`, and a
   :class:`~repro.faults.sweep.FaultSweep` rewrites the planner's raw
   activity tables — killed segments, backoff-delayed relaunches with redo
-  hours, abandoned labs — *before* the admission sweeps.  Execution
+  hours, abandoned labs — *before* the admission sweeps.  Every cohort
+  engine takes the sweep the same way, as ``faults=FaultSweep(calendar)``,
+  and the ledger is read from the sweep afterwards.  Execution
   stays RNG-free, so ``run_parallel(workers=N)`` and ``run_columnar``
   remain sha256 digest-identical to the serial run under any fault plan,
   and the empty calendar is byte-identical to no fault layer at all.
@@ -54,7 +56,6 @@ if TYPE_CHECKING:  # bound on first use by __getattr__ below
         FaultLedger,
         FaultSweep,
         HardwareFailure,
-        plan_faulted_cohort,
     )
 
 __all__ = [
@@ -71,7 +72,6 @@ __all__ = [
     "build_outage_calendar",
     "build_serving_calendar",
     "partial_serving_site",
-    "plan_faulted_cohort",
     "serving_scope",
     "FaultInjector",
     "InjectorStats",

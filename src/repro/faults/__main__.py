@@ -22,14 +22,14 @@ import argparse
 import json
 import sys
 
+from repro.common.numerics import stable_sum
 from repro.core.cohort import CohortConfig
 from repro.core.costmodel import OutageScenario
 from repro.core.course import COURSE, scaled_course
 from repro.core.report import fault_accounting, outage_whatif, records_digest
-from repro.faults.plan import FaultPlanConfig
-from repro.faults.sweep import plan_faulted_cohort
-from repro.parallel.engine import execute_plan
-from repro.parallel.merge import merge_shard_records, total_unit_hours
+from repro.faults.plan import FaultPlanConfig, build_fault_calendar
+from repro.faults.sweep import FaultSweep
+from repro.parallel.engine import run_parallel
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,6 +77,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.whatif and args.json == "-":
         parser.error("--whatif does not apply with --json - (the JSON summary has no what-if)")
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1: {args.workers}")
     course = COURSE if args.scale == 1.0 else scaled_course(args.scale)
     config = CohortConfig(seed=args.seed)
     fault_config = FaultPlanConfig(
@@ -86,11 +88,10 @@ def main(argv: list[str] | None = None) -> int:
         burst_rate_per_week=args.burst_rate,
     )
 
-    plan, ledger = plan_faulted_cohort(course, config, fault_config)
-    results = execute_plan(plan, config, workers=args.workers)
-    records = merge_shard_records([r.records for r in results])
+    sweep = FaultSweep(build_fault_calendar(fault_config, horizon_hours=course.semester_hours))
+    records = run_parallel(course, config, workers=args.workers, faults=sweep)
     digest = records_digest(records)
-    report = fault_accounting(ledger, course=course)
+    report = fault_accounting(sweep.ledger, course=course)
 
     summary: dict[str, object] = {
         "seed": args.seed,
@@ -98,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         "workers": args.workers,
         "students": course.enrollment,
         "records": len(records),
-        "unit_hours": round(total_unit_hours(records), 3),
+        "unit_hours": round(stable_sum(rec.unit_hours for rec in records), 3),
         "fault_events": report.events,
         "hardware_kills": report.hardware_kills,
         "outage_kills": report.outage_kills,

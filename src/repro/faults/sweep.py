@@ -2,10 +2,13 @@
 
 A :class:`FaultSweep` resolves a :class:`~repro.faults.plan.FaultCalendar`
 into rewritten rows of the planner's raw activity tables, with fully
-absolute times, before the admission sweeps run.  Execution stays
-RNG-free, so every engine's digest contract survives any fault plan,
-and the *empty* calendar returns the very same tables.  Every rewrite
-is booked in a :class:`FaultLedger`, which
+absolute times, before the admission sweeps run.  It is the one way a
+fault plan enters a cohort engine: ``CohortSimulation``,
+``run_parallel`` and ``run_columnar`` each take
+``faults=FaultSweep(calendar)``.  Execution stays RNG-free, so every
+engine's digest contract survives any fault plan, and the *empty*
+calendar returns the very same tables.  Every rewrite is booked in the
+sweep's :class:`FaultLedger`, which
 :func:`repro.core.report.fault_accounting` prices.
 """
 
@@ -19,9 +22,8 @@ import numpy as np
 from repro.columnar.schema import SITE_NAMES
 from repro.common.errors import InvalidStateError
 from repro.common.retry import RetryPolicy
-from repro.core.cohort import CohortConfig, CohortPlan, plan_cohort
-from repro.core.course import COURSE, KVM_SITE, CourseDefinition
-from repro.faults.plan import FaultCalendar, FaultPlanConfig, build_fault_calendar
+from repro.core.course import KVM_SITE
+from repro.faults.plan import FaultCalendar
 
 if TYPE_CHECKING:
     from repro.columnar.planner import ActivityTables
@@ -30,6 +32,11 @@ if TYPE_CHECKING:
 #: Segments shorter than this are dropped rather than scheduled (a VM set
 #: that would be torn down the instant it boots produces no usage).
 _MIN_SEGMENT_HOURS = 1e-6
+
+#: How a student reacts to a killed lab or a site outage (site-down timescale).
+RELAUNCH = RetryPolicy.relaunch_default()
+#: How a provisioning call reacts to an API-error burst (rate-limit timescale).
+TRANSIENT = RetryPolicy.transient_default()
 
 
 # -- the ledger --------------------------------------------------------------------
@@ -128,21 +135,16 @@ class FaultSweep:
     """Applies a :class:`FaultCalendar` to raw activity tables (pre-admission).
 
     Implements the planner's :class:`~repro.core.cohort.FaultModel`
-    protocol.  One sweep = one ledger: applying the same sweep twice
-    would double-count accounting, so a second ``apply`` raises — plan
-    once, then hand the *plan* to both serial and parallel executors.
+    protocol, the one way a fault plan enters any cohort engine
+    (``faults=FaultSweep(calendar)``); the ledger is read from
+    :attr:`ledger` after the run.  One sweep = one ledger: applying the
+    same sweep twice would double-count accounting, so a second
+    ``apply`` raises — a second run takes a fresh sweep over the same
+    calendar, which resolves to the same plan.
     """
 
-    def __init__(
-        self,
-        calendar: FaultCalendar,
-        *,
-        relaunch: RetryPolicy | None = None,
-        transient: RetryPolicy | None = None,
-    ) -> None:
+    def __init__(self, calendar: FaultCalendar) -> None:
         self.calendar = calendar
-        self.relaunch = relaunch if relaunch is not None else RetryPolicy.relaunch_default()
-        self.transient = transient if transient is not None else RetryPolicy.transient_default()
         self.ledger = FaultLedger()
         self._applied = False
 
@@ -161,7 +163,7 @@ class FaultSweep:
         """
         if self._applied:
             raise InvalidStateError(
-                "FaultSweep already applied; build a fresh sweep (or reuse the plan)"
+                "FaultSweep already applied; build a fresh sweep over the same calendar"
             )
         self._applied = True
         if self.calendar.empty:
@@ -288,16 +290,14 @@ class FaultSweep:
 
             relaunches += 1
             u = float(rng.random())  # one draw per relaunch, jitter or not
-            if not self.relaunch.allows_retry(
-                relaunches - 1, elapsed_hours=kill_t - start
-            ):
+            if not RELAUNCH.allows_retry(relaunches - 1, elapsed_hours=kill_t - start):
                 self.ledger.add(FaultEvent(
                     kind="abandoned", site=site, user=user, lab=lab,
                     resource_type=resource, at=kill_t,
                     lost_hours=left * instances,
                 ))
                 return out
-            next_start = kill_t + self.relaunch.backoff_hours(relaunches, u=u)
+            next_start = kill_t + RELAUNCH.backoff_hours(relaunches, u=u)
             if kind == "outage_kill" and window is not None:
                 next_start = max(next_start, window.end)
             next_start = cal.next_clear(site, next_start)
@@ -369,9 +369,9 @@ class FaultSweep:
     ) -> float | None:
         """First admissible start >= ``t`` for an interval of ``hours``.
 
-        Outage conflicts retry on the relaunch policy (site-down
-        timescale), burst conflicts on the transient policy (rate-limit
-        timescale); exhausting either budget abandons the attempt.
+        Outage conflicts retry on :data:`RELAUNCH` (site-down timescale),
+        burst conflicts on :data:`TRANSIENT` (rate-limit timescale);
+        exhausting either budget abandons the attempt.
         """
         cal = self.calendar
         outage_retries = 0
@@ -385,48 +385,19 @@ class FaultSweep:
             )
             if window is not None:
                 outage_retries += 1
-                if not self.relaunch.allows_retry(
-                    outage_retries - 1, elapsed_hours=t - t0
-                ):
+                if not RELAUNCH.allows_retry(outage_retries - 1, elapsed_hours=t - t0):
                     return None
                 u = float(rng.random())
-                t = max(window.end, t + self.relaunch.backoff_hours(outage_retries, u=u))
+                t = max(window.end, t + RELAUNCH.backoff_hours(outage_retries, u=u))
                 continue
             burst = cal.burst_at(site, t)
             if burst is not None:
                 burst_retries += 1
-                if not self.transient.allows_retry(
-                    burst_retries - 1, elapsed_hours=t - t0
-                ):
+                if not TRANSIENT.allows_retry(burst_retries - 1, elapsed_hours=t - t0):
                     return None
                 u = float(rng.random())
-                t = t + self.transient.backoff_hours(burst_retries, u=u)
+                t = t + TRANSIENT.backoff_hours(burst_retries, u=u)
                 continue
             return t
         return None
 
-
-# -- the front door ----------------------------------------------------------------
-
-
-def plan_faulted_cohort(
-    course: CourseDefinition = COURSE,
-    config: CohortConfig | None = None,
-    fault_config: FaultPlanConfig | None = None,
-    *,
-    relaunch: RetryPolicy | None = None,
-    transient: RetryPolicy | None = None,
-) -> tuple[CohortPlan, FaultLedger]:
-    """Plan one semester under a fault plan; returns (plan, ledger).
-
-    The returned plan is an ordinary :class:`~repro.core.cohort.CohortPlan`
-    — hand it to ``CohortSimulation(plan=...)`` for the serial reference
-    or ``repro.parallel.execute_plan`` for the pool; both produce the
-    same record digest because all fault resolution happened here.
-    """
-    cfg = config if config is not None else CohortConfig()
-    fcfg = fault_config if fault_config is not None else FaultPlanConfig()
-    calendar = build_fault_calendar(fcfg, horizon_hours=course.semester_hours)
-    sweep = FaultSweep(calendar, relaunch=relaunch, transient=transient)
-    plan = plan_cohort(course, cfg, faults=sweep)
-    return plan, sweep.ledger

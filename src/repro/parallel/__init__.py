@@ -9,10 +9,12 @@ testbed, and the resulting :class:`~repro.cloud.metering.UsageRecord`
 shards are reduced under a canonical total order.  The contract — tested
 in ``tests/parallel`` and gated in CI — is that
 
-    ``run_parallel(course, config, workers=N)``
+    ``run_parallel(course, config, workers=N, faults=sweep)``
 
 is **digest-identical** to the serial ``CohortSimulation(course,
-config).run()`` for every seed and every ``N``.
+config, faults=sweep).run()`` for every seed, every ``N`` and every
+fault calendar (each run takes its own
+:class:`~repro.faults.sweep.FaultSweep` over the shared calendar).
 
 Why that holds (the short version; EXPERIMENTS.md has the long one):
 
@@ -43,7 +45,6 @@ if TYPE_CHECKING:  # bound on first use by __getattr__ below
         run_parallel,
         run_parallel_supervised,
     )
-    from repro.parallel.merge import merge_shard_records, total_unit_hours
     from repro.parallel.planner import batch_shards
 
 __all__ = [
@@ -55,14 +56,12 @@ __all__ = [
     "SupervisorHalt",
     "SupervisorPolicy",
     "batch_shards",
-    "merge_shard_records",
-    "total_unit_hours",
 ]
 
 
 def __getattr__(name: str) -> object:
     if name in __all__:
-        for module in ("repro.parallel.merge", "repro.parallel.planner", "repro.parallel.engine"):
+        for module in ("repro.parallel.planner", "repro.parallel.engine"):
             namespace = vars(importlib.import_module(module))
             if name in namespace:
                 globals()[name] = namespace[name]

@@ -62,7 +62,7 @@ from repro.core.cohort import (
     quota_for,
 )
 from repro.core.course import COURSE, CourseDefinition
-from repro.parallel.merge import merge_shard_records
+from repro.core.usage import canonicalize_records
 from repro.parallel.planner import batch_shards
 from repro.parallel.pool import _pool_context
 
@@ -192,7 +192,6 @@ class _ShardBatch:
     shards: tuple[ShardPlan, ...]
     semester_hours: float
     quota: Quota
-    config: CohortConfig
     crash_after: str | None = None
     crash_mode: str = "sigkill"
 
@@ -202,15 +201,12 @@ def _execute_batch(batch: _ShardBatch) -> list[ShardResult]:
 
     Every shard gets the full course quota and lease inventory — safe
     because plan-time admission already guaranteed the *whole cohort*
-    fits, so any subset fits a fortiori and no retry/conflict path can
-    fire here that would not also fire serially (namely: none).
+    fits, so any subset fits a fortiori.
     """
     results: list[ShardResult] = []
     for shard in batch.shards:
         testbed = chameleon(quota=batch.quota)
-        execute_shard(
-            shard, testbed, semester_hours=batch.semester_hours, config=batch.config
-        )
+        execute_shard(shard, testbed, semester_hours=batch.semester_hours)
         fired = testbed.run_until(batch.semester_hours)
         cleanup_leftovers(testbed)
         results.append(
@@ -236,7 +232,6 @@ class _Supervisor:
     def __init__(
         self,
         plan: CohortPlan,
-        config: CohortConfig,
         *,
         workers: int,
         include_project: bool,
@@ -244,7 +239,6 @@ class _Supervisor:
         policy: SupervisorPolicy,
     ) -> None:
         self.plan = plan
-        self.config = config
         self.workers = workers
         self.journal = journal
         self.policy = policy
@@ -348,7 +342,6 @@ class _Supervisor:
                     shards=group,
                     semester_hours=self.plan.semester_hours,
                     quota=self.plan.quota,
-                    config=self.config,
                     crash_after=None if self._serial_mode else self._batch_crash_order(group),
                     crash_mode=self.policy.crash_mode,
                 )
@@ -418,56 +411,6 @@ class _Supervisor:
 # -- public API --------------------------------------------------------------------
 
 
-def execute_plan_supervised(
-    plan: CohortPlan,
-    config: CohortConfig,
-    *,
-    workers: int = 2,
-    include_project: bool = True,
-    journal: ShardJournal | None = None,
-    policy: SupervisorPolicy | None = None,
-) -> SupervisedRun:
-    """Execute a plan under the crash-recovering supervisor.
-
-    With a ``journal``, completed batches are durably framed as they
-    arrive and a fresh call over the same journal resumes instead of
-    re-executing (see :mod:`repro.checkpoint`).  Crash semantics: lost
-    shards are retried within ``policy.retry``'s attempt budget, repeat
-    offenders raise :class:`~repro.common.errors.PoisonedShardError`, and
-    after ``policy.pool_crash_limit`` consecutive pool losses the
-    remainder runs in-process where no worker death can reach it.
-    """
-    if workers < 1:
-        raise ValidationError(f"workers must be positive: {workers!r}")
-    supervisor = _Supervisor(
-        plan,
-        config,
-        workers=workers,
-        include_project=include_project,
-        journal=journal,
-        policy=policy if policy is not None else SupervisorPolicy(),
-    )
-    return supervisor.run()
-
-
-def execute_plan(
-    plan: CohortPlan,
-    config: CohortConfig,
-    *,
-    workers: int = 2,
-    include_project: bool = True,
-) -> list[ShardResult]:
-    """Execute an already-computed plan across ``workers`` processes.
-
-    ``workers=1`` runs the same per-shard isolation in-process (no pool),
-    which is the cheapest way to exercise shard independence + merge.
-    """
-    run = execute_plan_supervised(
-        plan, config, workers=workers, include_project=include_project
-    )
-    return list(run.results)
-
-
 def run_parallel_supervised(
     course: CourseDefinition = COURSE,
     config: CohortConfig | None = None,
@@ -480,13 +423,21 @@ def run_parallel_supervised(
 ) -> tuple[list[UsageRecord], SupervisedRun]:
     """Plan, execute under the supervisor, merge; returns records + telemetry.
 
-    With ``journal_dir``, the run is resumable: a
+    With ``journal_dir``, completed batches are durably framed as they
+    arrive and a fresh call over the same journal resumes instead of
+    re-executing (see :mod:`repro.checkpoint`).  A
     :class:`~repro.checkpoint.manifest.RunManifest` keyed by (course
     digest, seed, cohort size, fault-plan digest) is validated before any
     journaled shard is trusted — resuming against changed inputs raises
     :class:`~repro.checkpoint.manifest.StaleJournalError` instead of
-    silently merging two different semesters.
+    silently merging two different semesters.  Crash semantics: lost
+    shards are retried within ``policy.retry``'s attempt budget, repeat
+    offenders raise :class:`~repro.common.errors.PoisonedShardError`, and
+    after ``policy.pool_crash_limit`` consecutive pool losses the
+    remainder runs in-process where no worker death can reach it.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be positive: {workers!r}")
     cfg = config if config is not None else CohortConfig()
     plan = plan_cohort(course, cfg, faults=faults)
     journal: ShardJournal | None = None
@@ -500,15 +451,14 @@ def run_parallel_supervised(
             manifest.save(journal_dir)
         else:
             existing.require_match(manifest, journal_dir=journal_dir)
-    run = execute_plan_supervised(
+    run = _Supervisor(
         plan,
-        cfg,
         workers=workers,
         include_project=include_project,
         journal=journal,
-        policy=policy,
-    )
-    return merge_shard_records([r.records for r in run.results]), run
+        policy=policy if policy is not None else SupervisorPolicy(),
+    ).run()
+    return canonicalize_records([r.records for r in run.results]), run
 
 
 def run_parallel(
@@ -553,8 +503,6 @@ __all__ = [
     "SupervisedRun",
     "SupervisorHalt",
     "SupervisorPolicy",
-    "execute_plan",
-    "execute_plan_supervised",
     "run_parallel",
     "run_parallel_supervised",
     "quota_for",

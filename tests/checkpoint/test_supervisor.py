@@ -78,6 +78,15 @@ class TestCrashMapping:
         with pytest.raises(ValidationError):
             run_parallel(SMALL, CohortConfig(seed=SEED), workers=0)
 
+    def test_invalid_workers_create_no_journal(self, tmp_path):
+        """``workers`` is checked before the plan, the journal or its manifest."""
+        journal = tmp_path / "journal"
+        with pytest.raises(ValidationError, match="workers"):
+            run_parallel_supervised(
+                SMALL, CohortConfig(seed=SEED), workers=0, journal_dir=journal
+            )
+        assert not journal.exists()
+
 
 class TestRecovery:
     def test_single_sigkill_self_heals_to_the_serial_digest(self, serial_digest):

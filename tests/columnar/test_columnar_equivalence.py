@@ -14,6 +14,7 @@ the digest.
 import pytest
 
 from repro.columnar import run_columnar
+from repro.common.numerics import stable_sum
 from repro.core import (
     CohortSimulation,
     fig2_cost_distribution,
@@ -92,10 +93,8 @@ def test_paper_artifacts_identical_from_columnar_records(serial_full):
 def test_unit_hours_match_serial_exactly(serial_full):
     """The streamed fsum total equals the object path's fsum total with
     zero tolerance — both are correctly-rounded sums of the same multiset."""
-    from repro.parallel import total_unit_hours
-
     run = run_columnar(COURSE, CohortConfig())
-    assert run.unit_hours == total_unit_hours(serial_full)
+    assert run.unit_hours == stable_sum(rec.unit_hours for rec in serial_full)
 
 
 def test_different_seed_changes_columnar_output():

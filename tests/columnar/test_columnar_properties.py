@@ -24,11 +24,11 @@ from hypothesis import strategies as st
 import repro.cloud.testbed
 from repro.cloud.quota import Quota
 from repro.columnar import admission, plan_columns, run_columnar
+from repro.common.numerics import stable_sum
 from repro.core import records_digest, scaled_course
 from repro.core.cohort import CohortConfig, CohortSimulation, SlotCalendar
 from repro.faults.plan import FaultPlanConfig, build_fault_calendar
-from repro.faults.sweep import FaultSweep, plan_faulted_cohort
-from repro.parallel import total_unit_hours
+from repro.faults.sweep import FaultSweep
 
 #: 48-student cohort: big enough to populate every activity family.
 SMALL = scaled_course(0.25)
@@ -83,7 +83,7 @@ def test_unit_hours_conserved_exactly(seed, n_buckets):
     run = run_columnar(
         ONE, CohortConfig(seed=seed), n_buckets=n_buckets, collect_records=True
     )
-    assert run.unit_hours == total_unit_hours(run.record_list)
+    assert run.unit_hours == stable_sum(rec.unit_hours for rec in run.record_list)
     assert run.digest == records_digest(run.record_list)
     assert math.isfinite(run.unit_hours) and run.unit_hours >= 0.0
 
@@ -144,8 +144,7 @@ def test_fault_plan_matches_serial(fault_config):
     config = CohortConfig(seed=SEED)
     calendar = build_fault_calendar(fault_config, horizon_hours=SMALL.semester_hours)
     faulted = run_columnar(SMALL, config, faults=FaultSweep(calendar))
-    plan, _ = plan_faulted_cohort(SMALL, config, fault_config)
-    serial = CohortSimulation(SMALL, config, plan=plan).run()
+    serial = CohortSimulation(SMALL, config, faults=FaultSweep(calendar)).run()
     assert faulted.digest == records_digest(serial)
     assert faulted.digest != run_columnar(SMALL, config).digest
 

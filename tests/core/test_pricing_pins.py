@@ -26,10 +26,9 @@ from repro.core.report import (
     spot_whatif,
     table1,
 )
-from repro.faults import FaultPlanConfig, plan_faulted_cohort
+from repro.faults import FaultPlanConfig, FaultSweep, build_fault_calendar
 from repro.faults.__main__ import main as faults_main
-from repro.parallel.engine import execute_plan
-from repro.parallel.merge import merge_shard_records
+from repro.parallel.engine import run_parallel
 from repro.spot import commercial_rate_fn
 
 #: The "rough semester" of examples/outage_whatif.py.
@@ -116,10 +115,9 @@ def sha256(text: str) -> str:
 
 @pytest.fixture(scope="module")
 def rough_run():
-    config = CohortConfig(seed=42)
-    plan, ledger = plan_faulted_cohort(COURSE, config, ROUGH)
-    results = execute_plan(plan, config, workers=1)
-    return merge_shard_records([r.records for r in results]), ledger
+    sweep = FaultSweep(build_fault_calendar(ROUGH, horizon_hours=COURSE.semester_hours))
+    records = run_parallel(COURSE, CohortConfig(seed=42), workers=1, faults=sweep)
+    return records, sweep.ledger
 
 
 @pytest.fixture(scope="module")

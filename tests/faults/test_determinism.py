@@ -12,9 +12,8 @@ from repro.core.cohort import CohortConfig, CohortSimulation, plan_cohort
 from repro.core.course import scaled_course
 from repro.core.report import records_digest
 from repro.faults.plan import FaultPlanConfig, build_fault_calendar
-from repro.faults.sweep import FaultSweep, plan_faulted_cohort
-from repro.parallel.engine import execute_plan
-from repro.parallel.merge import merge_shard_records
+from repro.faults.sweep import FaultSweep
+from repro.parallel.engine import run_parallel
 
 SMALL = scaled_course(0.25)
 SEEDS = (42, 7, 1234)
@@ -28,24 +27,29 @@ CHAOS = FaultPlanConfig(
 )
 
 
+def sweep_for(fault_config: FaultPlanConfig) -> FaultSweep:
+    """A fresh sweep over ``fault_config``'s calendar for the SMALL cohort."""
+    return FaultSweep(build_fault_calendar(fault_config, horizon_hours=SMALL.semester_hours))
+
+
 @pytest.fixture(scope="module")
 def faulted_runs():
-    """One faulted plan + serial reference digest per cohort seed."""
+    """One calendar, ledger and serial reference run per cohort seed."""
     runs = {}
+    calendar = build_fault_calendar(CHAOS, horizon_hours=SMALL.semester_hours)
     for seed in SEEDS:
         config = CohortConfig(seed=seed)
-        plan, ledger = plan_faulted_cohort(SMALL, config, CHAOS)
-        records = CohortSimulation(SMALL, config, plan=plan).run()
-        runs[seed] = (config, plan, ledger, records)
+        sweep = FaultSweep(calendar)
+        records = CohortSimulation(SMALL, config, faults=sweep).run()
+        runs[seed] = (config, calendar, sweep.ledger, records)
     return runs
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("workers", WORKERS)
 def test_parallel_matches_serial_under_faults(faulted_runs, seed, workers):
-    config, plan, _, serial = faulted_runs[seed]
-    results = execute_plan(plan, config, workers=workers)
-    merged = merge_shard_records([r.records for r in results])
+    config, calendar, _, serial = faulted_runs[seed]
+    merged = run_parallel(SMALL, config, workers=workers, faults=FaultSweep(calendar))
     assert records_digest(merged) == records_digest(serial)
     assert len(merged) == len(serial)
 
@@ -53,11 +57,12 @@ def test_parallel_matches_serial_under_faults(faulted_runs, seed, workers):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fault_plan_is_reproducible(seed):
     config = CohortConfig(seed=seed)
-    a, la = plan_faulted_cohort(SMALL, config, CHAOS)
-    b, lb = plan_faulted_cohort(SMALL, config, CHAOS)
+    sa, sb = sweep_for(CHAOS), sweep_for(CHAOS)
+    a = plan_cohort(SMALL, config, faults=sa)
+    b = plan_cohort(SMALL, config, faults=sb)
     assert a.student_shards == b.student_shards
     assert a.group_shards == b.group_shards
-    assert la.events == lb.events
+    assert sa.ledger.events == sb.ledger.events
 
 
 def test_faults_actually_fired(faulted_runs):
@@ -71,13 +76,14 @@ def test_null_fault_plan_matches_unfaulted_baseline():
     """FaultPlanConfig() must be invisible: same plan objects, same digest."""
     config = CohortConfig(seed=42)
     base_plan = plan_cohort(SMALL, config)
-    null_plan, ledger = plan_faulted_cohort(SMALL, config, FaultPlanConfig())
-    assert ledger.events == []
+    null = sweep_for(FaultPlanConfig())
+    null_plan = plan_cohort(SMALL, config, faults=null)
+    assert null.ledger.events == []
     assert null_plan.student_shards == base_plan.student_shards
     assert null_plan.group_shards == base_plan.group_shards
 
-    base = CohortSimulation(SMALL, config, plan=base_plan).run()
-    nulled = CohortSimulation(SMALL, config, plan=null_plan).run()
+    base = CohortSimulation(SMALL, config).run()
+    nulled = CohortSimulation(SMALL, config, faults=sweep_for(FaultPlanConfig())).run()
     assert records_digest(nulled) == records_digest(base)
 
 
@@ -86,12 +92,12 @@ def test_fault_seed_independent_of_cohort_seed(fault_seed):
     """The calendar comes from the fault plan's own seed stream, so changing
     the cohort seed must not change which windows exist."""
     cfg = FaultPlanConfig(seed=fault_seed, outage_rate_per_week=0.5)
-    _, ledger_a = plan_faulted_cohort(SMALL, CohortConfig(seed=1), cfg)
-    _, ledger_b = plan_faulted_cohort(SMALL, CohortConfig(seed=2), cfg)
+    sweep_a, sweep_b = sweep_for(cfg), sweep_for(cfg)
+    plan_cohort(SMALL, CohortConfig(seed=1), faults=sweep_a)
+    plan_cohort(SMALL, CohortConfig(seed=2), faults=sweep_b)
+    ledger_a, ledger_b = sweep_a.ledger, sweep_b.ledger
     # Different cohorts schedule different activities, so event lists differ,
     # but both were swept against the identical calendar.
-    from repro.faults.plan import build_fault_calendar
-
     horizon = SMALL.semester_hours
     assert build_fault_calendar(cfg, horizon_hours=horizon) == \
         build_fault_calendar(cfg, horizon_hours=horizon)
@@ -126,10 +132,10 @@ def test_faulted_digest_and_ledger_are_pinned(fault_config, digest, counts):
     how faults rewrite the plan, or to how admission re-validates it,
     moves one of them."""
     config = CohortConfig(seed=42)
-    plan, ledger = plan_faulted_cohort(SMALL, config, fault_config)
-    assert records_digest(CohortSimulation(SMALL, config, plan=plan).run()) == digest
-    calendar = build_fault_calendar(fault_config, horizon_hours=SMALL.semester_hours)
-    assert run_columnar(SMALL, config, faults=FaultSweep(calendar)).digest == digest
+    sweep = sweep_for(fault_config)
+    assert records_digest(CohortSimulation(SMALL, config, faults=sweep).run()) == digest
+    assert run_columnar(SMALL, config, faults=sweep_for(fault_config)).digest == digest
+    ledger = sweep.ledger
     assert (
         len(ledger.events),
         ledger.hardware_kills,

@@ -11,3 +11,11 @@ def test_whatif_with_json_stdout_is_usage_error(capsys):
         faults_main(["--outage-rate", "0.3", "--scale", "0.25", "--whatif", "--json", "-"])
     assert exc.value.code == 2
     assert "--whatif" in capsys.readouterr().err
+
+
+def test_workers_below_one_is_usage_error(capsys):
+    """Refused before anything is planned, not a traceback after it."""
+    with pytest.raises(SystemExit) as exc:
+        faults_main(["--scale", "0.1", "--workers", "0"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err

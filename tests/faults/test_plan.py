@@ -17,12 +17,18 @@ from repro.faults.plan import (
     OutageWindow,
     build_fault_calendar,
 )
-from repro.faults.sweep import FaultSweep, plan_faulted_cohort
+from repro.faults.sweep import FaultSweep
 
 SMALL = scaled_course(0.25)
 #: The raw (pre-admission) tables of a 1-student cohort; sweep inputs
 #: are one row sliced from them.
 RAW, SCHEMA = _raw_tables(scaled_course(1.0 / 191.0), CohortConfig(), workers=1)
+
+
+def faulted_plan(config, fault_config):
+    """Plan SMALL under ``fault_config``; returns (plan, ledger)."""
+    sweep = FaultSweep(build_fault_calendar(fault_config, horizon_hours=SMALL.semester_hours))
+    return plan_cohort(SMALL, config, faults=sweep), sweep.ledger
 
 
 def calendar_with(outages=(), bursts=(), config=None, horizon=1000.0):
@@ -205,7 +211,7 @@ class TestLedgerConservation:
                               hazard_rate_per_khour=5.0, burst_rate_per_week=1.0)
         config = CohortConfig()
         base = plan_cohort(SMALL, config)
-        faulted, ledger = plan_faulted_cohort(SMALL, config, cfg)
+        faulted, ledger = faulted_plan(config, cfg)
         assert ledger.events  # anti-vacuity
 
         def vm_instance_hours(plan):
@@ -225,7 +231,7 @@ class TestLedgerConservation:
 
     def test_hardware_failures_view_matches_counts(self):
         cfg = FaultPlanConfig(seed=9, hazard_rate_per_khour=10.0)
-        _, ledger = plan_faulted_cohort(SMALL, CohortConfig(), cfg)
+        _, ledger = faulted_plan(CohortConfig(), cfg)
         failures = ledger.hardware_failures()
         assert len(failures) == ledger.hardware_kills
         assert all(f.site for f in failures)
@@ -233,6 +239,6 @@ class TestLedgerConservation:
     def test_per_user_redo_sums_to_total(self):
         cfg = FaultPlanConfig(seed=9, outage_rate_per_week=0.5,
                               hazard_rate_per_khour=5.0)
-        _, ledger = plan_faulted_cohort(SMALL, CohortConfig(), cfg)
+        _, ledger = faulted_plan(CohortConfig(), cfg)
         per_user = ledger.per_user_redo_hours()
         assert sum(per_user.values()) == pytest.approx(ledger.redo_instance_hours)

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from repro.core.cohort import CohortConfig, CohortSimulation
 from repro.core.course import scaled_course
 from repro.core.report import records_digest
-from repro.faults.plan import FaultPlanConfig
-from repro.faults.sweep import plan_faulted_cohort
-from repro.parallel.engine import execute_plan
-from repro.parallel.merge import merge_shard_records
+from repro.faults.plan import FaultPlanConfig, build_fault_calendar
+from repro.faults.sweep import FaultSweep
+from repro.parallel.engine import run_parallel
 
 TINY = scaled_course(0.1)
 
@@ -31,8 +30,9 @@ fault_configs = st.builds(
 @given(fault=fault_configs, seed=st.integers(0, 1000))
 def test_cohort_always_completes_under_any_fault_plan(fault, seed):
     config = CohortConfig(seed=seed)
-    plan, ledger = plan_faulted_cohort(TINY, config, fault)
-    records = CohortSimulation(TINY, config, plan=plan).run()
+    sweep = FaultSweep(build_fault_calendar(fault, horizon_hours=TINY.semester_hours))
+    records = CohortSimulation(TINY, config, faults=sweep).run()
+    ledger = sweep.ledger
     assert records  # degraded, maybe — but never empty, never an exception
     # the ledger's books stay internally consistent at any severity
     assert ledger.lost_instance_hours >= 0
@@ -46,8 +46,7 @@ def test_cohort_always_completes_under_any_fault_plan(fault, seed):
 def test_parallel_digest_holds_under_any_fault_plan(fault):
     """The sha256 contract is not a property of nice calendars."""
     config = CohortConfig(seed=7)
-    plan, _ = plan_faulted_cohort(TINY, config, fault)
-    serial = CohortSimulation(TINY, config, plan=plan).run()
-    results = execute_plan(plan, config, workers=2)
-    merged = merge_shard_records([r.records for r in results])
+    calendar = build_fault_calendar(fault, horizon_hours=TINY.semester_hours)
+    serial = CohortSimulation(TINY, config, faults=FaultSweep(calendar)).run()
+    merged = run_parallel(TINY, config, workers=2, faults=FaultSweep(calendar))
     assert records_digest(merged) == records_digest(serial)

@@ -1,9 +1,11 @@
 """Property tests for the canonical merge.
 
-The merge is the only step where shard boundaries could leak into output,
-so Hypothesis drives it with adversarial partitions: shuffled shard order,
-empty shards, one-record shards.  All must reduce to the same canonical
-sequence, and the billing integral must be conserved exactly.
+The merge (:func:`~repro.core.usage.canonicalize_records` over the
+shards' record lists) is the only step where shard boundaries could leak
+into output, so Hypothesis drives it with adversarial partitions:
+shuffled shard order, empty shards, one-record shards.  All must reduce
+to the same canonical sequence, and the billing integral must be
+conserved exactly.
 """
 
 import math
@@ -12,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.metering import UsageRecord
-from repro.parallel import merge_shard_records, total_unit_hours
+from repro.common.numerics import stable_sum
+from repro.core.usage import canonicalize_records
 
 _SITES = ("kvm@tacc", "chi@tacc", "chi@edge")
 
@@ -50,6 +53,11 @@ def usage_records(draw):
     )
 
 
+def total_unit_hours(records):
+    """The metered billing integral, sum of ``quantity x hours``."""
+    return stable_sum(rec.unit_hours for rec in records)
+
+
 def _unique_ids_per_shard(shards):
     """Real shards never reuse an id within themselves; enforce that on the
     generated data so the id-rewrite identity key is well-posed."""
@@ -74,21 +82,21 @@ shard_lists = st.lists(
 @given(shards=shard_lists, seed=st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_merge_invariant_to_shard_order(shards, seed):
-    reference = merge_shard_records(shards)
+    reference = canonicalize_records(shards)
     shuffled = list(shards)
     seed.shuffle(shuffled)
-    assert merge_shard_records(shuffled) == reference
+    assert canonicalize_records(shuffled) == reference
 
 
 @given(shards=shard_lists)
 @settings(max_examples=60, deadline=None)
 def test_empty_shards_are_invisible(shards):
-    reference = merge_shard_records(shards)
+    reference = canonicalize_records(shards)
     padded = [[]]
     for shard in shards:
         padded.append(shard)
         padded.append([])
-    assert merge_shard_records(padded) == reference
+    assert canonicalize_records(padded) == reference
 
 
 @given(shards=shard_lists)
@@ -96,9 +104,9 @@ def test_empty_shards_are_invisible(shards):
 def test_singleton_split_equals_grouped_merge(shards):
     """Splitting every shard into one-record shards changes nothing: the
     canonical order erases shard boundaries entirely."""
-    reference = merge_shard_records(shards)
+    reference = canonicalize_records(shards)
     singletons = [[rec] for shard in shards for rec in shard]
-    assert merge_shard_records(singletons) == reference
+    assert canonicalize_records(singletons) == reference
 
 
 @given(shards=shard_lists)
@@ -107,9 +115,9 @@ def test_metered_hours_conserved(shards):
     """The merge reorders and re-mints ids; it must never touch the
     billing integral (sum of quantity x hours)."""
     before = sum(total_unit_hours(shard) for shard in shards)
-    after = total_unit_hours(merge_shard_records(shards))
+    after = total_unit_hours(canonicalize_records(shards))
     assert math.isclose(before, after, rel_tol=0.0, abs_tol=1e-6)
-    assert sum(len(s) for s in shards) == len(merge_shard_records(shards))
+    assert sum(len(s) for s in shards) == len(canonicalize_records(shards))
 
 
 @given(shards=shard_lists)
@@ -117,7 +125,7 @@ def test_metered_hours_conserved(shards):
 def test_merged_ids_are_canonical(shards):
     """Output ids are densely re-minted per (site, prefix) from 1, so two
     different shardings of the same records can never disagree on ids."""
-    merged = merge_shard_records(shards)
+    merged = canonicalize_records(shards)
     counters: dict[tuple[str, str], int] = {}
     seen_new: dict[tuple[str, str], set[str]] = {}
     for rec in merged:
