@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -138,6 +139,8 @@ def main(argv: list[str] | None = None) -> int:
             setattr(args, name, default)
     if args.workers < 1:
         parser.error(f"--workers must be at least 1: {args.workers}")
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        parser.error(f"--scale must be a positive number: {args.scale}")
     return _resume(args)
 
 

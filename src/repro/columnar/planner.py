@@ -8,23 +8,27 @@ per-group shards :func:`shards_from_columns` regroups them into.
 
 :func:`plan_columns` resolves one semester in four steps: whole-cohort
 draws from the ``SeedSequence`` tree (fanned out over worker processes
-by contiguous student range, each worker rebuilding its streams via
-:func:`repro.core.cohort.student_seed_sequence`), the vectorized slot
-calendar walk, an optional fault model that rewrites the raw tables,
-then the admission sweeps (:mod:`repro.columnar.admission`).
+by contiguous student range, each worker rebuilding its streams from
+``(seed, spawn_key)``), the vectorized slot calendar walk, an optional
+fault model that rewrites the raw tables, then the admission sweeps
+(:mod:`repro.columnar.admission`).
 
-The one RNG call replayed manually is ``rng.choice(names, p=weights)``:
-numpy's Generator implementation draws exactly one ``rng.random()`` and
-walks the normalized cumulative weights with
-``searchsorted(side="right")``, so the planner does the same — one
-uniform per slot against a precomputed CDF — without paying
-``choice``'s per-call setup a million times (``tests/columnar`` holds
-the tables to a scalar reference that calls ``choice`` itself).
+The draws are numpy's samplers replayed as array code over a block of
+streams: :func:`repro.core.cohort.stream_words` seeds the block's PCG64
+streams and yields their raw words, and each row reads its words at its
+own cursor (uniforms, the ziggurat normal's one-word path, Poisson by
+multiplication, libm ``exp``).  A row that leaves those fast paths is
+redrawn by the scalar loop, one numpy call per draw, which is also the
+reference ``tests/columnar/test_draw_replay.py`` holds the replay to.
+``rng.choice(names, p=weights)`` is one uniform per slot bisected into
+the normalized cumulative weights, as numpy's Generator does it
+(``tests/columnar`` holds the tables to a reference that calls
+``choice`` itself).
 
-This module is plan-time by definition: every Generator here seeds from
-the tree rooted at the caller's ``config.seed`` (SEED001 admits no
-literal, here or anywhere) and is built before any shard kernel runs.
-The kernels themselves stay RNG-free.
+This module is plan-time by definition: every stream here, replayed or
+drawn, seeds from the tree rooted at the caller's ``config.seed``
+(SEED001 admits no literal, here or anywhere) and is drawn before any
+shard kernel runs.  The kernels themselves stay RNG-free.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import numpy as np
 
 from repro.columnar.schema import SITE_CODES, SITE_NAMES, ColumnSchema
 from repro.common.errors import ValidationError
+from repro.common.numerics import libm_exp, word_doubles, ziggurat_normals
 from repro.core.cohort import (
     CohortConfig,
     ProjectLeaseActivity,
@@ -48,6 +53,7 @@ from repro.core.cohort import (
     cohort_seed_sequence,
     draw_cohort_level,
     group_seed_sequence,
+    stream_words,
     student_seed_sequence,
 )
 from repro.core.course import COURSE, EDGE_SITE, METAL_SITE, CourseDefinition, LabKind
@@ -220,104 +226,277 @@ def _lab_metas(course: CourseDefinition) -> list[tuple[str, _VmLabMeta | _ResLab
 
 # -- whole-cohort draws (fan-out worker) -------------------------------------------
 
+# Draw parameters, shared by the scalar loops and the replay.
+_VM_START_JITTER_H = 96.0  # a VM lab starts uniform(0, 96) h into its week
+_SCORE_LOGNORMAL = (0.0, 0.5)  # per-VM-lab score jitter
+_GROUP_JITTER_H = (0.0, 48.0)  # a group's project start, uniform
+_SPREAD_LOGNORMAL = (-0.02, 0.2)  # per-flavor service-VM hours spread
 
-def _student_range_draws(
-    args: tuple[CourseDefinition, CohortConfig, int, int, np.ndarray],
+#: Words the replay reads from each student stream.  A student who needs
+#: more (the mean student uses 38, the 99th percentile 70) is redrawn by
+#: the scalar loop.
+_STUDENT_WORDS = 96
+#: Streams replayed at once; bounds the word block at any cohort size.
+_REPLAY_ROWS = 4096
+#: numpy's ``random_poisson`` multiplies uniforms against ``exp(-lam)``
+#: below this mean, and samples by transformed rejection from it on.
+_POISSON_MULT_LIMIT = 10.0
+
+
+def _lab_program(course: CourseDefinition) -> list[tuple[bool, int, float, list[float]]]:
+    """Per lab in stream order: (is VM lab, reserved-lab position, mean
+    slots, option CDF as floats so ``bisect_right`` replays ``choice``)."""
+    program: list[tuple[bool, int, float, list[float]]] = []
+    res_j = 0
+    for _, meta in _lab_metas(course):
+        if isinstance(meta, _VmLabMeta):
+            program.append((True, 0, 0.0, []))
+        else:
+            program.append((False, res_j, meta.mean_slots, list(meta.cdf)))
+            res_j += 1
+    return program
+
+
+def _scalar_student_draws(
+    course: CourseDefinition, config: CohortConfig, rows: np.ndarray, propensity: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Draws for students [lo, hi): one worker's share of the cohort.
+    """Students ``rows``' draws, one numpy call per draw.
 
-    Each student's stream is consumed in ``course.labs`` order: per VM
-    lab (participation, start jitter, score jitter); per reserved lab
-    (slot count, one node-type draw per slot).  That order is the stream
-    contract every seed-pinned digest depends on.
-
-    Pure function of (course, config, range, propensity slice): streams
-    are rebuilt from ``(seed, spawn_key=(1, i))``, so the fan-out ships
-    two ints per range instead of pickled SeedSequences and any worker
-    count reassembles to identical arrays.
+    The reference the replay (:func:`_replay_students`) is held to, and
+    its fallback.  Each student's stream is consumed in ``course.labs``
+    order: per VM lab (participation, start jitter, score jitter); per
+    reserved lab (slot count, one node-type draw per slot).  That order
+    is the stream contract every seed-pinned digest depends on.
 
     A VM lab's ``random()`` then ``uniform(0.0, 96.0)`` is drawn as one
     ``random(2)`` at the same stream positions: numpy's uniform is
     ``low + range * u``, and ``0.0 + 96.0 * u == 96.0 * u`` for ``u >= 0``.
-    Everything else stays scalar: ``lognormal`` and ``poisson`` consume a
-    data-dependent number of words, and a reserved lab averages under two
-    slot picks, where one ``random(c)`` array costs more than ``c`` scalar
-    calls.
+    Slot codes come out lab-major, (student, k) order within a lab.
     """
-    course, config, lo, hi, propensity = args
-    metas = _lab_metas(course)
-    n_vm = sum(tag == "vm" for tag, _ in metas)
-    n_res = len(metas) - n_vm
-    count = hi - lo
+    program = _lab_program(course)
+    n_vm = sum(is_vm for is_vm, _, _, _ in program)
+    n_res = len(program) - n_vm
+    count = len(rows)
 
     # flat (student, lab)-ordered cells, shaped into grids once at the end
     participates: list[bool] = []
     start_jitter: list[float] = []
     score_jitter: list[float] = []
     slot_counts: list[int] = []
-    slot_codes: list[int] = []  # option index per slot, (student, lab, k) order
-    slot_code_lab: list[int] = []  # reserved-lab position per slot, same order
-
-    # per-lab dispatch table, hoisted out of the hot loop; cdfs as plain
-    # float lists so bisect_right replays choice's searchsorted exactly
-    lab_seq: list[tuple[bool, int, float, list[float]]] = []
-    res_j = 0
-    for tag, meta in metas:
-        if tag == "vm":
-            lab_seq.append((True, 0, 0.0, []))
-        else:
-            lab_seq.append((False, res_j, meta.mean_slots, list(meta.cdf)))
-            res_j += 1
+    slot_codes: list[list[int]] = [[] for _ in range(n_res)]  # option index per slot
 
     from bisect import bisect_right
 
     participation = config.participation
     seed = config.seed
-    prop_list = [float(p) for p in propensity]
+    mean, sigma = _SCORE_LOGNORMAL
     default_rng = np.random.default_rng
-    for row in range(count):
-        rng = default_rng(student_seed_sequence(seed, lo + row))
+    for i, prop in zip(rows.tolist(), propensity.tolist()):
+        rng = default_rng(student_seed_sequence(seed, i))
         random, lognormal, poisson = rng.random, rng.lognormal, rng.poisson
-        prop = prop_list[row]
-        for is_vm, j, mean_slots, cdf in lab_seq:
+        for is_vm, j, mean_slots, cdf in program:
             if is_vm:
                 u, v = random(2).tolist()
                 participates.append(u < participation)
-                start_jitter.append(96.0 * v)
-                score_jitter.append(lognormal(0.0, 0.5))
+                start_jitter.append(_VM_START_JITTER_H * v)
+                score_jitter.append(lognormal(mean, sigma))
             else:
                 c = int(poisson(mean_slots * prop))
                 slot_counts.append(c)
+                codes = slot_codes[j]
                 for _ in range(c):
                     # bisect_right == searchsorted(side="right"), which is
                     # what Generator.choice(p=...) does with its one draw
-                    slot_codes.append(bisect_right(cdf, random()))
-                    slot_code_lab.append(j)
+                    codes.append(bisect_right(cdf, random()))
     return {
         "participates": np.array(participates, dtype=bool).reshape(count, n_vm),
         "start_jitter": np.array(start_jitter, dtype=np.float64).reshape(count, n_vm),
         "score_jitter": np.array(score_jitter, dtype=np.float64).reshape(count, n_vm),
         "slot_counts": np.array(slot_counts, dtype=np.int32).reshape(count, n_res),
-        "slot_codes": np.asarray(slot_codes, dtype=np.int16),
-        "slot_code_lab": np.asarray(slot_code_lab, dtype=np.int16),
+        "slot_codes": np.array([c for codes in slot_codes for c in codes], dtype=np.int16),
     }
+
+
+def _codes_by_lab(draws: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """``draws``' lab-major slot codes split into one array per reserved lab."""
+    bounds = np.cumsum(draws["slot_counts"].sum(axis=0, dtype=np.int64))
+    return np.split(draws["slot_codes"], bounds[:-1])
+
+
+def _concat_student_draws(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Consecutive student ranges' draws as one range's."""
+    if len(parts) == 1:
+        return parts[0]
+    by_lab = [_codes_by_lab(part) for part in parts]
+    out = {
+        key: np.concatenate([part[key] for part in parts])
+        for key in ("participates", "start_jitter", "score_jitter", "slot_counts")
+    }
+    out["slot_codes"] = np.concatenate([codes for lab in zip(*by_lab) for codes in lab])
+    return out
+
+
+def _replay_students(
+    course: CourseDefinition, config: CohortConfig, rows: np.ndarray, propensity: np.ndarray
+) -> dict[str, np.ndarray]:
+    """:func:`_scalar_student_draws` of ``rows``, replayed as array code.
+
+    Each stream's first ``_STUDENT_WORDS`` raw words come from the seed
+    tree in one pass (:func:`repro.core.cohort.stream_words`); numpy's
+    samplers then run on every row at once, each row reading its words
+    at its own cursor.  Uniforms are ``next_double``; a normal is the
+    ziggurat's one-word fast path; a Poisson count below
+    ``_POISSON_MULT_LIMIT`` is numpy's multiplication method against
+    libm's ``exp(-lam)``, and the lognormal is libm's ``exp``.  A row
+    leaves the fast path on a ziggurat rejection, on ``lam`` at or above
+    the limit, or when its words run out; the scalar loop redraws it.
+    """
+    program = _lab_program(course)
+    words = stream_words(config.seed, 1, rows, _STUDENT_WORDS)
+    count, block = words.shape
+    at = np.arange(count)
+    cursor = np.zeros(count, dtype=np.intp)
+    fast = np.ones(count, dtype=bool)
+
+    def word(offset: int) -> np.ndarray:
+        # a read past the block is clipped here and caught by the final cursor check
+        return words[at, np.minimum(cursor + offset, block - 1)]
+
+    participates: list[np.ndarray] = []
+    start_jitter: list[np.ndarray] = []
+    normals: list[np.ndarray] = []
+    slot_counts: list[np.ndarray] = []
+    slot_codes: list[np.ndarray] = []
+    for is_vm, _, mean_slots, cdf in program:
+        if is_vm:
+            participates.append(word_doubles(word(0)) < config.participation)
+            start_jitter.append(_VM_START_JITTER_H * word_doubles(word(1)))
+            z, final = ziggurat_normals(word(2))
+            normals.append(z)
+            fast &= final
+            cursor += 3
+            continue
+        lam = mean_slots * propensity
+        fast &= lam < _POISSON_MULT_LIMIT
+        c = np.zeros(count, dtype=np.int32)
+        live = np.flatnonzero(fast & (lam != 0.0))  # lam == 0 draws 0 and reads no word
+        threshold = libm_exp(-lam[live])
+        prod = np.ones(live.size)
+        while live.size:
+            spent = cursor[live] >= block
+            if spent.any():
+                fast[live[spent]] = False
+                live, prod, threshold = live[~spent], prod[~spent], threshold[~spent]
+            prod *= word_doubles(words[live, cursor[live]])
+            cursor[live] += 1
+            more = prod > threshold
+            c[live[more]] += 1
+            live, prod, threshold = live[more], prod[more], threshold[more]
+        # one uniform per slot, bisected into the option CDF
+        starts = np.repeat(cursor - (np.cumsum(c) - c), c) + np.arange(int(c.sum()))
+        u = word_doubles(words[np.repeat(at, c), np.minimum(starts, block - 1)])
+        slot_codes.append(np.searchsorted(np.array(cdf), u, side="right").astype(np.int16))
+        slot_counts.append(c)
+        cursor += c
+    fast &= cursor <= block
+
+    mean, sigma = _SCORE_LOGNORMAL
+    draws = {
+        "participates": np.stack(participates, axis=1),
+        "start_jitter": np.stack(start_jitter, axis=1),
+        "score_jitter": libm_exp(mean + sigma * np.stack(normals, axis=1)),
+        "slot_counts": np.stack(slot_counts, axis=1),
+    }
+    codes = [lab[np.repeat(fast, c)] for lab, c in zip(slot_codes, slot_counts)]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        redo = _scalar_student_draws(course, config, rows[slow], propensity[slow])
+        for key, grid in draws.items():
+            grid[slow] = redo[key]
+        for j, redo_codes in enumerate(_codes_by_lab(redo)):
+            redone = np.repeat(~fast, draws["slot_counts"][:, j])
+            merged = np.empty(redone.size, dtype=np.int16)
+            merged[redone], merged[~redone] = redo_codes, codes[j]
+            codes[j] = merged
+    draws["slot_codes"] = np.concatenate(codes)
+    return draws
+
+
+def _student_range_draws(
+    args: tuple[CourseDefinition, CohortConfig, int, int, np.ndarray],
+) -> dict[str, np.ndarray]:
+    """Draws for students [lo, hi): one worker's share of the cohort.
+
+    Pure function of (course, config, range, propensity slice): streams
+    are rebuilt from ``(seed, spawn_key=(1, i))``, so the fan-out ships
+    two ints per range instead of pickled SeedSequences and any worker
+    count reassembles to identical arrays.  Replayed ``_REPLAY_ROWS``
+    students at a time.
+    """
+    course, config, lo, hi, propensity = args
+    return _concat_student_draws([
+        _replay_students(
+            course,
+            config,
+            np.arange(b, min(b + _REPLAY_ROWS, hi)),
+            propensity[b - lo : b - lo + _REPLAY_ROWS],
+        )
+        for b in range(lo, hi, _REPLAY_ROWS)
+    ])
+
+
+def _scalar_group_draws(
+    course: CourseDefinition, config: CohortConfig, rows: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Group streams ``rows``, one numpy call per draw: jitter, then one
+    lognormal spread per service-VM flavor.  The replay's reference and
+    fallback."""
+    n_flavors = len(course.project.vm_flavor_shares)
+    jitter = np.zeros(len(rows), dtype=np.float64)
+    vm_spread = np.zeros((len(rows), n_flavors), dtype=np.float64)
+    low, high = _GROUP_JITTER_H
+    mean, sigma = _SPREAD_LOGNORMAL
+    for row, g in enumerate(rows.tolist()):
+        rng = np.random.default_rng(group_seed_sequence(config.seed, g))
+        jitter[row] = rng.uniform(low, high)
+        for j in range(n_flavors):
+            vm_spread[row, j] = rng.lognormal(mean, sigma)
+    return {"jitter": jitter, "vm_spread": vm_spread}
+
+
+def _replay_groups(
+    course: CourseDefinition, config: CohortConfig, rows: np.ndarray
+) -> dict[str, np.ndarray]:
+    """:func:`_scalar_group_draws` of ``rows`` as array code: a group's
+    fast path spends exactly one word per draw, so any ziggurat rejection
+    sends it to the scalar loop."""
+    n_flavors = len(course.project.vm_flavor_shares)
+    words = stream_words(config.seed, 2, rows, 1 + n_flavors)
+    low, high = _GROUP_JITTER_H
+    mean, sigma = _SPREAD_LOGNORMAL
+    z, final = ziggurat_normals(words[:, 1:])
+    draws = {
+        "jitter": low + (high - low) * word_doubles(words[:, 0]),
+        "vm_spread": libm_exp(mean + sigma * z),
+    }
+    slow = np.flatnonzero(~final.all(axis=1))
+    if slow.size:
+        redo = _scalar_group_draws(course, config, rows[slow])
+        for key, column in draws.items():
+            column[slow] = redo[key]
+    return draws
 
 
 def _group_range_draws(
     args: tuple[CourseDefinition, CohortConfig, int, int],
 ) -> dict[str, np.ndarray]:
-    """Group streams for groups [lo, hi): jitter + per-flavor spread."""
+    """Group streams for groups [lo, hi), ``_REPLAY_ROWS`` at a time."""
     course, config, lo, hi = args
-    n_flavors = len(course.project.vm_flavor_shares)
-    count = hi - lo
-    jitter = np.zeros(count, dtype=np.float64)
-    vm_spread = np.zeros((count, n_flavors), dtype=np.float64)
-    for row in range(count):
-        rng = np.random.default_rng(group_seed_sequence(config.seed, lo + row))
-        jitter[row] = rng.uniform(0.0, 48.0)
-        for j in range(n_flavors):
-            vm_spread[row, j] = rng.lognormal(-0.02, 0.2)
-    return {"jitter": jitter, "vm_spread": vm_spread}
+    parts = [
+        _replay_groups(course, config, np.arange(b, min(b + _REPLAY_ROWS, hi)))
+        for b in range(lo, hi, _REPLAY_ROWS)
+    ]
+    return {key: np.concatenate([p[key] for p in parts]) for key in ("jitter", "vm_spread")}
 
 
 def _fan_out(fn, items: Sequence, *, workers: int) -> list:
@@ -456,12 +635,9 @@ def _raw_tables(
         [(course, config, lo, hi, propensity[lo:hi]) for lo, hi in ranges],
         workers=workers,
     )
-    participates = np.concatenate([p["participates"] for p in parts], axis=0)
-    start_jitter = np.concatenate([p["start_jitter"] for p in parts], axis=0)
-    score_jitter = np.concatenate([p["score_jitter"] for p in parts], axis=0)
-    slot_counts = np.concatenate([p["slot_counts"] for p in parts], axis=0)
-    slot_codes = np.concatenate([p["slot_codes"] for p in parts])
-    slot_code_lab = np.concatenate([p["slot_code_lab"] for p in parts])
+    draws = _concat_student_draws(parts)
+    participates, start_jitter = draws["participates"], draws["start_jitter"]
+    score_jitter, slot_counts = draws["score_jitter"], draws["slot_counts"]
 
     # duration assignment: longest pool entries to the highest scores, so
     # the per-student tail of Fig 2 is correlated across labs
@@ -497,9 +673,7 @@ def _raw_tables(
     vm_object = np.array([m.object_gb for m in vm_metas], dtype=np.float64)[vm_lab_pos]
 
     calendar = SlotCalendar()
-    slot_cols = _walk_lab_slots(
-        res_metas, slot_counts, slot_codes, slot_code_lab, calendar, schema
-    )
+    slot_cols = _walk_lab_slots(res_metas, slot_counts, _codes_by_lab(draws), calendar, schema)
     group_cols = _project_phase_columns(course, config, calendar, schema, workers=workers)
 
     tables = ActivityTables(
@@ -520,8 +694,7 @@ def _raw_tables(
 def _walk_lab_slots(
     res_metas: list[_ResLabMeta],
     slot_counts: np.ndarray,
-    slot_codes: np.ndarray,
-    slot_code_lab: np.ndarray,
+    slot_codes: list[np.ndarray],
     calendar: SlotCalendar,
     schema: ColumnSchema,
 ) -> dict[str, np.ndarray]:
@@ -540,9 +713,9 @@ def _walk_lab_slots(
     for j, meta in enumerate(res_metas):
         counts = slot_counts[:, j]
         total = int(counts.sum())
-        # codes arrive (student, lab, k)-ordered; selecting one lab keeps
-        # (student, k) order — the calendar's student-minor walk order
-        codes = slot_codes[slot_code_lab == j]
+        # one lab's codes are (student, k)-ordered: the calendar's
+        # student-minor walk order
+        codes = slot_codes[j]
         students = np.repeat(np.arange(n, dtype=np.int32), counts)
         k_idx = np.arange(total, dtype=np.int64) - np.repeat(
             np.cumsum(counts, dtype=np.int64) - counts, counts

@@ -307,6 +307,115 @@ def group_seed_sequence(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(2, index))
 
 
+# ``SeedSequence`` hashing (numpy's bit_generator.pyx) and PCG64 seeding and
+# stepping (pcg64.h), restated as array arithmetic so that a whole range of
+# streams is seeded and stepped at once.  32-bit hash words live in uint32
+# (multiplication wraps mod 2**32, as in C); a 128-bit PCG state is a (high,
+# low) pair of uint64 arrays.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as SeedSequence coerces an int: little-endian 32-bit words."""
+    if n < 0:
+        raise ValidationError(f"seed-tree entropy must be non-negative: {n!r}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _mix32(x: int, y: int) -> int:
+    mixed = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return mixed ^ (mixed >> 16)
+
+
+def stream_words(seed: int, key: int, indices: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` raw PCG64 words of streams ``(key, i)``, one row each.
+
+    Row ``r`` equals ``np.random.PCG64(SeedSequence(seed, spawn_key=(key,
+    indices[r]))).random_raw(count)``, so ``key`` 1 gives the words of
+    :func:`student_seed_sequence` and 2 those of :func:`group_seed_sequence`.
+    Every entropy word but the index is common to the rows, so its hashing
+    runs once on Python ints; the index word, the pool's output and the PCG64
+    steps run on arrays.  Indices must fit one 32-bit word.
+    """
+    index = np.asarray(indices, dtype=np.int64)
+    if index.size and not 0 <= int(index.min()) <= int(index.max()) <= _MASK32:
+        raise ValidationError("stream indices must lie in [0, 2**32)")
+    # SeedSequence pads the run entropy to the pool size when it has a spawn key
+    entropy = _uint32_words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy)) + _uint32_words(key)
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix32(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix32(pool[dst], hashmix(word))
+
+    u32, u64 = np.uint32, np.uint64
+    last = index.astype(np.uint32)  # the index is the last entropy word
+    rows = []
+    for dst in range(_POOL_SIZE):
+        before, hash_const = hash_const, hash_const * _MULT_A & _MASK32
+        hashed = (last ^ u32(before)) * u32(hash_const)
+        hashed ^= hashed >> u32(16)
+        mixed = u32(_MIX_MULT_L * pool[dst] & _MASK32) - u32(_MIX_MULT_R) * hashed
+        rows.append(mixed ^ (mixed >> u32(16)))
+    # generate_state(4, np.uint64): eight 32-bit words, paired low word first
+    out32 = []
+    hash_b = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        before, hash_b = hash_b, hash_b * _MULT_B & _MASK32
+        value = (rows[i % _POOL_SIZE] ^ u32(before)) * u32(hash_b)
+        out32.append((value ^ (value >> u32(16))).astype(np.uint64))
+    s_hi, s_lo, q_hi, q_lo = (out32[2 * i] | out32[2 * i + 1] << u64(32) for i in range(4))
+
+    # pcg64_set_seed: inc = seq << 1 | 1; state = inc + initstate, then one step
+    inc_hi = q_hi << u64(1) | q_lo >> u64(63)
+    inc_lo = q_lo << u64(1) | u64(1)
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < inc_lo)
+    m_hi, m_lo = u64(_PCG_MULT >> 64), u64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+    b0, b1, low32 = u64(_PCG_MULT & _MASK32), u64(_PCG_MULT >> 32 & _MASK32), u64(_MASK32)
+
+    def step(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (hi, lo) * _PCG_MULT + inc mod 2**128; the high half of lo * m_lo by
+        # 32-bit limbs
+        a0, a1 = lo & low32, lo >> u64(32)
+        t = a0 * b0
+        u = a1 * b0 + (t >> u64(32))
+        v = a0 * b1 + (u & low32)
+        high = a1 * b1 + (u >> u64(32)) + (v >> u64(32)) + hi * m_lo + lo * m_hi
+        low = lo * m_lo + inc_lo
+        return high + inc_hi + (low < inc_lo), low
+
+    hi, lo = step(hi, lo)
+    words = np.empty((count, index.size), dtype=np.uint64)
+    for k in range(count):
+        hi, lo = step(hi, lo)
+        # XSL-RR output: rotate (hi ^ lo) right by the top six bits
+        mixed, rot = hi ^ lo, hi >> u64(58)
+        words[k] = mixed >> rot | mixed << (u64(64) - rot & u64(63))
+    return words.T
+
+
 def draw_cohort_level(
     course: CourseDefinition, config: CohortConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro.common.numerics import stable_sum
@@ -79,6 +80,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--whatif does not apply with --json - (the JSON summary has no what-if)")
     if args.workers < 1:
         parser.error(f"--workers must be at least 1: {args.workers}")
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        parser.error(f"--scale must be a positive number: {args.scale}")
+    for flag in ("outage_rate", "hazard_rate", "burst_rate"):
+        rate = getattr(args, flag)
+        if not (math.isfinite(rate) and rate >= 0):
+            parser.error(f"--{flag.replace('_', '-')} must be a non-negative number: {rate}")
     course = COURSE if args.scale == 1.0 else scaled_course(args.scale)
     config = CohortConfig(seed=args.seed)
     fault_config = FaultPlanConfig(

@@ -83,3 +83,12 @@ def test_resume_with_workers_below_one_exits_two_and_creates_nothing(capsys, tmp
     assert code == 2
     assert "--workers" in err
     assert not journal.exists()
+
+
+@pytest.mark.parametrize("scale", ["-1", "0", "nan"])
+def test_resume_with_bad_scale_exits_two_and_creates_nothing(capsys, tmp_path, scale):
+    journal = tmp_path / "journal"
+    code, _, err = run_cli(capsys, "--resume", "--journal", str(journal), "--scale", scale)
+    assert code == 2
+    assert "--scale" in err
+    assert not journal.exists()

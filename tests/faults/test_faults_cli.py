@@ -19,3 +19,23 @@ def test_workers_below_one_is_usage_error(capsys):
         faults_main(["--scale", "0.1", "--workers", "0"])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scale", "0"],
+        ["--scale", "-0.5"],
+        ["--scale", "nan"],
+        ["--outage-rate", "-0.1"],
+        ["--hazard-rate", "-2"],
+        ["--burst-rate", "-1"],
+        ["--outage-rate", "inf"],
+    ],
+)
+def test_bad_scale_or_rate_is_usage_error(capsys, argv):
+    """Refused by the parser (exit 2), not a ValidationError traceback (exit 1)."""
+    with pytest.raises(SystemExit) as exc:
+        faults_main(argv)
+    assert exc.value.code == 2
+    assert argv[0] in capsys.readouterr().err
