@@ -50,7 +50,7 @@ def _timed(fn, *args, **kwargs):
     return out, time.perf_counter() - t0  # repro: noqa DET001 (bench harness wall-clock, not simulation state)
 
 
-def test_columnar_throughput_vs_serial(benchmark, quick, tmp_path):
+def test_columnar_throughput_vs_serial(benchmark, quick):
     config = CohortConfig(seed=42)
 
     # -- the hard gate: digest equality on the paper cohort -----------------
@@ -73,7 +73,7 @@ def test_columnar_throughput_vs_serial(benchmark, quick, tmp_path):
     run = benchmark.pedantic(
         run_columnar,
         args=(course, config),
-        kwargs={"digest": quick, "spill_dir": tmp_path},
+        kwargs={"digest": quick},
         rounds=1,
         iterations=1,
     )

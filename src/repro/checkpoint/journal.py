@@ -146,13 +146,20 @@ class ShardJournal:
     overhead budget.  ``durable=True`` adds per-segment fsyncs for
     power-loss durability; a segment lost to an un-fsynced power cut
     costs re-execution of its shards, never a wrong merge.
+
+    Only writing creates the directory (the first :meth:`append`), so a
+    journal opened to be read at a mistyped path raises instead of
+    reporting a healthy empty journal.
     """
 
     def __init__(self, root: str | os.PathLike[str], *, durable: bool = False) -> None:
         self.root = Path(root)
         self.durable = durable
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._next_index = self._scan_next_index()
+        self._next_index = self._scan_next_index() if self.root.is_dir() else 0
+
+    def _require_root(self) -> None:
+        if not self.root.is_dir():
+            raise ValidationError(f"no journal directory at {self.root}")
 
     # -- naming ------------------------------------------------------------
 
@@ -192,6 +199,7 @@ class ShardJournal:
             raise ValidationError("a journal segment must cover at least one shard")
         index = self._next_index
         payload = pickle.dumps(payload_obj, protocol=_PICKLE_PROTOCOL)
+        self.root.mkdir(parents=True, exist_ok=True)
         path = self.root / self._segment_name(index)
         atomic_write_bytes(path, _frame(index, ids, payload), durable=self.durable)
         self._next_index = index + 1
@@ -242,6 +250,7 @@ class ShardJournal:
 
     def load(self) -> JournalLoad:
         """Load every verifiable segment; quarantine everything else."""
+        self._require_root()
         entries: list[tuple[SegmentRecord, object]] = []
         quarantined: list[QuarantinedSegment] = []
         for path in self.segment_paths():
@@ -274,6 +283,7 @@ class ShardJournal:
 
     def health(self) -> dict[str, object]:
         """Non-destructive journal health report (verifies without quarantining)."""
+        self._require_root()
         segments: list[dict[str, object]] = []
         damaged: list[dict[str, object]] = []
         shard_ids: list[str] = []

@@ -127,6 +127,7 @@ class RunManifest:
 
     def save(self, journal_dir: str | os.PathLike[str]) -> Path:
         path = Path(journal_dir) / MANIFEST_NAME
+        path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(path, json.dumps(asdict(self), indent=2, sort_keys=True).encode())
         return path
 

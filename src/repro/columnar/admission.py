@@ -62,7 +62,7 @@ from repro.cloud.inventory import CHAMELEON_FLAVORS
 from repro.cloud.quota import Quota
 from repro.common.retry import RetryPolicy
 from repro.core.cohort import SlotCalendar, quota_for
-from repro.core.course import CourseDefinition
+from repro.core.course import SEMESTER_END_GUARD_H, CourseDefinition
 
 #: Canonical quota-dimension order for bundle vectors.
 QUOTA_DIMS: tuple[str, ...] = (
@@ -73,8 +73,6 @@ QUOTA_DIMS: tuple[str, ...] = (
     "volumes",
     "volume_storage_gb",
 )
-
-_EPS = 1e-6  # the sweeps' semester-end guard band (semester_hours - 1e-6)
 
 #: How a student reacts to quota exhaustion: check again every 6 hours,
 #: give up after 60 retries (the student gives up this week).
@@ -154,11 +152,11 @@ def sweep_kvm_quota(tables, *, course: CourseDefinition, info: dict, schema):
     pvm_b = _pvm_bundles(tables, schema)
     ps_b = _ps_bundles(tables)
 
-    vm_end = np.minimum(tables.vm_start + tables.vm_duration, H - _EPS)
+    vm_end = np.minimum(tables.vm_start + tables.vm_duration, H - SEMESTER_END_GUARD_H)
     vm_drop = vm_end <= tables.vm_start  # starts after staff clean-up
-    pvm_end = np.minimum(tables.pvm_start + tables.pvm_hours, H - _EPS)
+    pvm_end = np.minimum(tables.pvm_start + tables.pvm_hours, H - SEMESTER_END_GUARD_H)
     pvm_drop = pvm_end <= tables.pvm_start
-    ps_end = np.minimum(tables.ps_start + tables.ps_hours, H - _EPS)
+    ps_end = np.minimum(tables.ps_start + tables.ps_hours, H - SEMESTER_END_GUARD_H)
     ps_hold_end = np.maximum(ps_end, tables.ps_start)
 
     # sweep ranks (serial event-scheduling order): every student VM row,
@@ -286,7 +284,7 @@ def _exact_quota_replay(tables, vm_b, pvm_b, ps_b, vm_rank, pvm_rank, ps_rank, l
                 in_use[d] -= b[d]
         b = tuple(bundles[fam][row])
         if fam == VM:
-            end = min(t + float(tables.vm_duration[row]), H - _EPS)
+            end = min(t + float(tables.vm_duration[row]), H - SEMESTER_END_GUARD_H)
             if end <= t:
                 continue  # dropped
             if fits(b):
@@ -303,7 +301,7 @@ def _exact_quota_replay(tables, vm_b, pvm_b, ps_b, vm_rank, pvm_rank, ps_rank, l
                     heap, [t + policy.backoff_hours(retries + 1), rank, fam, row, orig_t, retries + 1]
                 )
         elif fam == PVM:
-            end = min(t + float(tables.pvm_hours[row]), H - _EPS)
+            end = min(t + float(tables.pvm_hours[row]), H - SEMESTER_END_GUARD_H)
             if end > t and fits(b):
                 hold(b, end)
                 admits[fam][row] = t
@@ -313,7 +311,7 @@ def _exact_quota_replay(tables, vm_b, pvm_b, ps_b, vm_rank, pvm_rank, ps_rank, l
                 rank += 1
                 heapq.heappush(heap, [t + 12.0, rank, fam, row, orig_t, retries])
         else:  # storage: unconditional hold
-            end = min(t + float(tables.ps_hours[row]), H - _EPS)
+            end = min(t + float(tables.ps_hours[row]), H - SEMESTER_END_GUARD_H)
             hold(b, max(end, t))
     return vm_admit, pvm_admit
 
@@ -344,7 +342,7 @@ def sweep_lease_calendar(tables, *, course: CourseDefinition, info: dict, schema
     pl_rank = S + np.arange(L, dtype=np.int64)  # group-major row order
 
     slot_end = tables.slot_start + tables.slot_hours  # uncapped, like _book_slot
-    pl_end = np.minimum(tables.pl_start + tables.pl_hours, H - _EPS)
+    pl_end = np.minimum(tables.pl_start + tables.pl_hours, H - SEMESTER_END_GUARD_H)
     pl_drop = pl_end <= tables.pl_start
 
     slot_admit = tables.slot_start.copy()
@@ -418,7 +416,7 @@ def _exact_lease_replay(
             max_retries = None
         else:
             step = float(p_hours[row])
-            end = min(t + step, H - _EPS)
+            end = min(t + step, H - SEMESTER_END_GUARD_H)
             max_retries = 200
             if end <= t:
                 continue  # dropped

@@ -10,7 +10,6 @@ planner, which applies it to the raw tables before admission.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.cloud.metering import UsageRecord
@@ -48,29 +47,21 @@ def run_columnar(
     include_project: bool = True,
     digest: bool = True,
     collect_records: bool = False,
-    n_buckets: int = 64,
-    chunk_rows: int = 2_000_000,
-    spill_dir: str | Path | None = None,
 ) -> ColumnarRun:
     """Simulate one semester through the columnar engine.
 
     ``digest=False`` skips the digest (the merge still sorts, counts and
     sums unit-hours).  The digest formats each distinct field value once
     per slice of sorted rows, which adds about half again to a
-    500×-cohort run, so throughput benchmarks leave it off.  ``spill_dir``
-    bounds peak memory by spilling merge buckets to scratch files.
+    500×-cohort run, so throughput benchmarks leave it off.
     """
     config = config if config is not None else CohortConfig()
     plan = plan_columns(course, config, workers=workers, faults=faults)
     tables = plan.tables
     if not include_project:
         tables = _labs_only(tables)
-    merger = CanonicalMerger(
-        plan.schema, plan.semester_hours, n_buckets=n_buckets, spill_dir=spill_dir
-    )
-    for batch in iter_record_batches(
-        tables, plan.schema, plan.semester_hours, chunk_rows=chunk_rows
-    ):
+    merger = CanonicalMerger(plan.schema, plan.semester_hours)
+    for batch in iter_record_batches(tables, plan.schema, plan.semester_hours):
         merger.add(batch)
     result = merger.finalize(digest=digest, collect_records=collect_records)
     return ColumnarRun(

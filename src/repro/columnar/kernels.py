@@ -5,9 +5,10 @@ provision events open metered spans, teardown/expiry events close them,
 staff cleanup closes stragglers at semester end.  For plan-admitted
 activities that machinery is deterministic clockwork, so each activity
 family's records have a closed form, derived from (and pinned against)
-the runtime in ``repro/core/cohort.py`` + ``repro/cloud``:
+the runtime in ``repro/core/cohort.py`` + ``repro/cloud`` (``guard`` is
+:data:`repro.core.course.SEMESTER_END_GUARD_H`):
 
-* VM lab (admitted start s, duration d; e = min(s+d, H-1e-6)): one
+* VM lab (admitted start s, duration d; e = min(s+d, H-guard)): one
   floating IP and ``vm_count`` servers over [s, e]; a block volume over
   [s, e] if the lab mounts one; an object span recorded *at* e covering
   ``max(0, e-s)`` hours (the runtime computes the span length first,
@@ -15,7 +16,7 @@ the runtime in ``repro/core/cohort.py`` + ``repro/cloud``:
 * Reservation slot (fires only if s <= H): instance + floating IP over
   [s, min(s+slot_hours, H)] — the lease end is uncapped, so spans that
   outlive the semester are closed at H by staff cleanup.
-* Project VM / lease: spans over [s, min(s+hours, H-1e-6)]; one
+* Project VM / lease: spans over [s, min(s+hours, H-guard)]; one
   floating IP for the VM that carries one; leases meter only the
   instance.
 * Project storage: volume over [s, e]; object span recorded at e
@@ -35,9 +36,11 @@ from typing import Iterator
 import numpy as np
 
 from repro.columnar.schema import KIND_CODES, SITE_CODES, ColumnSchema, RecordColumns
-from repro.core.course import KVM_SITE
+from repro.core.course import KVM_SITE, SEMESTER_END_GUARD_H
 
-_EPS = 1e-6
+#: Activities emitted per kernel call; bounds each batch's columns.
+#: Correctness is independent of it (tests vary it).
+CHUNK_ROWS = 2_000_000
 
 _KIND_BM = KIND_CODES["baremetal"]
 _KIND_EDGE = KIND_CODES["edge"]
@@ -72,7 +75,7 @@ def _emit_vm_labs(tables, schema: ColumnSchema, H: float, lo: int, hi: int) -> l
     s = tables.vm_start[lo:hi]
     if not len(s):
         return []
-    e = np.minimum(s + tables.vm_duration[lo:hi], H - _EPS)
+    e = np.minimum(s + tables.vm_duration[lo:hi], H - SEMESTER_END_GUARD_H)
     user = tables.vm_student[lo:hi].astype(np.int32)
     lab = tables.vm_lab[lo:hi]
     fip_rt = schema.rtype_codes["floating_ip"]
@@ -132,7 +135,7 @@ def _emit_project_vms(tables, schema: ColumnSchema, H: float, lo: int, hi: int) 
     s = tables.pvm_start[lo:hi]
     if not len(s):
         return []
-    e = np.minimum(s + tables.pvm_hours[lo:hi], H - _EPS)
+    e = np.minimum(s + tables.pvm_hours[lo:hi], H - SEMESTER_END_GUARD_H)
     user = (schema.n_students + tables.pvm_group[lo:hi]).astype(np.int32)
     lab = schema.lab_codes["project"]
     out = [_columns(s, e, 1.0, _KIND_SRV, tables.pvm_flavor[lo:hi], _KVM, user, lab)]
@@ -151,7 +154,7 @@ def _emit_project_leases(tables, schema: ColumnSchema, H: float, lo: int, hi: in
     s = tables.pl_start[lo:hi]
     if not len(s):
         return []
-    e = np.minimum(s + tables.pl_hours[lo:hi], H - _EPS)
+    e = np.minimum(s + tables.pl_hours[lo:hi], H - SEMESTER_END_GUARD_H)
     user = (schema.n_students + tables.pl_group[lo:hi]).astype(np.int32)
     kind = np.where(tables.pl_edge[lo:hi], _KIND_EDGE, _KIND_BM).astype(np.int8)
     return [
@@ -166,7 +169,7 @@ def _emit_project_storage(tables, schema: ColumnSchema, H: float, lo: int, hi: i
     s = tables.ps_start[lo:hi]
     if not len(s):
         return []
-    e = np.minimum(s + tables.ps_hours[lo:hi], H - _EPS)
+    e = np.minimum(s + tables.ps_hours[lo:hi], H - SEMESTER_END_GUARD_H)
     user = (schema.n_students + tables.ps_group[lo:hi]).astype(np.int32)
     lab = schema.lab_codes["project"]
     vol = _columns(
@@ -183,9 +186,9 @@ def _emit_project_storage(tables, schema: ColumnSchema, H: float, lo: int, hi: i
 
 
 def iter_record_batches(
-    tables, schema: ColumnSchema, semester_hours: float, *, chunk_rows: int = 2_000_000
+    tables, schema: ColumnSchema, semester_hours: float
 ) -> Iterator[RecordColumns]:
-    """Stream record columns family by family, ``chunk_rows`` activities at a time.
+    """Stream record columns family by family, :data:`CHUNK_ROWS` activities at a time.
 
     Chunking bounds peak memory: nothing here ever materializes the full
     record set — batches flow straight into the canonical merge, which
@@ -204,7 +207,7 @@ def iter_record_batches(
     )
     for length_attr, emit in families:
         n = len(getattr(tables, length_attr))
-        for lo in range(0, n, chunk_rows):
-            for batch in emit(tables, schema, semester_hours, lo, min(lo + chunk_rows, n)):
+        for lo in range(0, n, CHUNK_ROWS):
+            for batch in emit(tables, schema, semester_hours, lo, min(lo + CHUNK_ROWS, n)):
                 if len(batch):
                     yield batch

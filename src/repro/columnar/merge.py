@@ -9,8 +9,9 @@ holding all records sorted at once:
 * **Bucketing.** `start` is the primary sort key, so partitioning rows
   by fixed start-time edges (``searchsorted`` — equal starts always land
   in the same bucket) splits the global sort into independent per-bucket
-  sorts whose concatenation *is* the global order.  Peak memory is the
-  largest bucket, not the cohort.
+  sorts whose concatenation *is* the global order.  The sort's working
+  set is the largest of :data:`N_BUCKETS` buckets, not the cohort (at
+  10**6 students, 1.5 M of 17.8 M rows).
 * **Per-bucket order.** ``np.lexsort`` over (quantity, lab, user-rank,
   rtype, kind, site, end, start) — every vocabulary is rank-encoded
   (codes sort like the strings; see :mod:`repro.columnar.schema`), and
@@ -37,10 +38,6 @@ holding all records sorted at once:
   :func:`repro.common.numerics.stable_sum` over the whole multiset —
   exactly equal to the same sum of ``UsageRecord.unit_hours`` over the
   materialized records, independent of bucketing.
-
-``spill_dir`` bounds memory further for huge cohorts: full buckets are
-flushed to ``.npz`` scratch files and reloaded one bucket at a time
-during finalize.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -67,6 +63,9 @@ from repro.common.numerics import stable_sum
 #: many rows at a time, so its per-column text lists stay bounded however
 #: large a bucket grows.
 DIGEST_SLICE_ROWS = 65_536
+#: Start-time buckets.  Correctness is independent of the count (tests
+#: vary it).
+N_BUCKETS = 64
 
 
 @dataclass(frozen=True)
@@ -80,34 +79,14 @@ class MergeResult:
 
 
 class CanonicalMerger:
-    """Streaming canonicalizer: feed column batches, finalize once.
+    """Streaming canonicalizer: feed column batches, finalize once."""
 
-    ``n_buckets`` trades peak memory against per-bucket overhead;
-    correctness is independent of it (tests sweep it).
-    """
-
-    def __init__(
-        self,
-        schema: ColumnSchema,
-        semester_hours: float,
-        *,
-        n_buckets: int = 64,
-        spill_dir: str | Path | None = None,
-        spill_rows: int = 4_000_000,
-    ) -> None:
-        if n_buckets < 1:
-            raise ValidationError(f"n_buckets must be positive: {n_buckets!r}")
+    def __init__(self, schema: ColumnSchema, semester_hours: float) -> None:
         self._schema = schema
         # interior edges over [0, H]; starts may exceed H (zero-duration
         # semester-end rows land in the last bucket regardless)
-        self._edges = np.linspace(0.0, semester_hours, n_buckets + 1)[1:-1]
-        self._n_buckets = n_buckets
-        self._chunks: list[list[RecordColumns]] = [[] for _ in range(n_buckets)]
-        self._mem_rows = [0] * n_buckets
-        self._spill_dir = Path(spill_dir) if spill_dir is not None else None
-        self._spill_rows = spill_rows
-        self._spilled: list[list[Path]] = [[] for _ in range(n_buckets)]
-        self._spill_seq = 0
+        self._edges = np.linspace(0.0, semester_hours, N_BUCKETS + 1)[1:-1]
+        self._chunks: list[list[RecordColumns]] = [[] for _ in range(N_BUCKETS)]
         self._finalized = False
 
     def add(self, batch: RecordColumns) -> None:
@@ -118,42 +97,7 @@ class CanonicalMerger:
             return
         bucket = np.searchsorted(self._edges, batch.start, side="right")
         for b in np.unique(bucket):
-            sel = np.flatnonzero(bucket == b)
-            self._chunks[b].append(batch.take(sel))
-            self._mem_rows[b] += len(sel)
-            if self._spill_dir is not None and self._mem_rows[b] >= self._spill_rows:
-                self._flush(int(b))
-
-    def _flush(self, b: int) -> None:
-        cols = RecordColumns.concat(self._chunks[b])
-        self._spill_dir.mkdir(parents=True, exist_ok=True)
-        path = self._spill_dir / f"bucket{b:04d}-{self._spill_seq:04d}.npz"
-        self._spill_seq += 1
-        np.savez(
-            path,
-            start=cols.start, end=cols.end, quantity=cols.quantity,
-            kind=cols.kind, rtype=cols.rtype, site=cols.site,
-            user=cols.user, lab=cols.lab,
-        )
-        self._spilled[b].append(path)
-        self._chunks[b] = []
-        self._mem_rows[b] = 0
-
-    def _load_bucket(self, b: int) -> RecordColumns:
-        parts = []
-        for path in self._spilled[b]:
-            with np.load(path) as z:
-                parts.append(
-                    RecordColumns(
-                        start=z["start"], end=z["end"], quantity=z["quantity"],
-                        kind=z["kind"], rtype=z["rtype"], site=z["site"],
-                        user=z["user"], lab=z["lab"],
-                    )
-                )
-            path.unlink()
-        parts.extend(self._chunks[b])
-        self._chunks[b] = []
-        return RecordColumns.concat(parts)
+            self._chunks[b].append(batch.take(np.flatnonzero(bucket == b)))
 
     def finalize(
         self, *, digest: bool = True, collect_records: bool = False
@@ -167,11 +111,11 @@ class CanonicalMerger:
         counters: dict[tuple[int, int], int] = {}  # (site, kind) -> last serial
         unit_parts: list[np.ndarray] = []
         records: list[UsageRecord] | None = [] if collect_records else None
-        user_strings = _user_string_table(schema) if (digest or collect_records) else None
-        reprs = _ReprTables(schema, user_strings) if digest else None
+        reprs = _ReprTables(schema) if digest else None
         count = 0
-        for b in range(self._n_buckets):
-            cols = self._load_bucket(b)
+        for b in range(len(self._chunks)):
+            cols = RecordColumns.concat(self._chunks[b])
+            self._chunks[b] = []
             n = len(cols)
             if not n:
                 continue
@@ -191,10 +135,7 @@ class CanonicalMerger:
             cols = cols.take(order)
             unit_parts.append(cols.quantity * (cols.end - cols.start))
             if sha is None and records is None:
-                # counters still advance so later buckets stay aligned
-                for s, k, m in _site_kind_runs(cols):
-                    counters[(s, k)] = counters.get((s, k), 0) + m
-                continue
+                continue  # no id is minted, so the counters are never read
             ids = _mint_ids(cols, counters)
             if sha is not None:
                 for lo in range(0, n, DIGEST_SLICE_ROWS):
@@ -205,7 +146,7 @@ class CanonicalMerger:
                 rtype_names = np.take(np.array(schema.rtype_names, dtype=object), cols.rtype)
                 site_names = np.take(np.array(SITE_NAMES, dtype=object), cols.site)
                 lab_names = np.take(np.array(schema.lab_names, dtype=object), cols.lab)
-                users = np.take(user_strings, cols.user)
+                users = np.take(schema.user_names, cols.user)
                 rows = zip(
                     ids, kind_names, rtype_names,
                     cols.start.tolist(), cols.end.tolist(), cols.quantity.tolist(),
@@ -228,16 +169,6 @@ class CanonicalMerger:
         )
 
 
-def _user_string_table(schema: ColumnSchema) -> np.ndarray:
-    from repro.columnar.schema import group_user, student_user
-
-    return np.array(
-        [student_user(i) for i in range(schema.n_students)]
-        + [group_user(j) for j in range(schema.n_groups)],
-        dtype=object,
-    )
-
-
 class _ReprTables:
     """The digest's text, built column-wise (see the module docstring).
 
@@ -247,7 +178,7 @@ class _ReprTables:
     rtype (and the constant project), lab with site.
     """
 
-    def __init__(self, schema: ColumnSchema, user_strings: np.ndarray) -> None:
+    def __init__(self, schema: ColumnSchema) -> None:
         self._n_rtypes = len(schema.rtype_names)
         self._kind_rtype = np.array(
             [
@@ -257,7 +188,7 @@ class _ReprTables:
             ],
             dtype=object,
         )
-        self._user = np.array([f"{user!r}, " for user in user_strings], dtype=object)
+        self._user = np.array([f"{user!r}, " for user in schema.user_names], dtype=object)
         self._lab_site = np.array(
             [f"{lab!r}, {site!r})" for lab in schema.lab_names for site in SITE_NAMES],
             dtype=object,
@@ -284,13 +215,6 @@ def _float_pieces(col: np.ndarray) -> list[str]:
     bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
     table = np.array([f"{x!r}, " for x in bits.view(np.float64).tolist()], dtype=object)
     return np.take(table, inverse).tolist()
-
-
-def _site_kind_runs(cols: RecordColumns):
-    """Yield (site, kind, row_count) for every pair present in the batch."""
-    pair = cols.site.astype(np.int64) * len(KIND_NAMES) + cols.kind
-    for p in np.unique(pair):
-        yield int(p) // len(KIND_NAMES), int(p) % len(KIND_NAMES), int((pair == p).sum())
 
 
 def _mint_ids(cols: RecordColumns, counters: dict[tuple[int, int], int]) -> np.ndarray:

@@ -8,10 +8,10 @@ per-group shards :func:`shards_from_columns` regroups them into.
 
 :func:`plan_columns` resolves one semester in four steps: whole-cohort
 draws from the ``SeedSequence`` tree (fanned out over worker processes
-by contiguous student range, each worker rebuilding its streams from
-``(seed, spawn_key)``), the vectorized slot calendar walk, an optional
-fault model that rewrites the raw tables, then the admission sweeps
-(:mod:`repro.columnar.admission`).
+by blocks of consecutive students or groups, each worker rebuilding its
+streams from ``(seed, spawn_key)``), the vectorized slot calendar walk,
+an optional fault model that rewrites the raw tables, then the admission
+sweeps (:mod:`repro.columnar.admission`).
 
 The draws are numpy's samplers replayed as array code over a block of
 streams: :func:`repro.core.cohort.stream_words` seeds the block's PCG64
@@ -236,7 +236,8 @@ _SPREAD_LOGNORMAL = (-0.02, 0.2)  # per-flavor service-VM hours spread
 #: more (the mean student uses 38, the 99th percentile 70) is redrawn by
 #: the scalar loop.
 _STUDENT_WORDS = 96
-#: Streams replayed at once; bounds the word block at any cohort size.
+#: Streams replayed at once: bounds the word block at any cohort size,
+#: and is the worker pool's unit of work.
 _REPLAY_ROWS = 4096
 #: numpy's ``random_poisson`` multiplies uniforms against ``exp(-lam)``
 #: below this mean, and samples by transformed rejection from it on.
@@ -318,13 +319,19 @@ def _scalar_student_draws(
 
 
 def _codes_by_lab(draws: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """``draws``' lab-major slot codes split into one array per reserved lab."""
+    """``draws``' lab-major slot codes split into one array per reserved lab
+    (none for a course without reserved labs)."""
     bounds = np.cumsum(draws["slot_counts"].sum(axis=0, dtype=np.int64))
-    return np.split(draws["slot_codes"], bounds[:-1])
+    return np.split(draws["slot_codes"], bounds)[:-1]
+
+
+def _flat_codes(codes: list[np.ndarray]) -> np.ndarray:
+    """Per-lab slot codes back to one lab-major array, empty for no lab."""
+    return np.concatenate([np.empty(0, dtype=np.int16), *codes])
 
 
 def _concat_student_draws(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Consecutive student ranges' draws as one range's."""
+    """Consecutive student blocks' draws as one block's."""
     if len(parts) == 1:
         return parts[0]
     by_lab = [_codes_by_lab(part) for part in parts]
@@ -332,7 +339,7 @@ def _concat_student_draws(parts: list[dict[str, np.ndarray]]) -> dict[str, np.nd
         key: np.concatenate([part[key] for part in parts])
         for key in ("participates", "start_jitter", "score_jitter", "slot_counts")
     }
-    out["slot_codes"] = np.concatenate([codes for lab in zip(*by_lab) for codes in lab])
+    out["slot_codes"] = _flat_codes([codes for lab in zip(*by_lab) for codes in lab])
     return out
 
 
@@ -400,12 +407,16 @@ def _replay_students(
         cursor += c
     fast &= cursor <= block
 
+    def grid(columns: list[np.ndarray], dtype) -> np.ndarray:
+        # zero columns for a course without VM labs, or without reserved labs
+        return np.stack(columns, axis=1) if columns else np.empty((count, 0), dtype=dtype)
+
     mean, sigma = _SCORE_LOGNORMAL
     draws = {
-        "participates": np.stack(participates, axis=1),
-        "start_jitter": np.stack(start_jitter, axis=1),
-        "score_jitter": libm_exp(mean + sigma * np.stack(normals, axis=1)),
-        "slot_counts": np.stack(slot_counts, axis=1),
+        "participates": grid(participates, bool),
+        "start_jitter": grid(start_jitter, np.float64),
+        "score_jitter": libm_exp(mean + sigma * grid(normals, np.float64)),
+        "slot_counts": grid(slot_counts, np.int32),
     }
     codes = [lab[np.repeat(fast, c)] for lab, c in zip(slot_codes, slot_counts)]
     slow = np.flatnonzero(~fast)
@@ -418,31 +429,22 @@ def _replay_students(
             merged = np.empty(redone.size, dtype=np.int16)
             merged[redone], merged[~redone] = redo_codes, codes[j]
             codes[j] = merged
-    draws["slot_codes"] = np.concatenate(codes)
+    draws["slot_codes"] = _flat_codes(codes)
     return draws
 
 
 def _student_range_draws(
     args: tuple[CourseDefinition, CohortConfig, int, int, np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """Draws for students [lo, hi): one worker's share of the cohort.
+    """Draws for students [lo, hi): one pool item (a block of the cohort).
 
     Pure function of (course, config, range, propensity slice): streams
     are rebuilt from ``(seed, spawn_key=(1, i))``, so the fan-out ships
-    two ints per range instead of pickled SeedSequences and any worker
-    count reassembles to identical arrays.  Replayed ``_REPLAY_ROWS``
-    students at a time.
+    two ints per block instead of pickled SeedSequences and any worker
+    count reassembles to identical arrays.
     """
     course, config, lo, hi, propensity = args
-    return _concat_student_draws([
-        _replay_students(
-            course,
-            config,
-            np.arange(b, min(b + _REPLAY_ROWS, hi)),
-            propensity[b - lo : b - lo + _REPLAY_ROWS],
-        )
-        for b in range(lo, hi, _REPLAY_ROWS)
-    ])
+    return _replay_students(course, config, np.arange(lo, hi), propensity)
 
 
 def _scalar_group_draws(
@@ -490,13 +492,15 @@ def _replay_groups(
 def _group_range_draws(
     args: tuple[CourseDefinition, CohortConfig, int, int],
 ) -> dict[str, np.ndarray]:
-    """Group streams for groups [lo, hi), ``_REPLAY_ROWS`` at a time."""
+    """Group streams for groups [lo, hi): one pool item."""
     course, config, lo, hi = args
-    parts = [
-        _replay_groups(course, config, np.arange(b, min(b + _REPLAY_ROWS, hi)))
-        for b in range(lo, hi, _REPLAY_ROWS)
-    ]
-    return {key: np.concatenate([p[key] for p in parts]) for key in ("jitter", "vm_spread")}
+    return _replay_groups(course, config, np.arange(lo, hi))
+
+
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """``range(n)`` cut into ``_REPLAY_ROWS``-row [lo, hi) blocks: the
+    replay's unit and the pool's item, so one partition serves both."""
+    return [(lo, min(lo + _REPLAY_ROWS, n)) for lo in range(0, n, _REPLAY_ROWS)]
 
 
 def _fan_out(fn, items: Sequence, *, workers: int) -> list:
@@ -557,7 +561,7 @@ def shards_from_columns(
     """
     n, g = schema.n_students, schema.n_groups
     labs, rtypes = schema.lab_names, schema.rtype_names
-    users = [schema.user_string(code) for code in range(n + g)]
+    users = schema.user_names.tolist()
 
     def blocks(family: str, acts: list, owners: int) -> list[tuple]:
         bounds = tables.owner_bounds(family, owners)
@@ -618,8 +622,6 @@ def _raw_tables(
     course: CourseDefinition, config: CohortConfig, *, workers: int
 ) -> tuple[ActivityTables, ColumnSchema]:
     """Pre-admission tables: draws, duration assignment, calendar walk."""
-    from repro.parallel.planner import index_ranges
-
     schema = ColumnSchema.for_course(course)
     n = course.enrollment
     metas = _lab_metas(course)
@@ -629,13 +631,12 @@ def _raw_tables(
     cohort_rng = np.random.default_rng(cohort_seed_sequence(config.seed))
     propensity, pools = draw_cohort_level(course, config, cohort_rng)
 
-    ranges = index_ranges(n, max(workers * 4, 1)) if workers > 1 else [(0, n)]
-    parts = _fan_out(
+    # passed straight in, so the blocks' draws are freed once concatenated
+    draws = _concat_student_draws(_fan_out(
         _student_range_draws,
-        [(course, config, lo, hi, propensity[lo:hi]) for lo, hi in ranges],
+        [(course, config, lo, hi, propensity[lo:hi]) for lo, hi in _blocks(n)],
         workers=workers,
-    )
-    draws = _concat_student_draws(parts)
+    ))
     participates, start_jitter = draws["participates"], draws["start_jitter"]
     score_jitter, slot_counts = draws["score_jitter"], draws["slot_counts"]
 
@@ -786,17 +787,14 @@ def _project_phase_columns(
     so group ``g``'s ``m``-th booking of a type sits at walk position
     ``cursor + g * per_group + m``.
     """
-    from repro.parallel.planner import index_ranges
-
     project = course.project
     g_count = project.groups
     start = (course.semester_weeks - project.weeks) * 168.0
     duration = project.weeks * 168.0
 
-    ranges = index_ranges(g_count, max(workers * 4, 1)) if workers > 1 else [(0, g_count)]
     parts = _fan_out(
         _group_range_draws,
-        [(course, config, lo, hi) for lo, hi in ranges],
+        [(course, config, lo, hi) for lo, hi in _blocks(g_count)],
         workers=workers,
     )
     jitter = np.concatenate([p["jitter"] for p in parts])

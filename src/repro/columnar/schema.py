@@ -17,6 +17,7 @@ silently get that wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,14 +56,23 @@ def group_user(index: int) -> str:
     return f"group{index:02d}"
 
 
+def _user_names(n_students: int, n_groups: int) -> np.ndarray:
+    """User code -> user string, as an object array."""
+    return np.array(
+        [student_user(i) for i in range(n_students)] + [group_user(j) for j in range(n_groups)],
+        dtype=object,
+    )
+
+
 @dataclass(frozen=True)
 class ColumnSchema:
     """Per-cohort encoding tables, derived once from the course.
 
     ``user`` codes are positional: ``0..n_students-1`` are students,
     ``n_students + g`` is group ``g``.  ``user_rank`` maps a code to the
-    lexicographic rank of its user string.  ``rtype_names`` and
-    ``lab_names`` are sorted, so their codes are self-ranking.
+    lexicographic rank of its user string, and ``user_names`` to the
+    string.  ``rtype_names`` and ``lab_names`` are sorted, so their codes
+    are self-ranking.
     """
 
     n_students: int
@@ -87,9 +97,9 @@ class ColumnSchema:
         )
         labs = sorted({lab.id for lab in course.labs} | {"project"})
         n, g = course.enrollment, course.project.groups
-        users = [student_user(i) for i in range(n)] + [group_user(j) for j in range(g)]
+        users = _user_names(n, g)
         rank = np.empty(n + g, dtype=np.int64)
-        rank[np.argsort(np.asarray(users, dtype=object), kind="stable")] = np.arange(n + g)
+        rank[np.argsort(users, kind="stable")] = np.arange(n + g)
         return cls(
             n_students=n,
             n_groups=g,
@@ -100,17 +110,12 @@ class ColumnSchema:
             user_rank=rank,
         )
 
-    def user_code(self, *, student: int | None = None, group: int | None = None) -> int:
-        if student is not None:
-            return student
-        if group is None:
-            raise ValidationError("user_code needs a student or a group index")
-        return self.n_students + group
-
-    def user_string(self, code: int) -> str:
-        if code < self.n_students:
-            return student_user(code)
-        return group_user(code - self.n_students)
+    @cached_property
+    def user_names(self) -> np.ndarray:
+        """User code -> user string, built on first use.  A digest-off
+        columnar run never reads it, and at 10**6 students the names
+        take about 80 MB, so the rank above does not keep them."""
+        return _user_names(self.n_students, self.n_groups)
 
 
 @dataclass

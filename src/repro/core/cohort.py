@@ -53,7 +53,7 @@ from repro.cloud.quota import Quota
 from repro.cloud.testbed import Testbed, chameleon
 from repro.common.errors import ValidationError
 from repro.common.numerics import ndtr, ndtri
-from repro.core.course import COURSE, KVM_SITE, CourseDefinition, LabKind
+from repro.core.course import COURSE, KVM_SITE, SEMESTER_END_GUARD_H, CourseDefinition, LabKind
 from repro.core.usage import canonicalize_records
 
 if TYPE_CHECKING:
@@ -525,7 +525,7 @@ def _schedule_vm_set(testbed: Testbed, act: VmLabActivity, semester_hours: float
 
     def provision() -> None:
         now = testbed.clock.now
-        end = min(now + act.duration, semester_hours - 1e-6)
+        end = min(now + act.duration, semester_hours - SEMESTER_END_GUARD_H)
         if end <= now:
             return
         fip = site.network.allocate_floating_ip("course", lab=act.lab_id, user=act.user)
@@ -614,7 +614,7 @@ def _schedule_project_vm(testbed: Testbed, act: ProjectVmActivity, semester_hour
         if act.with_fip:
             fip = site.network.allocate_floating_ip("course", lab="project", user=act.user)
             site.compute.associate_floating_ip(server.id, fip.id)
-        end = min(testbed.clock.now + act.hours, semester_hours - 1e-6)
+        end = min(testbed.clock.now + act.hours, semester_hours - SEMESTER_END_GUARD_H)
 
         def teardown() -> None:
             if server.id in site.compute.servers:
@@ -634,7 +634,7 @@ def _schedule_project_lease(
 
     def provision() -> None:
         now = testbed.clock.now
-        end = min(now + act.hours, semester_hours - 1e-6)
+        end = min(now + act.hours, semester_hours - SEMESTER_END_GUARD_H)
         if end <= now:
             return
         lease = site.leases.create_lease(
@@ -663,7 +663,7 @@ def _schedule_project_storage(
         vol = site.block_storage.create_volume(
             "course", f"{act.user}-data", max(1, act.block_gb), user=act.user, lab="project"
         )
-        end = min(testbed.clock.now + act.hours, semester_hours - 1e-6)
+        end = min(testbed.clock.now + act.hours, semester_hours - SEMESTER_END_GUARD_H)
         testbed.loop.schedule(
             end,
             lambda: site.block_storage.delete_volume(vol.id)

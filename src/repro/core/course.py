@@ -129,6 +129,14 @@ class ProjectPhase:
     object_storage_gb: float = 1_541.0
 
 
+#: Hours before ``semester_hours`` at which a run that would outlive the
+#: semester is torn down, so its teardown fires inside the semester's
+#: event loop (which stops at ``semester_hours``).  Execution, admission
+#: and the columnar kernels all cap run ends at ``semester_hours`` minus
+#: this band.
+SEMESTER_END_GUARD_H = 1e-6
+
+
 @dataclass(frozen=True)
 class CourseDefinition:
     """The whole course: enrollment, labs, project phase."""

@@ -96,17 +96,6 @@ class AssignmentUsage:
     per_user_hours: dict[str, float] = field(default_factory=dict)
 
 
-@dataclass
-class StorageUsage:
-    """Block/object GB-hours attributed to one lab (or the project)."""
-
-    lab_id: str
-    block_gb_hours: float = 0.0
-    object_gb_hours: float = 0.0
-    peak_block_gb: float = 0.0
-    peak_object_gb: float = 0.0
-
-
 def aggregate_by_assignment(records: list[UsageRecord]) -> dict[tuple[str, str], AssignmentUsage]:
     """Group instance records into (lab, resource_type) rows with FIP hours.
 
@@ -150,27 +139,6 @@ def aggregate_by_assignment(records: list[UsageRecord]) -> dict[tuple[str, str],
         if total > 0:
             row.floating_ip_hours = fip_totals.get(row.lab_id, 0.0) * row.instance_hours / total
     return rows
-
-
-def aggregate_storage(records: list[UsageRecord]) -> dict[str, StorageUsage]:
-    """Per-lab block/object storage usage (order-invariant totals)."""
-    out: dict[str, StorageUsage] = {}
-    block: dict[str, list[float]] = defaultdict(list)
-    obj: dict[str, list[float]] = defaultdict(list)
-    for rec in records:
-        if rec.lab is None or rec.kind not in ("volume", "object_storage"):
-            continue
-        su = out.setdefault(rec.lab, StorageUsage(lab_id=rec.lab))
-        if rec.kind == "volume":
-            block[rec.lab].append(rec.unit_hours)
-            su.peak_block_gb = max(su.peak_block_gb, rec.quantity)
-        else:
-            obj[rec.lab].append(rec.unit_hours)
-            su.peak_object_gb = max(su.peak_object_gb, rec.quantity)
-    for lab, su in out.items():
-        su.block_gb_hours = stable_sum(block[lab])
-        su.object_gb_hours = stable_sum(obj[lab])
-    return out
 
 
 def per_user_instance_hours(

@@ -169,7 +169,7 @@ class FaultSweep:
         if self.calendar.empty:
             return tables  # strict no-op: same object
         rng = self.calendar.hazard_rng()
-        labs, rtypes = schema.lab_names, schema.rtype_names
+        labs, rtypes, users = schema.lab_names, schema.rtype_names, schema.user_names
         n = schema.n_students
         vm, slot = list(tables.rows("vm")), list(tables.rows("slot"))
         pvm, pl = list(tables.rows("pvm")), list(tables.rows("pl"))
@@ -187,7 +187,7 @@ class FaultSweep:
 
         vm_at, slot_at = tables.owner_bounds("vm", n), tables.owner_bounds("slot", n)
         for i in range(n):
-            user = schema.user_string(i)
+            user = users[i]
             for row in range(vm_at[i], vm_at[i + 1]):
                 _, lab, start, hours, flavor, count, _, _ = vm[row]
                 run("vm", row, site=KVM_SITE, user=user, lab=labs[lab], start=start,
@@ -199,7 +199,7 @@ class FaultSweep:
         pvm_at = tables.owner_bounds("pvm", schema.n_groups)
         pl_at = tables.owner_bounds("pl", schema.n_groups)
         for g in range(schema.n_groups):
-            user = schema.user_string(n + g)
+            user = users[n + g]
             for row in range(pvm_at[g], pvm_at[g + 1]):
                 _, flavor, start, hours, _ = pvm[row]
                 run("pvm", row, site=KVM_SITE, user=user, lab="project", start=start,

@@ -42,10 +42,10 @@ if TYPE_CHECKING:  # bound on first use by __getattr__ below
         SupervisedRun,
         SupervisorHalt,
         SupervisorPolicy,
+        batch_shards,
         run_parallel,
         run_parallel_supervised,
     )
-    from repro.parallel.planner import batch_shards
 
 __all__ = [
     "run_parallel",
@@ -61,9 +61,7 @@ __all__ = [
 
 def __getattr__(name: str) -> object:
     if name in __all__:
-        for module in ("repro.parallel.planner", "repro.parallel.engine"):
-            namespace = vars(importlib.import_module(module))
-            if name in namespace:
-                globals()[name] = namespace[name]
-                return namespace[name]
+        value = getattr(importlib.import_module("repro.parallel.engine"), name)
+        globals()[name] = value
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

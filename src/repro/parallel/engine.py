@@ -37,6 +37,7 @@ import signal
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.checkpoint.journal import ShardJournal
 from repro.checkpoint.manifest import RunManifest
@@ -63,7 +64,6 @@ from repro.core.cohort import (
 )
 from repro.core.course import COURSE, CourseDefinition
 from repro.core.usage import canonicalize_records
-from repro.parallel.planner import batch_shards
 from repro.parallel.pool import _pool_context
 
 #: Each pool round's shards are cut into this many batches (at least one
@@ -221,6 +221,48 @@ def _execute_batch(batch: _ShardBatch) -> list[ShardResult]:
                 raise SystemExit(13)
             os.kill(os.getpid(), signal.SIGKILL)
     return results
+
+
+def batch_shards(shards: Sequence[ShardPlan], workers: int) -> list[tuple[ShardPlan, ...]]:
+    """Split ``shards`` into at most ``workers`` contiguous batches.
+
+    Shards are already independent (the cohort planner resolved every
+    cross-shard dependency), so batching is purely a throughput concern:
+    ship each worker a contiguous run of shards big enough to amortize
+    the process round-trip.  Contiguity keeps the batching irrelevant to
+    the output (the merge is shard-order canonical anyway) while making
+    the partition easy to reason about in traces.  Batches are balanced
+    by *activity count* rather than shard count, because project-group
+    shards carry an order of magnitude more activities than student
+    shards: the split is a greedy walk that closes a batch once it holds
+    its fair share of the remaining activity weight.
+    """
+    if workers <= 0:
+        raise ValidationError(f"workers must be positive: {workers!r}")
+    shards = list(shards)
+    if not shards:
+        return []
+    batch_count = min(workers, len(shards))
+    weights = [max(1, s.activity_count) for s in shards]
+    remaining_weight = sum(weights)
+    batches: list[tuple[ShardPlan, ...]] = []
+    start = 0
+    for b in range(batch_count):
+        remaining_batches = batch_count - b
+        if remaining_batches == 1:
+            batches.append(tuple(shards[start:]))
+            break
+        target = remaining_weight / remaining_batches
+        taken = 0.0
+        end = start
+        # leave enough shards for every later batch to get at least one
+        while end < len(shards) - (remaining_batches - 1) and (taken == 0 or taken + weights[end] / 2 <= target):
+            taken += weights[end]
+            end += 1
+        batches.append(tuple(shards[start:end]))
+        remaining_weight -= taken
+        start = end
+    return [b for b in batches if b]
 
 
 # -- the supervisor loop -----------------------------------------------------------
@@ -498,6 +540,7 @@ def run_parallel(
 
 
 __all__ = [
+    "batch_shards",
     "EngineTelemetry",
     "ShardResult",
     "SupervisedRun",

@@ -104,11 +104,7 @@ def _columnar_course(quick: bool) -> CourseDefinition:
 def _columnar(quick: bool, *, workers: int = 1, perturb: bool = False, faulted: bool = False) -> str:
     course = _columnar_course(quick)
     faults = _cohort_faults(course, faulted)
-    with tempfile.TemporaryDirectory(prefix="repro-spill-") as spill:
-        run = run_columnar(
-            course, COHORT, workers=workers, faults=faults, spill_dir=spill if quick else None
-        )
-    return run.digest
+    return run_columnar(course, COHORT, workers=workers, faults=faults).digest
 
 
 # -- the serving engines ------------------------------------------------------------

@@ -1,11 +1,16 @@
 """The write-ahead segment format: atomic publish, verified load, quarantine."""
 
 import json
+import re
 
 import pytest
 
 from repro.checkpoint.journal import MAGIC, JournalLoad, ShardJournal, atomic_write_bytes
+from repro.checkpoint.manifest import MANIFEST_NAME
 from repro.common.errors import ValidationError
+from repro.core.cohort import CohortConfig
+from repro.core.course import scaled_course
+from repro.parallel.engine import run_parallel_supervised
 
 
 @pytest.fixture()
@@ -124,3 +129,30 @@ class TestHealth:
         # non-destructive: the damaged file is still in place
         assert len(journal.segment_paths()) == 3
         assert json.dumps(report)  # JSON-serializable for --inspect --json
+
+
+class TestMissingDirectory:
+    """Only writing creates a journal's directory."""
+
+    @pytest.mark.parametrize("read", ("load", "health"))
+    def test_reading_a_missing_directory_raises_and_creates_nothing(self, tmp_path, read):
+        root = tmp_path / "typo" / "journal"
+        journal = ShardJournal(root)
+        with pytest.raises(ValidationError, match=re.escape(str(root))):
+            getattr(journal, read)()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_first_append_creates_the_nested_directory(self, tmp_path):
+        root = tmp_path / "runs" / "seed42"
+        journal = ShardJournal(root)
+        assert not root.exists()
+        assert journal.append(["only"], "payload").index == 0
+        assert journal.load().shard_ids == ("only",)
+
+    def test_supervised_run_journals_into_a_new_nested_directory(self, tmp_path):
+        root = tmp_path / "runs" / "seed42"
+        _, run = run_parallel_supervised(
+            scaled_course(0.25), CohortConfig(seed=42), workers=1, journal_dir=root
+        )
+        assert (root / MANIFEST_NAME).is_file()
+        assert len(ShardJournal(root).segment_paths()) == run.telemetry.segments_appended > 0

@@ -11,19 +11,27 @@ coverage of ``canonical_sort_key`` guarantees a changed field changes
 the digest.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.columnar import run_columnar
 from repro.common.numerics import stable_sum
 from repro.core import (
     CohortSimulation,
+    fig1_duration_data,
     fig2_cost_distribution,
+    fig3_project_usage,
     records_digest,
     scaled_course,
     table1,
 )
 from repro.core.cohort import CohortConfig
-from repro.core.course import COURSE
+from repro.core.course import COURSE, LabKind
+from repro.faults.plan import build_fault_calendar
+from repro.faults.sweep import FaultSweep
+from repro.parallel.engine import run_parallel
+from repro.verify.gates import COHORT_FAULTS
 
 SEEDS = (42, 7, 1337)
 WORKERS = (1, 2, 4)
@@ -103,3 +111,53 @@ def test_different_seed_changes_columnar_output():
     b = run_columnar(SIZES["one"], CohortConfig(seed=SEEDS[1]))
     assert a.digest != b.digest
 
+
+
+# -- courses without a lab kind ------------------------------------------------------
+
+_QUARTER = scaled_course(0.25)
+#: A course with only VM labs, and one with only reserved and edge labs,
+#: with their digests at seed 0, fault-free and under the verify gate's
+#: cohort fault plan.  The pins are the digests both courses had before
+#: the planner replayed the draws as array code, which first failed on
+#: these shapes (an empty stack of per-lab columns).
+LAB_SHAPES = {
+    "vm-only": (
+        dataclasses.replace(
+            _QUARTER, labs=tuple(lab for lab in _QUARTER.labs if lab.kind is LabKind.VM)
+        ),
+        {
+            False: "057ac8bfd49787c2e3e959a44a5fcd0946f706d1fa8585734aded6bdd16f3168",
+            True: "785cb59d36d1fa928f8fdf39ff2d13ef62eb168d58a3b15988b505c6c0e6f1eb",
+        },
+    ),
+    "reserved-only": (
+        dataclasses.replace(
+            _QUARTER, labs=tuple(lab for lab in _QUARTER.labs if lab.kind is not LabKind.VM)
+        ),
+        {
+            False: "497066d2e58baec399fed6e1ace9657cfd12c3ee01f3db2449ff0699ff307985",
+            True: "805cf859aca30e6ef2f2f96e8651300894ead7849a45b1bf72c313e51f356fe7",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("faulted", (False, True), ids=("fault-free", "faulted"))
+@pytest.mark.parametrize("shape", sorted(LAB_SHAPES))
+def test_course_without_a_lab_kind_runs_on_every_engine(shape, faulted):
+    course, pins = LAB_SHAPES[shape]
+    config = CohortConfig(seed=0)
+
+    def faults():  # a sweep applies once, so each run takes its own
+        if not faulted:
+            return None
+        calendar = build_fault_calendar(COHORT_FAULTS, horizon_hours=course.semester_hours)
+        return FaultSweep(calendar)
+
+    serial = CohortSimulation(course, config, faults=faults()).run()
+    assert records_digest(serial) == pins[faulted]
+    assert records_digest(run_parallel(course, config, workers=2, faults=faults())) == pins[faulted]
+    assert run_columnar(course, config, faults=faults()).digest == pins[faulted]
+    for artifact in (table1, fig1_duration_data, fig2_cost_distribution, fig3_project_usage):
+        assert artifact(serial, course=course).render()

@@ -34,6 +34,21 @@ def assert_same(got: dict, want: dict) -> None:
         assert got[key].tobytes() == want[key].tobytes(), key
 
 
+def assert_same_tables(got, want) -> None:
+    for name in want.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def scalar_raw_tables(monkeypatch, course, config):
+    """``_raw_tables`` drawn by the scalar loops over one block: the reference."""
+    with monkeypatch.context() as patch:
+        patch.setattr(planner, "_REPLAY_ROWS", max(course.enrollment, course.project.groups))
+        patch.setattr(planner, "_replay_students", planner._scalar_student_draws)
+        patch.setattr(planner, "_replay_groups", planner._scalar_group_draws)
+        return planner._raw_tables(course, config, workers=1)[0]
+
+
 def propensity(course, config):
     rng = np.random.default_rng(cohort_seed_sequence(config.seed))
     return draw_cohort_level(course, config, rng)[0]
@@ -80,25 +95,19 @@ def test_replay_equals_scalar_loop(seed, size):
 def test_block_boundaries_are_invisible(monkeypatch):
     """Seven-row blocks (some with no slot in a lab) reassemble exactly."""
     course, config = COURSE, CohortConfig(seed=3)
-    want = student_pair(course, config, 5, 180)[1]
+    want = scalar_raw_tables(monkeypatch, course, config)
     monkeypatch.setattr(planner, "_REPLAY_ROWS", 7)
-    assert_same(student_pair(course, config, 5, 180)[0], want)
-    got = planner._group_range_draws((course, config, 0, course.project.groups))
-    assert_same(got, planner._scalar_group_draws(course, config, np.arange(course.project.groups)))
+    assert_same_tables(planner._raw_tables(course, config, workers=1)[0], want)
 
 
 @pytest.mark.parametrize("workers", (1, 3))
 @pytest.mark.parametrize("seed", (0, 2**63 + 5))
 def test_raw_tables_equal_the_scalar_loops_at_any_worker_count(monkeypatch, seed, workers):
+    """16-row blocks: three workers share 12 student and 3 group blocks."""
     course, config = COURSE, CohortConfig(seed=seed)
-    with monkeypatch.context() as patch:
-        patch.setattr(planner, "_replay_students", planner._scalar_student_draws)
-        patch.setattr(planner, "_replay_groups", planner._scalar_group_draws)
-        want, _ = planner._raw_tables(course, config, workers=1)
-    got, _ = planner._raw_tables(course, config, workers=workers)
-    for name in want.__dataclass_fields__:
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    want = scalar_raw_tables(monkeypatch, course, config)
+    monkeypatch.setattr(planner, "_REPLAY_ROWS", 16)
+    assert_same_tables(planner._raw_tables(course, config, workers=workers)[0], want)
 
 
 # -- each way off the fast path -----------------------------------------------------

@@ -56,17 +56,19 @@ def _columns(rows) -> RecordColumns:
     )
 
 
-def _merger(tmp_path=None) -> CanonicalMerger:
-    merger = CanonicalMerger(SCHEMA, 10.0, n_buckets=1, spill_dir=tmp_path, spill_rows=4)
+@pytest.fixture
+def merger(monkeypatch) -> CanonicalMerger:
+    monkeypatch.setattr(merge, "N_BUCKETS", 1)
+    merger = CanonicalMerger(SCHEMA, 10.0)
     merger.add(_columns(ROWS[:6]))
     merger.add(_columns(ROWS[6:]))
     return merger
 
 
 @pytest.mark.parametrize("slice_rows", (merge.DIGEST_SLICE_ROWS, 3), ids=("default", "3"))
-def test_table_digest_equals_per_row_repr(monkeypatch, slice_rows):
+def test_table_digest_equals_per_row_repr(monkeypatch, merger, slice_rows):
     monkeypatch.setattr(merge, "DIGEST_SLICE_ROWS", slice_rows)
-    result = _merger().finalize(collect_records=True)
+    result = merger.finalize(collect_records=True)
     records = result.records
     assert result.count == len(records) == len(ROWS)
     # the fixture really reaches repr's edges in the merged records
@@ -76,9 +78,7 @@ def test_table_digest_equals_per_row_repr(monkeypatch, slice_rows):
     assert result.digest == records_digest(records)
 
 
-@pytest.mark.parametrize("spill", (False, True))
-def test_finalize_runs_once(tmp_path, spill):
-    merger = _merger(tmp_path if spill else None)
+def test_finalize_runs_once(merger):
     first = merger.finalize()
     assert first.count == len(ROWS)
     with pytest.raises(ValidationError, match="merger already finalized"):

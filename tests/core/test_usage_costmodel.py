@@ -6,7 +6,7 @@ from repro.cloud.metering import UsageRecord
 from repro.common import ValidationError
 from repro.core import CostModel
 from repro.core.costmodel import distribution_stats
-from repro.core.usage import aggregate_by_assignment, aggregate_storage, per_user_instance_hours
+from repro.core.usage import aggregate_by_assignment, per_user_instance_hours
 
 
 def rec(kind, rtype, lab, hours, *, user=None, quantity=1.0, start=0.0):
@@ -55,15 +55,6 @@ class TestAggregation:
         ]
         rows = aggregate_by_assignment(records)
         assert rows[("lab2", "m1.medium")].per_user_hours == {"s1": 15}
-
-    def test_storage_aggregation(self):
-        records = [
-            rec("volume", "block_storage", "lab8", 10, quantity=2.0),
-            rec("object_storage", "object_storage", "lab8", 10, quantity=1.2),
-        ]
-        storage = aggregate_storage(records)
-        assert storage["lab8"].block_gb_hours == pytest.approx(20)
-        assert storage["lab8"].peak_object_gb == pytest.approx(1.2)
 
     def test_per_user_instance_hours_filters_labs(self):
         records = [
