@@ -51,9 +51,10 @@ def run_columnar(
     """Simulate one semester through the columnar engine.
 
     ``digest=False`` skips the digest (the merge still sorts, counts and
-    sums unit-hours).  The digest formats each distinct field value once
-    per slice of sorted rows, which adds about half again to a
-    500×-cohort run, so throughput benchmarks leave it off.
+    sums unit-hours).  The digest writes every record's ``repr`` text as
+    bytes, with one ``float.__repr__`` per distinct float in a slice of
+    sorted rows.  That about doubles the time of a 500×-cohort run, so
+    throughput benchmarks leave it off.
     """
     config = config if config is not None else CohortConfig()
     plan = plan_columns(course, config, workers=workers, faults=faults)

@@ -20,20 +20,33 @@ holding all records sorted at once:
   Key ties are only possible between fully identical records (the key
   covers every content field), so tie order cannot change the stream.
 * **Id minting.** (site, kind) determines the id prefix, so per-pair
-  counters advance by row order within each bucket and carry across
-  buckets — exactly the first-appearance order of the serial
-  canonicalizer.
-* **Digest.** SHA-256 over ``repr(astuple(record))`` per row — the
-  definition :func:`repro.core.report.records_digest` applies to the
-  object path — built column-wise instead of per row.  A tuple's repr is
-  ``"(" + ", ".join(map(repr, fields)) + ")"`` and hashing a
-  concatenation equals streaming its parts, so finalize formats each
-  distinct value once: one ``repr`` per vocabulary code (kind, rtype,
-  user, lab, site), one per distinct 64-bit float pattern in a slice (by
-  pattern, not value: ``-0.0 == 0.0`` but their reprs differ; the reprs
-  are Python-float reprs, as ``.tolist()`` would give), one per minted
-  id.  It interleaves the pieces row-major and hashes each slice of
-  :data:`DIGEST_SLICE_ROWS` sorted rows with one ``update``.
+  integer serials advance by row order within each bucket and carry
+  across buckets — exactly the first-appearance order of the serial
+  canonicalizer.  The digest writes their digits and collected records
+  format their ids from the same serials.
+* **Digest.** SHA-256 over the UTF-8 of ``repr(astuple(record))`` per
+  row — the definition :func:`repro.core.report.records_digest` applies
+  to the object path — built without a Python object per row.  Hashing a
+  concatenation equals streaming its parts, so finalize writes each
+  slice of :data:`DIGEST_SLICE_ROWS` sorted rows as one row-major
+  ``uint8`` matrix of column blocks, each NUL-padded to its width:
+
+  - blocks taken from byte tables built once per merger: the id's head
+    (by kind), kind with rtype and the constant project, user, lab with
+    site — each with the text around it in the tuple's repr;
+  - the serials' ASCII digits, six wide as ``{serial:06d}`` writes them,
+    and wider past 999,999;
+  - the three floats, one ``float.__repr__`` per distinct 64-bit pattern
+    in each float column of the slice (by pattern, not value: ``-0.0 ==
+    0.0`` but their reprs differ; the reprs are Python-float reprs, as
+    ``.tolist()`` gives).
+
+  One boolean compress drops the padding and one ``update`` hashes the
+  slice.  NUL is a safe sentinel: ``repr`` escapes U+0000, so the UTF-8
+  of a repr never holds a 0x00 byte, and the compressed bytes are
+  exactly the per-row text.  Floats stay on ``repr``, the formatter the
+  definition names: a vectorized port of its shortest-digit search
+  matched it bit for bit but ran slower than one call per pattern.
 * **Totals.** ``quantity * (end - start)`` per row, summed with
   :func:`repro.common.numerics.stable_sum` over the whole multiset —
   exactly equal to the same sum of ``UsageRecord.unit_hours`` over the
@@ -59,9 +72,9 @@ from repro.columnar.schema import (
 from repro.common.errors import ValidationError
 from repro.common.numerics import stable_sum
 
-#: Rows per digest slice: finalize formats and hashes a sorted bucket this
-#: many rows at a time, so its per-column text lists stay bounded however
-#: large a bucket grows.
+#: Rows per digest slice: finalize builds and hashes the byte matrix of a
+#: sorted bucket this many rows at a time, so the matrix stays bounded
+#: however large a bucket grows.
 DIGEST_SLICE_ROWS = 65_536
 #: Start-time buckets.  Correctness is independent of the count (tests
 #: vary it).
@@ -108,10 +121,11 @@ class CanonicalMerger:
         self._finalized = True
         schema = self._schema
         sha = hashlib.sha256() if digest else None
-        counters: dict[tuple[int, int], int] = {}  # (site, kind) -> last serial
+        # site * len(KIND_NAMES) + kind -> the pair's last serial
+        counters = np.zeros(len(SITE_NAMES) * len(KIND_NAMES), dtype=np.int64)
         unit_parts: list[np.ndarray] = []
         records: list[UsageRecord] | None = [] if collect_records else None
-        reprs = _ReprTables(schema) if digest else None
+        row_bytes = _RowBytes(schema) if digest else None
         count = 0
         for b in range(len(self._chunks)):
             cols = RecordColumns.concat(self._chunks[b])
@@ -136,12 +150,15 @@ class CanonicalMerger:
             unit_parts.append(cols.quantity * (cols.end - cols.start))
             if sha is None and records is None:
                 continue  # no id is minted, so the counters are never read
-            ids = _mint_ids(cols, counters)
+            serials = _mint_serials(cols, counters)
             if sha is not None:
                 for lo in range(0, n, DIGEST_SLICE_ROWS):
-                    part = slice(lo, lo + DIGEST_SLICE_ROWS)
-                    sha.update(reprs.rows(cols, ids, part).encode())
+                    sha.update(row_bytes.rows(cols, serials, slice(lo, lo + DIGEST_SLICE_ROWS)))
             if records is not None:
+                ids = [
+                    f"{KIND_PREFIXES[kind]}-{serial:06d}"
+                    for kind, serial in zip(cols.kind.tolist(), serials.tolist())
+                ]
                 kind_names = np.take(np.array(KIND_NAMES, dtype=object), cols.kind)
                 rtype_names = np.take(np.array(schema.rtype_names, dtype=object), cols.rtype)
                 site_names = np.take(np.array(SITE_NAMES, dtype=object), cols.site)
@@ -169,73 +186,104 @@ class CanonicalMerger:
         )
 
 
-class _ReprTables:
-    """The digest's text, built column-wise (see the module docstring).
+class _RowBytes:
+    """The digest's bytes, built as a row-major matrix (see the module docstring).
 
-    Each piece is one field's ``repr`` with the separator that follows it
-    in the tuple's repr, so a slice's text is the row-major interleave of
-    its columns' pieces.  Adjacent code fields share one table: kind with
-    rtype (and the constant project), lab with site.
+    Each block holds one field's ``repr`` (UTF-8) with the text around it
+    in the tuple's repr, NUL-padded to the block's width.  Adjacent code
+    fields share one table: kind with rtype (and the constant project),
+    lab with site.  The tables are built once per merger.
     """
 
     def __init__(self, schema: ColumnSchema) -> None:
         self._n_rtypes = len(schema.rtype_names)
-        self._kind_rtype = np.array(
+        # an id is letters, a hyphen and digits, so its repr is the id in
+        # single quotes: the head opens it, ``_kind_rtype`` closes it
+        self._id_head = _byte_table([f"('{prefix}-" for prefix in KIND_PREFIXES])
+        self._kind_rtype = _byte_table(
             [
-                f"{kind!r}, {rtype!r}, {'course'!r}, "
+                f"', {kind!r}, {rtype!r}, {'course'!r}, "
                 for kind in KIND_NAMES
                 for rtype in schema.rtype_names
-            ],
-            dtype=object,
+            ]
         )
-        self._user = np.array([f"{user!r}, " for user in schema.user_names], dtype=object)
-        self._lab_site = np.array(
-            [f"{lab!r}, {site!r})" for lab in schema.lab_names for site in SITE_NAMES],
-            dtype=object,
+        self._user = _byte_table([f"{user!r}, " for user in schema.user_names.tolist()])
+        self._lab_site = _byte_table(
+            [f"{lab!r}, {site!r})" for lab in schema.lab_names for site in SITE_NAMES]
         )
 
-    def rows(self, cols: RecordColumns, ids: np.ndarray, part: slice) -> str:
-        """The concatenated ``repr(tuple)`` text of rows ``part``."""
-        kind_rtype = cols.kind[part].astype(np.int64) * self._n_rtypes + cols.rtype[part]
+    def rows(self, cols: RecordColumns, serials: np.ndarray, part: slice) -> np.ndarray:
+        """The concatenated UTF-8 ``repr(tuple)`` bytes of rows ``part``."""
+        kind = cols.kind[part]
+        kind_rtype = kind.astype(np.int64) * self._n_rtypes + cols.rtype[part]
         lab_site = cols.lab[part].astype(np.int64) * len(SITE_NAMES) + cols.site[part]
-        pieces = zip(
-            [f"({rid!r}, " for rid in ids[part].tolist()],
-            np.take(self._kind_rtype, kind_rtype).tolist(),
-            _float_pieces(cols.start[part]),
-            _float_pieces(cols.end[part]),
-            _float_pieces(cols.quantity[part]),
-            np.take(self._user, cols.user[part]).tolist(),
-            np.take(self._lab_site, lab_site).tolist(),
+        matrix = np.concatenate(
+            (
+                np.take(self._id_head, kind, axis=0),
+                _serial_digits(serials[part]),
+                np.take(self._kind_rtype, kind_rtype, axis=0),
+                _float_text(cols.start[part]),
+                _float_text(cols.end[part]),
+                _float_text(cols.quantity[part]),
+                np.take(self._user, cols.user[part], axis=0),
+                np.take(self._lab_site, lab_site, axis=0),
+            ),
+            axis=1,
         )
-        return "".join(chain.from_iterable(pieces))
+        return matrix[matrix != 0]
 
 
-def _float_pieces(col: np.ndarray) -> list[str]:
-    """``repr(x) + ", "`` per row, formatted once per distinct bit pattern."""
-    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    table = np.array([f"{x!r}, " for x in bits.view(np.float64).tolist()], dtype=object)
-    return np.take(table, inverse).tolist()
+def _byte_table(texts: list[str]) -> np.ndarray:
+    """Row ``i`` is ``texts[i]`` in UTF-8, NUL-padded to the longest."""
+    encoded = np.array([text.encode() for text in texts], dtype=bytes)
+    return encoded.view(np.uint8).reshape(len(texts), encoded.itemsize)
 
 
-def _mint_ids(cols: RecordColumns, counters: dict[tuple[int, int], int]) -> np.ndarray:
-    """Fresh ids per (site, prefix) in canonical row order, counters carried.
+def _float_text(col: np.ndarray) -> np.ndarray:
+    """``repr(x) + ", "`` per value, NUL-padded between the two.
+
+    One ``float.__repr__`` per distinct 64-bit pattern: by pattern, not
+    value, because ``-0.0 == 0.0`` but their reprs differ.
+    """
+    patterns, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array(list(map(float.__repr__, patterns.view(np.float64).tolist())), dtype=bytes)
+    table = np.empty((len(text), text.itemsize + 2), dtype=np.uint8)
+    table[:, :-2] = text.view(np.uint8).reshape(len(text), text.itemsize)
+    table[:, -2:] = np.frombuffer(b", ", dtype=np.uint8)
+    return np.take(table, inverse, axis=0)
+
+
+def _serial_digits(serials: np.ndarray) -> np.ndarray:
+    """ASCII digits of each serial as ``{serial:06d}`` writes them.
+
+    Right-aligned in a block as wide as the slice's widest serial; the
+    places a shorter serial leaves free left of its six digits are NUL.
+    """
+    width = max(6, len(str(int(serials.max()))))
+    digits = np.empty((len(serials), width), dtype=np.uint8)
+    rest = serials
+    for place in range(width - 1, -1, -1):
+        rest, digits[:, place] = np.divmod(rest, 10)
+    digits += ord("0")
+    if width > 6:
+        digits[:, : width - 6][serials[:, None] < 10 ** np.arange(width - 1, 5, -1)] = 0
+    return digits
+
+
+def _mint_serials(cols: RecordColumns, counters: np.ndarray) -> np.ndarray:
+    """Fresh id serials per (site, kind) in canonical row order, counters carried.
 
     Matches ``canonicalize_records``: within the sorted bucket, rows of a
-    (site, kind) pair take consecutive serials in row order; ids are
-    ``{prefix}-{serial:06d}``.  Cohort records never share a resource id
-    across spans (each span minted its own id), so first-appearance order
-    degenerates to row order.
+    (site, kind) pair take consecutive serials in row order.  Cohort
+    records never share a resource id across spans (each span minted its
+    own id), so first-appearance order degenerates to row order.
+    ``counters[site * len(KIND_NAMES) + kind]`` is the pair's last serial.
     """
-    pair = cols.site.astype(np.int64) * len(KIND_NAMES) + cols.kind
-    ids = np.empty(len(cols), dtype=object)
-    for p in np.unique(pair):
-        site_code, kind_code = int(p) // len(KIND_NAMES), int(p) % len(KIND_NAMES)
-        idx = np.flatnonzero(pair == p)
-        base = counters.get((site_code, kind_code), 0)
-        counters[(site_code, kind_code)] = base + len(idx)
-        prefix = KIND_PREFIXES[kind_code]
-        serials = np.char.zfill(
-            (base + 1 + np.arange(len(idx), dtype=np.int64)).astype("U12"), 6
-        )
-        ids[idx] = np.char.add(f"{prefix}-", serials).astype(object)
-    return ids
+    pair = cols.site * len(KIND_NAMES) + cols.kind  # int8: a radix sort
+    order = np.argsort(pair, kind="stable")
+    counts = np.bincount(pair, minlength=len(counters))
+    first = np.cumsum(counts) - counts  # each pair's first place in ``order``
+    serials = np.empty(len(pair), dtype=np.int64)
+    serials[order] = np.arange(1, len(pair) + 1) + np.repeat(counters - first, counts)
+    counters += counts
+    return serials

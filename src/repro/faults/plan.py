@@ -28,6 +28,7 @@ Three fault classes, matching what real testbeds throw at a course:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +113,9 @@ class FaultPlanConfig:
 
     def __post_init__(self) -> None:
         for name in ("outage_rate_per_week", "hazard_rate_per_khour", "burst_rate_per_week"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} cannot be negative: {getattr(self, name)!r}")
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValidationError(f"{name} must be a non-negative number: {rate!r}")
         if self.outage_mean_hours <= 0 or self.burst_mean_hours <= 0:
             raise ValidationError(f"window mean hours must be positive: {self!r}")
         if self.outage_sigma < 0 or self.burst_sigma < 0:

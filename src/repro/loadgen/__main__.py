@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 
+from repro.common.errors import ValidationError
 from repro.faults.plan import build_serving_calendar
 from repro.loadgen.arrivals import PATTERNS, TrafficConfig, generate_trace
 from repro.loadgen.autoscaler import AutoscalerConfig
@@ -118,32 +119,37 @@ def main(argv: list[str] | None = None) -> int:
     if args.whatif and args.json == "-":
         parser.error("--whatif does not apply with --json - (the JSON summary has no what-if)")
 
-    traffic = TrafficConfig(
-        seed=args.seed,
-        pattern=args.pattern,
-        requests_per_day=args.rpd,
-        duration_hours=args.hours,
-    )
+    # every config is built before anything is generated, so a bad flag
+    # value is a usage error, not a traceback after the work
+    try:
+        traffic = TrafficConfig(
+            seed=args.seed,
+            pattern=args.pattern,
+            requests_per_day=args.rpd,
+            duration_hours=args.hours,
+        )
+        admission = AdmissionConfig(
+            queue_capacity=args.queue_cap, deadline_ms=args.deadline_ms
+        )
+        batching = BatchingConfig(max_batch=args.max_batch, max_queue_delay_ms=args.delay_ms)
+        autoscaler = AutoscalerConfig(
+            min_replicas=args.min_replicas,
+            max_replicas=args.max_replicas,
+            provisioning_lag_s=args.lag,
+        )
+        policy = SloPolicy(p99_budget_ms=args.p99_budget_ms, max_loss_rate=args.max_loss)
+        calendar = None
+        if args.outage_rate or args.burst_rate:
+            calendar = build_serving_calendar(
+                duration_hours=args.hours,
+                seed=args.fault_seed,
+                outage_rate_per_week=args.outage_rate,
+                burst_rate_per_week=args.burst_rate,
+            )
+    except ValidationError as err:
+        parser.error(str(err))
     trace = generate_trace(traffic)
     engine = InferenceEngine(food11_classifier(), DEVICE_CATALOG[args.device])
-    admission = AdmissionConfig(
-        queue_capacity=args.queue_cap, deadline_ms=args.deadline_ms
-    )
-    batching = BatchingConfig(max_batch=args.max_batch, max_queue_delay_ms=args.delay_ms)
-    autoscaler = AutoscalerConfig(
-        min_replicas=args.min_replicas,
-        max_replicas=args.max_replicas,
-        provisioning_lag_s=args.lag,
-    )
-    policy = SloPolicy(p99_budget_ms=args.p99_budget_ms, max_loss_rate=args.max_loss)
-    calendar = None
-    if args.outage_rate > 0 or args.burst_rate > 0:
-        calendar = build_serving_calendar(
-            duration_hours=args.hours,
-            seed=args.fault_seed,
-            outage_rate_per_week=args.outage_rate,
-            burst_rate_per_week=args.burst_rate,
-        )
 
     result = simulate_traffic(
         trace,

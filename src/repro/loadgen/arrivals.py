@@ -26,6 +26,7 @@ materializes in well under a second.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,10 @@ class TrafficConfig:
             raise ValidationError(
                 f"unknown arrival pattern {self.pattern!r}; expected one of {PATTERNS}"
             )
-        if self.requests_per_day <= 0 or self.duration_hours <= 0:
-            raise ValidationError(f"rate and duration must be positive: {self!r}")
+        for name in ("requests_per_day", "duration_hours"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be a positive number: {value!r}")
         if self.peak_to_trough < 1.0:
             raise ValidationError(
                 f"peak_to_trough must be >= 1: {self.peak_to_trough!r}"

@@ -41,7 +41,7 @@ class AutoscalerConfig:
     def __post_init__(self) -> None:
         if self.min_replicas <= 0 or self.max_replicas < self.min_replicas:
             raise ValidationError(f"invalid replica bounds: {self!r}")
-        if self.control_interval_s <= 0 or self.provisioning_lag_s < 0:
+        if not (0 < self.control_interval_s < math.inf and 0 <= self.provisioning_lag_s < math.inf):
             raise ValidationError(f"invalid timing: {self!r}")
         if self.target_queue_per_replica <= 0 or self.scale_down_idle_ticks <= 0:
             raise ValidationError(f"invalid scaling thresholds: {self!r}")

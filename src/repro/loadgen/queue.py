@@ -27,6 +27,7 @@ drift apart.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -54,7 +55,7 @@ class AdmissionConfig:
     def __post_init__(self) -> None:
         if self.queue_capacity <= 0:
             raise ValidationError(f"queue capacity must be positive: {self!r}")
-        if self.deadline_ms <= 0:
+        if not (0 < self.deadline_ms < math.inf):
             raise ValidationError(f"deadline must be positive: {self!r}")
 
     @property

@@ -10,6 +10,7 @@ so latency alone is gameable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
@@ -24,7 +25,7 @@ class SloPolicy:
     max_loss_rate: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.p99_budget_ms <= 0:
+        if not (0 < self.p99_budget_ms < math.inf):
             raise ValidationError(f"latency budget must be positive: {self!r}")
         if not (0.0 <= self.max_loss_rate < 1.0):
             raise ValidationError(f"loss budget must be in [0, 1): {self!r}")

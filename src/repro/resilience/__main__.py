@@ -33,6 +33,7 @@ import argparse
 import json
 import sys
 
+from repro.common.errors import ValidationError
 from repro.resilience.scenario import StormConfig
 from repro.resilience.sweep import SweepConfig, quick_sweep_config, run_storm, run_sweep
 
@@ -99,6 +100,9 @@ def main(argv: list[str] | None = None) -> int:
     if not args.sweep and (args.quick or args.phase_map):
         parser.error("--quick and --phase-map apply only with --sweep")
 
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1: {args.workers}")
+
     if args.sweep:
         report = run_sweep(
             quick_sweep_config() if args.quick else SweepConfig(), workers=args.workers
@@ -106,7 +110,11 @@ def main(argv: list[str] | None = None) -> int:
         rendered = report.render_phase_map() if args.phase_map else report.render()
         label = "sweep digest"
     else:
-        report = run_storm(StormConfig(**given), workers=args.workers)
+        try:
+            storm = StormConfig(**given)
+        except ValidationError as err:
+            parser.error(str(err))
+        report = run_storm(storm, workers=args.workers)
         rendered = report.render()
         label = "storm digest"
     payload = report.to_dict()

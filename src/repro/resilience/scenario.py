@@ -36,6 +36,7 @@ byte-identical under rerun, ``perturb=True``, and any worker count.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, replace
 
 from repro.common.breaker import BreakerConfig
@@ -88,6 +89,16 @@ class StormConfig:
     thrash_slowdown: float = 2.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.requests_per_day) and self.requests_per_day > 0):
+            raise ValidationError(
+                f"requests_per_day must be a positive number: {self.requests_per_day!r}"
+            )
+        if self.queue_capacity <= 0:
+            raise ValidationError(f"queue_capacity must be positive: {self.queue_capacity!r}")
+        if not (math.isfinite(self.retry_budget_fill) and self.retry_budget_fill >= 0):
+            raise ValidationError(
+                f"retry_budget_fill must be a non-negative number: {self.retry_budget_fill!r}"
+            )
         if not (0.0 <= self.outage_start_s < self.outage_end_s <= self.duration_s):
             raise ValidationError(f"outage must sit inside the run: {self!r}")
         if not (0.0 < self.congestion_fraction <= 1.0):

@@ -10,6 +10,7 @@ bigger batches → more throughput but worse p99 under light load.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +28,9 @@ class BatchingConfig:
     n_instances: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_batch <= 0 or self.n_instances <= 0 or self.max_queue_delay_ms < 0:
+        if self.max_batch <= 0 or self.n_instances <= 0 or not (
+            0 <= self.max_queue_delay_ms < math.inf
+        ):
             raise ValidationError(f"invalid batching config: {self!r}")
 
     @property

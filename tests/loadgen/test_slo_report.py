@@ -15,6 +15,7 @@ from repro.loadgen import (
     simulate_traffic,
     slo_cost_frontier,
 )
+from repro.loadgen import __main__ as loadgen_cli
 from repro.loadgen.__main__ import main as loadgen_main
 from repro.serving import DEVICE_CATALOG, InferenceEngine, food11_classifier
 
@@ -149,6 +150,41 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert len(summary["digest"]) == 64
         assert not {"digest_match", "rerun_digest", "perturbed_digest"} & set(summary)
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["--queue-cap", "0"], "queue capacity must be positive"),
+            (["--max-batch", "0"], "invalid batching config"),
+            (["--hours", "0"], "duration_hours must be a positive number"),
+            (["--min-replicas", "3", "--max-replicas", "1"], "invalid replica bounds"),
+            (["--rpd", "nan"], "requests_per_day must be a positive number: nan"),
+            (["--rpd", "inf"], "requests_per_day must be a positive number: inf"),
+            (["--outage-rate", "-1"], "outage_rate_per_week must be a non-negative number"),
+            (["--burst-rate", "nan"], "burst_rate_per_week must be a non-negative number"),
+            (["--delay-ms", "nan"], "invalid batching config"),
+            (["--deadline-ms", "nan"], "deadline must be positive"),
+            (["--lag", "nan"], "invalid timing"),
+            (["--p99-budget-ms", "inf"], "latency budget must be positive"),
+        ],
+        ids=("queue-cap", "max-batch", "hours", "replicas", "rpd-nan", "rpd-inf",
+             "outage-rate", "burst-rate", "delay-nan", "deadline-nan", "lag-nan", "budget-inf"),
+    )
+    def test_cli_bad_value_is_usage_error(self, monkeypatch, capsys, argv, message):
+        """Refused by the parser (exit 2) before any trace is generated, not
+        a ValidationError or numpy traceback after it."""
+
+        def no_trace(config):
+            raise AssertionError("a trace was generated before the flags were checked")
+
+        monkeypatch.setattr(loadgen_cli, "generate_trace", no_trace)
+        with pytest.raises(SystemExit) as exc:
+            loadgen_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro.loadgen")
+        assert f"python -m repro.loadgen: error: {message}" in err
+        assert "Traceback" not in err
 
     def test_cli_whatif_prints_frontier(self, capsys):
         assert loadgen_main(self.ARGS + ["--whatif"]) == 0

@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 
+from repro.resilience import __main__ as resilience_cli
 from repro.resilience.__main__ import STORM_FLAGS, main
 from repro.resilience.scenario import StormConfig
 
@@ -28,6 +29,38 @@ def test_sweep_only_flags_without_sweep_exit_2(flag, capsys):
         main(["--storm", flag])
     assert exc.value.code == 2
     assert "only with --sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--workers", "0"], "--workers must be at least 1: 0"),
+        (["--sweep", "--quick", "--workers", "-1"], "--workers must be at least 1: -1"),
+        (["--rpd", "nan"], "requests_per_day must be a positive number: nan"),
+        (["--rpd", "0"], "requests_per_day must be a positive number: 0.0"),
+        (["--queue-cap", "0"], "queue_capacity must be positive: 0"),
+        (["--budget-fill", "-1"], "retry_budget_fill must be a non-negative number: -1.0"),
+        (["--replicas", "0"], "outage_dark_replicas must leave a survivor"),
+    ],
+    ids=("workers", "sweep-workers", "rpd-nan", "rpd-zero", "queue-cap", "budget-fill",
+         "replicas"),
+)
+def test_bad_value_is_usage_error(monkeypatch, capsys, argv, message):
+    """Refused by the parser (exit 2) before any storm runs, not a
+    ValidationError or numpy traceback from inside the ladder."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a storm ran before the flags were checked")
+
+    monkeypatch.setattr(resilience_cli, "run_storm", no_run)
+    monkeypatch.setattr(resilience_cli, "run_sweep", no_run)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: python -m repro.resilience")
+    assert f"python -m repro.resilience: error: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_storm_flags_reach_the_ladder(capsys):
