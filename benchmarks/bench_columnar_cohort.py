@@ -101,6 +101,7 @@ def test_columnar_throughput_vs_serial(benchmark, quick):
         "per_student_speedup": round(speedup, 1),
         "quota_fast_path": run.sweep_info.get("quota_fast_path"),
         "lease_fast_path": run.sweep_info.get("lease_fast_path"),
+        "draw_info": run.draw_info,
         "throughput_floor": THROUGHPUT_FLOOR,
         "floor_met": speedup >= THROUGHPUT_FLOOR,
         "cpu_count": os.cpu_count(),

@@ -24,6 +24,7 @@ import sys
 
 from repro.checkpoint.journal import ShardJournal
 from repro.checkpoint.manifest import RunManifest
+from repro.common.errors import ValidationError
 from repro.core.cohort import CohortConfig
 from repro.core.course import COURSE, scaled_course
 from repro.core.report import records_digest
@@ -103,9 +104,8 @@ def _inspect(args: argparse.Namespace) -> int:
     return 1 if report["segments_damaged"] else 0
 
 
-def _resume(args: argparse.Namespace) -> int:
+def _resume(args: argparse.Namespace, config: CohortConfig) -> int:
     course = COURSE if args.scale == 1.0 else scaled_course(args.scale)
-    config = CohortConfig(seed=args.seed)
     records, run = run_parallel_supervised(
         course, config, workers=args.workers, journal_dir=args.journal
     )
@@ -141,7 +141,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--workers must be at least 1: {args.workers}")
     if not (math.isfinite(args.scale) and args.scale > 0):
         parser.error(f"--scale must be a positive number: {args.scale}")
-    return _resume(args)
+    try:
+        config = CohortConfig(seed=args.seed)
+    except ValidationError as err:
+        parser.error(str(err))
+    return _resume(args, config)
 
 
 if __name__ == "__main__":

@@ -25,31 +25,28 @@ chronological sweeps pre-admit every activity:
 Each sweep is a **vectorized optimistic pass over an exact replay**:
 
 * Fast path — hypothesize that every arrival is admitted on its first
-  attempt, sort arrivals and releases into the sweep's event order, and
-  prefix-sum the resource deltas.  ``np.cumsum`` applies the same
-  floating-point additions in the same order the serial sweep would, so
-  the running usage it produces is bit-identical to the serial
-  ``in_use`` sequence *under the no-retry hypothesis*; if every arrival
-  checkpoint stays within limits, the hypothesis is self-consistent and
-  the serial sweep would have admitted everything at its original start.
-* Exact replay — if any checkpoint fails, the hypothesis says nothing
-  about what happens after the first rejection (retries reshuffle the
-  event order), so the sweep falls back to the serial heap sweep: heap
-  keys ``(time, rank)``, one retry-rank counter above every initial
-  rank, the release strictness above, the retry policies above.
+  attempt and check every arrival against the limits in whole numbers
+  (:func:`_prefix_sum_feasible`).  If every check holds, the hypothesis
+  is self-consistent and the serial sweep would have admitted
+  everything at its original start.
+* Exact replay — if any check fails, the hypothesis says nothing about
+  what happens after the first rejection (retries reshuffle the event
+  order), so the sweep falls back to the serial heap sweep: heap keys
+  ``(time, rank)``, one retry-rank counter above every initial rank, the
+  release strictness below, the retry policies above.
 
-Two conservatism details the event ordering must honor (they differ
-between the sweeps, deliberately): the quota sweep frees releases
-*strictly before* t (a release at exactly t is still held), so arrivals
-sort before releases at equal times; the lease sweep keeps intervals
-with ``end > t`` (a lease ending exactly at t is free), so releases
-sort before arrivals.
+Two conservatism details differ between the sweeps, deliberately: the
+quota sweep frees releases *strictly before* t (a release at exactly t
+is still held when an arrival at t is checked); the lease sweep keeps
+intervals with ``end > t`` (a lease ending exactly at t is free).
 
-Bundles are fixed-width 6-vectors (zero for dimensions a bundle does
-not touch).  Adding or subtracting an exact 0.0 never changes a
-non-negative float, and the sweep invariant ``in_use <= limit`` makes
-the extra zero-dimension checks vacuous, so the dense form decides
-exactly what a per-dimension sparse check would.
+Bundles are fixed-width int64 6-vectors (zero for dimensions a bundle
+does not touch).  Every entry is a count, a vCPU count or GiB: a whole
+number, which :func:`_flavor_lookup` enforces for flavors and the
+tables' integer columns give the rest.  So every sum of bundles is
+exact, in any order and in the replay's floats alike, and an extra
+zero dimension checks ``in_use <= limit``, which the sweep keeps anyway:
+the dense form decides exactly what a per-dimension sparse check would.
 """
 
 from __future__ import annotations
@@ -60,6 +57,7 @@ import numpy as np
 
 from repro.cloud.inventory import CHAMELEON_FLAVORS
 from repro.cloud.quota import Quota
+from repro.common.errors import ValidationError
 from repro.common.retry import RetryPolicy
 from repro.core.cohort import SlotCalendar, quota_for
 from repro.core.course import SEMESTER_END_GUARD_H, CourseDefinition
@@ -83,38 +81,48 @@ QUOTA_RETRY = RetryPolicy.quota_default()
 
 
 def _flavor_lookup(schema) -> tuple[np.ndarray, np.ndarray]:
-    """(vcpus, ram_gib) indexed by schema rtype code; 0 for non-flavors."""
+    """(vcpus, ram_gib) indexed by schema rtype code; 0 for non-flavors.
+
+    Refuses a flavor whose vCPUs or GiB are not whole: the fast path's
+    whole-number check would not hold for it.
+    """
     n = len(schema.rtype_names)
     vcpus = np.zeros(n, dtype=np.int64)
     ram = np.zeros(n, dtype=np.int64)
     for name, flavor in CHAMELEON_FLAVORS.items():
         code = schema.rtype_codes.get(name)
-        if code is not None:
-            vcpus[code] = flavor.vcpus
-            ram[code] = flavor.ram_gib
+        if code is None:
+            continue
+        if not (float(flavor.vcpus).is_integer() and float(flavor.ram_gib).is_integer()):
+            raise ValidationError(
+                f"quota admission needs whole vCPUs and GiB: {name} has "
+                f"{flavor.vcpus!r} vCPUs and {flavor.ram_gib!r} GiB"
+            )
+        vcpus[code] = flavor.vcpus
+        ram[code] = flavor.ram_gib
     return vcpus, ram
 
 
 def _vm_lab_bundles(tables, schema) -> np.ndarray:
-    """(V, 6) float64 — FIP, instances, cores, RAM (+ volume) per VM-lab row."""
+    """(V, 6) int64 — FIP, instances, cores, RAM (+ volume) per VM-lab row."""
     vcpus, ram = _flavor_lookup(schema)
     count = tables.vm_count.astype(np.int64)
-    out = np.zeros((len(count), len(QUOTA_DIMS)), dtype=np.float64)
+    out = np.zeros((len(count), len(QUOTA_DIMS)), dtype=np.int64)
     out[:, 0] = count
     out[:, 1] = count * vcpus[tables.vm_flavor]
     out[:, 2] = count * ram[tables.vm_flavor]
-    out[:, 3] = 1.0
+    out[:, 3] = 1
     has_block = tables.vm_block_gb > 0
     out[:, 4] = has_block
-    out[:, 5] = np.where(has_block, tables.vm_block_gb, 0).astype(np.float64)
+    out[:, 5] = np.where(has_block, tables.vm_block_gb, 0)
     return out
 
 
 def _pvm_bundles(tables, schema) -> np.ndarray:
-    """(P, 6) float64 — instance, cores, RAM (+ FIP) per service-VM row."""
+    """(P, 6) int64 — instance, cores, RAM (+ FIP) per service-VM row."""
     vcpus, ram = _flavor_lookup(schema)
-    out = np.zeros((len(tables.pvm_start), len(QUOTA_DIMS)), dtype=np.float64)
-    out[:, 0] = 1.0
+    out = np.zeros((len(tables.pvm_start), len(QUOTA_DIMS)), dtype=np.int64)
+    out[:, 0] = 1
     out[:, 1] = vcpus[tables.pvm_flavor]
     out[:, 2] = ram[tables.pvm_flavor]
     out[:, 3] = tables.pvm_with_fip
@@ -122,10 +130,10 @@ def _pvm_bundles(tables, schema) -> np.ndarray:
 
 
 def _ps_bundles(tables) -> np.ndarray:
-    """(G, 6) float64 — one volume per storage row."""
-    out = np.zeros((len(tables.ps_start), len(QUOTA_DIMS)), dtype=np.float64)
-    out[:, 4] = 1.0
-    out[:, 5] = np.maximum(1, tables.ps_block_gb).astype(np.float64)
+    """(G, 6) int64 — one volume per storage row."""
+    out = np.zeros((len(tables.ps_start), len(QUOTA_DIMS)), dtype=np.int64)
+    out[:, 4] = 1
+    out[:, 5] = np.maximum(1, tables.ps_block_gb)
     return out
 
 
@@ -174,13 +182,10 @@ def sweep_kvm_quota(tables, *, course: CourseDefinition, info: dict, schema):
     arr_start = np.concatenate(
         [tables.vm_start[vm_live], tables.pvm_start[pvm_live], tables.ps_start]
     )
-    arr_rank = np.concatenate([vm_rank[vm_live], pvm_rank[pvm_live], ps_rank])
     arr_bundle = np.concatenate([vm_b[vm_live], pvm_b[pvm_live], ps_b], axis=0)
     rel_end = np.concatenate([vm_end[vm_live], pvm_end[pvm_live], ps_hold_end])
 
-    ok = _prefix_sum_feasible(
-        arr_start, arr_rank, arr_bundle, rel_end, limits, arrivals_first=True
-    )
+    ok = _prefix_sum_feasible(arr_start, arr_bundle, rel_end, limits, arrivals_first=True)
     info["quota_fast_path"] = bool(ok)
     if ok:
         vm_admit = np.where(vm_drop, np.nan, tables.vm_start)
@@ -200,7 +205,6 @@ def sweep_kvm_quota(tables, *, course: CourseDefinition, info: dict, schema):
 
 def _prefix_sum_feasible(
     arr_time: np.ndarray,
-    arr_rank: np.ndarray,
     arr_bundle: np.ndarray,
     rel_time: np.ndarray,
     limits: np.ndarray,
@@ -209,32 +213,37 @@ def _prefix_sum_feasible(
 ) -> bool:
     """Would every arrival fit on its first attempt?  (The fast path.)
 
-    Replays the serial sweep's exact add/subtract sequence as a cumsum
-    under the everyone-admits hypothesis and checks every arrival
-    checkpoint.  ``arrivals_first`` selects the sweep's same-instant
-    convention (quota: releases at t still held; lease: freed).
+    Under the everyone-admits hypothesis, usage after an arrival is every
+    bundle that arrived before it, itself included, less every bundle
+    released before its instant.  Bundles are whole and non-negative, so
+    these sums are exact in any order, and usage is highest after the
+    last arrival at each instant: the hypothesis fails exactly when, at
+    some arrival instant t, all arrivals at or before t less all
+    releases before t exceed a limit.  A release at exactly t still
+    counts as held under ``arrivals_first`` (the quota sweep) and as
+    freed without it (the lease sweep).
+
+    So arrivals and releases are each sorted by time once, one
+    ``searchsorted`` finds each instant's releases, and each dimension
+    is one int64 cumsum per side.
     """
     n = len(arr_time)
     if n == 0:
         return True
-    arr_order = np.lexsort((arr_rank, arr_time))
-    arr_pos = np.empty(n, dtype=np.int64)
-    arr_pos[arr_order] = np.arange(n)  # = the serial release_seq
-
-    times = np.concatenate([arr_time, rel_time])
-    codes = np.zeros(2 * n, dtype=np.int8)
-    codes[n:] = 1
-    if not arrivals_first:
-        codes = 1 - codes
-    ties = np.concatenate([arr_rank, arr_pos])
-    deltas = np.concatenate([arr_bundle, -arr_bundle], axis=0)
-
-    order = np.lexsort((ties, codes, times))
-    running = np.cumsum(deltas[order], axis=0)
-    is_arrival = order < n
-    # value *after* adding the bundle is exactly the serial fit test's
-    # ``in_use + amount`` (same addition, same operand order)
-    return bool(np.all(running[is_arrival] <= limits))
+    arr_order = np.argsort(arr_time)
+    instants = arr_time[arr_order]
+    last = np.append(instants[1:] != instants[:-1], True)  # last arrival at each instant
+    rel_order = np.argsort(rel_time)
+    freed = np.searchsorted(
+        rel_time[rel_order], instants[last], side="left" if arrivals_first else "right"
+    )
+    released = np.zeros(n + 1, dtype=np.int64)
+    for dim, limit in enumerate(limits.tolist()):
+        held = np.cumsum(arr_bundle[arr_order, dim])[last]
+        np.cumsum(arr_bundle[rel_order, dim], out=released[1:])
+        if not np.all(held - released[freed] <= limit):
+            return False
+    return True
 
 
 def _exact_quota_replay(tables, vm_b, pvm_b, ps_b, vm_rank, pvm_rank, ps_rank, limits, H):
@@ -357,12 +366,9 @@ def sweep_lease_calendar(tables, *, course: CourseDefinition, info: dict, schema
         node_code = int(cal % 1024)
         cap = cap_by_node[node_code]
         times = np.concatenate([tables.slot_start[s_sel], tables.pl_start[p_sel]])
-        ranks = np.concatenate([slot_rank[s_sel], pl_rank[p_sel]])
         ends = np.concatenate([slot_end[s_sel], pl_end[p_sel]])
-        ones = np.ones((len(times), 1))
-        if _prefix_sum_feasible(
-            times, ranks, ones, ends, np.array([float(cap)]), arrivals_first=False
-        ):
+        ones = np.ones((len(times), 1), dtype=np.int64)
+        if _prefix_sum_feasible(times, ones, ends, np.array([float(cap)]), arrivals_first=False):
             continue
         fast = False
         s_adm, p_adm = _exact_lease_replay(

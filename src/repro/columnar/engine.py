@@ -25,7 +25,12 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class ColumnarRun:
-    """Result of one columnar semester simulation."""
+    """Result of one columnar semester simulation.
+
+    ``sweep_info`` and ``draw_info`` are the plan's
+    (:class:`repro.columnar.planner.ColumnarPlan`): which admission fast
+    paths held, and what the draw replay finished in place or redrew.
+    """
 
     seed: int
     students: int
@@ -36,6 +41,7 @@ class ColumnarRun:
     digest: str | None
     record_list: list[UsageRecord] | None
     sweep_info: dict[str, bool] = field(default_factory=dict)
+    draw_info: dict[str, int] = field(default_factory=dict)
 
 
 def run_columnar(
@@ -75,6 +81,7 @@ def run_columnar(
         digest=result.digest,
         record_list=result.records,
         sweep_info=dict(plan.sweep_info),
+        draw_info=dict(plan.draw_info),
     )
 
 

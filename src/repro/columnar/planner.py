@@ -16,10 +16,14 @@ sweeps (:mod:`repro.columnar.admission`).
 The draws are numpy's samplers replayed as array code over a block of
 streams: :func:`repro.core.cohort.stream_words` seeds the block's PCG64
 streams and yields their raw words, and each row reads its words at its
-own cursor (uniforms, the ziggurat normal's one-word path, Poisson by
-multiplication, libm ``exp``).  A row that leaves those fast paths is
-redrawn by the scalar loop, one numpy call per draw, which is also the
-reference ``tests/columnar/test_draw_replay.py`` holds the replay to.
+own cursor (uniforms, the ziggurat normal with its wedge and tail
+rejection steps, Poisson by multiplication, libm ``exp`` and ``log1p``).
+Only a row with a Poisson mean at or above numpy's multiplication limit,
+or one whose words run out, is redrawn by the scalar loop, one numpy
+call per draw.  That loop is also the reference
+``tests/columnar/test_draw_replay.py`` holds the replay to, and
+:attr:`ColumnarPlan.draw_info` counts both the rows it redrew and the
+normals finished in place.
 ``rng.choice(names, p=weights)`` is one uniform per slot bisected into
 the normalized cumulative weights, as numpy's Generator does it
 (``tests/columnar`` holds the tables to a reference that calls
@@ -40,7 +44,7 @@ import numpy as np
 
 from repro.columnar.schema import SITE_CODES, SITE_NAMES, ColumnSchema
 from repro.common.errors import ValidationError
-from repro.common.numerics import libm_exp, word_doubles, ziggurat_normals
+from repro.common.numerics import libm_exp, standard_normals, word_doubles
 from repro.core.cohort import (
     CohortConfig,
     ProjectLeaseActivity,
@@ -148,13 +152,22 @@ class ActivityTables:
 
 @dataclass(frozen=True)
 class ColumnarPlan:
-    """The fully resolved semester as admitted activity tables."""
+    """The fully resolved semester as admitted activity tables.
+
+    ``sweep_info`` holds whether each admission sweep's fast path held.
+    ``draw_info`` counts, per family (``students_*``, ``groups_*``), the
+    normals the replay finished on a wedge or on the tail, and the rows
+    the scalar loop redrew for a Poisson mean at or above
+    ``_POISSON_MULT_LIMIT`` (``lam_limit``, students only) or for a short
+    word block (``short_block``; a row with both counts as the first).
+    """
 
     seed: int
     semester_hours: float
     schema: ColumnSchema
     tables: ActivityTables
     sweep_info: dict[str, bool] = field(default_factory=dict)
+    draw_info: dict[str, int] = field(default_factory=dict)
 
 
 # -- course metadata ---------------------------------------------------------------
@@ -236,12 +249,18 @@ _SPREAD_LOGNORMAL = (-0.02, 0.2)  # per-flavor service-VM hours spread
 #: more (the mean student uses 38, the 99th percentile 70) is redrawn by
 #: the scalar loop.
 _STUDENT_WORDS = 96
+#: Words a group stream holds beyond one per draw, for the normals the
+#: rejection step finishes; a group that needs more is redrawn.
+_GROUP_SPARE_WORDS = 4
 #: Streams replayed at once: bounds the word block at any cohort size,
 #: and is the worker pool's unit of work.
 _REPLAY_ROWS = 4096
 #: numpy's ``random_poisson`` multiplies uniforms against ``exp(-lam)``
 #: below this mean, and samples by transformed rejection from it on.
 _POISSON_MULT_LIMIT = 10.0
+#: What a replayed block counts, in this order (``ColumnarPlan.draw_info``).
+_STUDENT_COUNTS = ("wedge", "tail", "lam_limit", "short_block")
+_GROUP_COUNTS = ("wedge", "tail", "short_block")
 
 
 def _lab_program(course: CourseDefinition) -> list[tuple[bool, int, float, list[float]]]:
@@ -330,33 +349,39 @@ def _flat_codes(codes: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype=np.int16), *codes])
 
 
-def _concat_student_draws(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Consecutive student blocks' draws as one block's."""
+def _concat_student_draws(
+    blocks: list[tuple[dict[str, np.ndarray], np.ndarray]],
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Consecutive student blocks' draws as one block's, and their counts summed."""
+    parts = [part for part, _ in blocks]
+    counts = np.sum([block_counts for _, block_counts in blocks], axis=0, dtype=np.int64)
     if len(parts) == 1:
-        return parts[0]
+        return parts[0], counts
     by_lab = [_codes_by_lab(part) for part in parts]
     out = {
         key: np.concatenate([part[key] for part in parts])
         for key in ("participates", "start_jitter", "score_jitter", "slot_counts")
     }
     out["slot_codes"] = _flat_codes([codes for lab in zip(*by_lab) for codes in lab])
-    return out
+    return out, counts
 
 
 def _replay_students(
     course: CourseDefinition, config: CohortConfig, rows: np.ndarray, propensity: np.ndarray
-) -> dict[str, np.ndarray]:
-    """:func:`_scalar_student_draws` of ``rows``, replayed as array code.
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """:func:`_scalar_student_draws` of ``rows``, replayed as array code,
+    and the block's ``_STUDENT_COUNTS``.
 
     Each stream's first ``_STUDENT_WORDS`` raw words come from the seed
     tree in one pass (:func:`repro.core.cohort.stream_words`); numpy's
     samplers then run on every row at once, each row reading its words
     at its own cursor.  Uniforms are ``next_double``; a normal is the
-    ziggurat's one-word fast path; a Poisson count below
+    ziggurat, its rejected draws finished in place by
+    :func:`repro.common.numerics.standard_normals`; a Poisson count below
     ``_POISSON_MULT_LIMIT`` is numpy's multiplication method against
     libm's ``exp(-lam)``, and the lognormal is libm's ``exp``.  A row
-    leaves the fast path on a ziggurat rejection, on ``lam`` at or above
-    the limit, or when its words run out; the scalar loop redraws it.
+    with ``lam`` at or above the limit, or whose words run out, is
+    redrawn by the scalar loop.
     """
     program = _lab_program(course)
     words = stream_words(config.seed, 1, rows, _STUDENT_WORDS)
@@ -364,6 +389,9 @@ def _replay_students(
     at = np.arange(count)
     cursor = np.zeros(count, dtype=np.intp)
     fast = np.ones(count, dtype=bool)
+    lam_limit = np.zeros(count, dtype=bool)
+    wedge = np.zeros(count, dtype=np.int64)
+    tail = np.zeros(count, dtype=np.int64)
 
     def word(offset: int) -> np.ndarray:
         # a read past the block is clipped here and caught by the final cursor check
@@ -378,13 +406,14 @@ def _replay_students(
         if is_vm:
             participates.append(word_doubles(word(0)) < config.participation)
             start_jitter.append(_VM_START_JITTER_H * word_doubles(word(1)))
-            z, final = ziggurat_normals(word(2))
+            z, cursor, in_wedge, in_tail = standard_normals(words, cursor + 2)
             normals.append(z)
-            fast &= final
-            cursor += 3
+            wedge += in_wedge
+            tail += in_tail
             continue
         lam = mean_slots * propensity
-        fast &= lam < _POISSON_MULT_LIMIT
+        lam_limit |= lam >= _POISSON_MULT_LIMIT
+        fast &= ~lam_limit
         c = np.zeros(count, dtype=np.int32)
         live = np.flatnonzero(fast & (lam != 0.0))  # lam == 0 draws 0 and reads no word
         threshold = libm_exp(-lam[live])
@@ -420,6 +449,10 @@ def _replay_students(
     }
     codes = [lab[np.repeat(fast, c)] for lab, c in zip(slot_codes, slot_counts)]
     slow = np.flatnonzero(~fast)
+    counts = np.array(
+        [wedge[fast].sum(), tail[fast].sum(), lam_limit.sum(), slow.size - lam_limit.sum()],
+        dtype=np.int64,
+    )
     if slow.size:
         redo = _scalar_student_draws(course, config, rows[slow], propensity[slow])
         for key, grid in draws.items():
@@ -430,13 +463,14 @@ def _replay_students(
             merged[redone], merged[~redone] = redo_codes, codes[j]
             codes[j] = merged
     draws["slot_codes"] = _flat_codes(codes)
-    return draws
+    return draws, counts
 
 
 def _student_range_draws(
     args: tuple[CourseDefinition, CohortConfig, int, int, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """Draws for students [lo, hi): one pool item (a block of the cohort).
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Draws for students [lo, hi) and their counts: one pool item (a
+    block of the cohort).
 
     Pure function of (course, config, range, propensity slice): streams
     are rebuilt from ``(seed, spawn_key=(1, i))``, so the fan-out ships
@@ -468,31 +502,42 @@ def _scalar_group_draws(
 
 def _replay_groups(
     course: CourseDefinition, config: CohortConfig, rows: np.ndarray
-) -> dict[str, np.ndarray]:
-    """:func:`_scalar_group_draws` of ``rows`` as array code: a group's
-    fast path spends exactly one word per draw, so any ziggurat rejection
-    sends it to the scalar loop."""
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """:func:`_scalar_group_draws` of ``rows`` as array code, and the
+    block's ``_GROUP_COUNTS``: a uniform, then each spread's normal from
+    the row's cursor.  A group whose normals need more than its
+    ``_GROUP_SPARE_WORDS`` spare words is redrawn by the scalar loop."""
     n_flavors = len(course.project.vm_flavor_shares)
-    words = stream_words(config.seed, 2, rows, 1 + n_flavors)
+    words = stream_words(config.seed, 2, rows, 1 + n_flavors + _GROUP_SPARE_WORDS)
     low, high = _GROUP_JITTER_H
     mean, sigma = _SPREAD_LOGNORMAL
-    z, final = ziggurat_normals(words[:, 1:])
+    count, block = words.shape
+    cursor = np.ones(count, dtype=np.intp)
+    z = np.empty((count, n_flavors))
+    wedge = np.zeros(count, dtype=np.int64)
+    tail = np.zeros(count, dtype=np.int64)
+    for j in range(n_flavors):
+        z[:, j], cursor, in_wedge, in_tail = standard_normals(words, cursor)
+        wedge += in_wedge
+        tail += in_tail
     draws = {
         "jitter": low + (high - low) * word_doubles(words[:, 0]),
         "vm_spread": libm_exp(mean + sigma * z),
     }
-    slow = np.flatnonzero(~final.all(axis=1))
+    short = cursor > block
+    slow = np.flatnonzero(short)
     if slow.size:
         redo = _scalar_group_draws(course, config, rows[slow])
         for key, column in draws.items():
             column[slow] = redo[key]
-    return draws
+    counts = np.array([wedge[~short].sum(), tail[~short].sum(), slow.size], dtype=np.int64)
+    return draws, counts
 
 
 def _group_range_draws(
     args: tuple[CourseDefinition, CohortConfig, int, int],
-) -> dict[str, np.ndarray]:
-    """Group streams for groups [lo, hi): one pool item."""
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Group streams for groups [lo, hi) and their counts: one pool item."""
     course, config, lo, hi = args
     return _replay_groups(course, config, np.arange(lo, hi))
 
@@ -535,7 +580,7 @@ def plan_columns(
     config = config if config is not None else CohortConfig()
     if workers < 1:
         raise ValidationError(f"workers must be positive: {workers!r}")
-    raw, schema = _raw_tables(course, config, workers=workers)
+    raw, schema, draw_info = _raw_tables(course, config, workers=workers)
     if faults is not None:
         raw = faults.apply(raw, schema=schema, semester_hours=course.semester_hours)
     info: dict[str, bool] = {}
@@ -547,6 +592,7 @@ def plan_columns(
         schema=schema,
         tables=raw,
         sweep_info=info,
+        draw_info=draw_info,
     )
 
 
@@ -620,8 +666,9 @@ def shards_from_columns(
 
 def _raw_tables(
     course: CourseDefinition, config: CohortConfig, *, workers: int
-) -> tuple[ActivityTables, ColumnSchema]:
-    """Pre-admission tables: draws, duration assignment, calendar walk."""
+) -> tuple[ActivityTables, ColumnSchema, dict[str, int]]:
+    """Pre-admission tables (draws, duration assignment, calendar walk)
+    and the draws' counts (:attr:`ColumnarPlan.draw_info`)."""
     schema = ColumnSchema.for_course(course)
     n = course.enrollment
     metas = _lab_metas(course)
@@ -632,7 +679,7 @@ def _raw_tables(
     propensity, pools = draw_cohort_level(course, config, cohort_rng)
 
     # passed straight in, so the blocks' draws are freed once concatenated
-    draws = _concat_student_draws(_fan_out(
+    draws, student_counts = _concat_student_draws(_fan_out(
         _student_range_draws,
         [(course, config, lo, hi, propensity[lo:hi]) for lo, hi in _blocks(n)],
         workers=workers,
@@ -675,7 +722,9 @@ def _raw_tables(
 
     calendar = SlotCalendar()
     slot_cols = _walk_lab_slots(res_metas, slot_counts, _codes_by_lab(draws), calendar, schema)
-    group_cols = _project_phase_columns(course, config, calendar, schema, workers=workers)
+    group_cols, group_counts = _project_phase_columns(
+        course, config, calendar, schema, workers=workers
+    )
 
     tables = ActivityTables(
         vm_student=vm_student,
@@ -689,7 +738,11 @@ def _raw_tables(
         **slot_cols,
         **group_cols,
     )
-    return tables, schema
+    draw_info = {
+        **{f"students_{k}": int(v) for k, v in zip(_STUDENT_COUNTS, student_counts)},
+        **{f"groups_{k}": int(v) for k, v in zip(_GROUP_COUNTS, group_counts)},
+    }
+    return tables, schema, draw_info
 
 
 def _walk_lab_slots(
@@ -778,8 +831,9 @@ def _project_phase_columns(
     schema: ColumnSchema,
     *,
     workers: int,
-) -> dict[str, np.ndarray]:
-    """The project phase as arrays, continuing the labs' calendar walk.
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The project phase as arrays, continuing the labs' calendar walk,
+    and the group draws' summed ``_GROUP_COUNTS``.
 
     Group slot *counts* are deterministic (no RNG feeds them), so the
     per-group cursor walk collapses to arithmetic: within the group walk
@@ -797,8 +851,9 @@ def _project_phase_columns(
         [(course, config, lo, hi) for lo, hi in _blocks(g_count)],
         workers=workers,
     )
-    jitter = np.concatenate([p["jitter"] for p in parts])
-    vm_spread = np.concatenate([p["vm_spread"] for p in parts], axis=0)
+    jitter = np.concatenate([p["jitter"] for p, _ in parts])
+    vm_spread = np.concatenate([p["vm_spread"] for p, _ in parts], axis=0)
+    counts = np.sum([c for _, c in parts], axis=0, dtype=np.int64)
 
     groups = np.arange(g_count, dtype=np.int32)
     g_start = start + jitter
@@ -862,7 +917,7 @@ def _project_phase_columns(
 
     ps_block = int(round(project.block_storage_gb / g_count))
     ps_object = project.object_storage_gb / g_count
-    return {
+    columns = {
         "pvm_group": pvm_group,
         "pvm_flavor": pvm_flavor,
         "pvm_start": pvm_start,
@@ -880,3 +935,4 @@ def _project_phase_columns(
         "ps_block_gb": np.full(g_count, ps_block, dtype=np.int32),
         "ps_object_gb": np.full(g_count, ps_object, dtype=np.float64),
     }
+    return columns, counts

@@ -37,9 +37,11 @@ reference in ``tests/common/test_numerics.py``.
 ``Generator`` draws from raw PCG64 words, many streams at once.  The same
 rules apply: :func:`word_doubles` is numpy's ``next_double``,
 :func:`ziggurat_normals` the standard normal's one-word fast path over
-the embedded ``ZIGGURAT_WI``/``ZIGGURAT_KI`` tables, and
-:func:`libm_exp` the ``exp`` numpy's C samplers call, one element at a
-time.
+the embedded ``ZIGGURAT_WI``/``ZIGGURAT_KI`` tables,
+:func:`standard_normals` the whole sampler, rejection steps included
+(``ZIGGURAT_FI``, ``ZIGGURAT_R``), and :func:`libm_exp` and
+:func:`libm_log1p` the ``exp`` and ``log1p`` numpy's C samplers call,
+one element at a time.
 """
 
 from __future__ import annotations
@@ -275,6 +277,104 @@ ZIGGURAT_WI = (
     7.159994934830664e-16, 7.372424301798799e-16, 7.658936370805573e-16,
     8.113849337656484e-16,
 )
+# Where the one-word path fails, numpy runs a rejection step.  For strips
+# above 0 it draws a uniform ``u`` and keeps ``x`` when
+# ``(FI[strip - 1] - FI[strip]) * u + FI[strip] < exp(-x * x / 2)``, else it
+# starts over from the next word.  For strip 0 it samples the tail beyond
+# ``ZIGGURAT_R`` from pairs of uniforms.  ``FI`` is numpy's compiled table,
+# not the formula: ``FI[38]`` is one ulp above libm's ``exp`` at that
+# strip's edge.  ``tests/columnar/test_draw_replay.py`` holds all three to
+# the installed numpy.
+ZIGGURAT_FI = (
+    1.0, 0.9771017012676716, 0.9598790918001067,
+    0.9451989534422996, 0.9320600759592305, 0.919991505039347,
+    0.9087264400521309, 0.8980959218983434, 0.8879846607558334,
+    0.8783096558089174, 0.869008688036857, 0.8600336211963315,
+    0.851346258458678, 0.8429156531122042, 0.8347162929868834,
+    0.8267268339462214, 0.8189291916037024, 0.8113078743126563,
+    0.8038494831709643, 0.796542330422959, 0.7893761435660246,
+    0.7823418326548025, 0.7754313049811872, 0.7686373157984863,
+    0.7619533468367954, 0.7553735065070961, 0.7488924472191568,
+    0.742505296340151, 0.7362075981268627, 0.7299952645614762,
+    0.7238645334686302, 0.717811932630722, 0.7118342488782484,
+    0.7059285013327543, 0.7000919181365116, 0.6943219161261167,
+    0.6886160830046718, 0.6829721616449949, 0.6773880362187735,
+    0.6718617198970821, 0.6663913439087501, 0.6609751477766631,
+    0.6556114705796973, 0.6502987431108167, 0.6450354808208223,
+    0.6398202774530566, 0.6346517992876236, 0.6295287799248367,
+    0.6244500155470265, 0.6194143606058343, 0.6144207238889139,
+    0.6094680649257734, 0.6045553906974678, 0.5996817526191253,
+    0.5948462437679874, 0.590047996332826, 0.5852861792633715,
+    0.5805599961007909, 0.5758686829723537, 0.5712115067352532,
+    0.5665877632561644, 0.5619967758145243, 0.557437893618766,
+    0.5529104904258323, 0.5484139632552658, 0.5439477311900263,
+    0.5395112342569521, 0.5351039323804576, 0.5307253044036621,
+    0.5263748471716845, 0.5220520746723218, 0.5177565172297564,
+    0.513487720747327, 0.5092452459957479, 0.5050286679434681,
+    0.5008375751261487, 0.4966715690524897, 0.49253026364386854,
+    0.48841328470545803, 0.4843202694266833, 0.48025086590904675,
+    0.47620473271950586, 0.4721815384677302, 0.4681809614056936,
+    0.46420268904817436, 0.46024641781284287, 0.45631185267871643,
+    0.4523987068618485, 0.44850670150720306, 0.4446355653957394,
+    0.440785034665804, 0.43695485254798555, 0.43314476911265226,
+    0.4293545410294414, 0.42558393133802197, 0.4218327092294959,
+    0.4181006498378482, 0.4143875340408911, 0.41069314827018816,
+    0.40701728432947337, 0.4033597392211145, 0.3997203149801972,
+    0.39609881851583245, 0.3924950614593156, 0.3889088600187887,
+    0.3853400348400773, 0.38178841087339366, 0.3782538172456192,
+    0.37473608713789114, 0.3712350576682395, 0.3677505697790326,
+    0.36428246812900406, 0.36083060098964803, 0.3573948201457805,
+    0.3539749808000768, 0.3505709414814061, 0.34718256395679364,
+    0.3438097131468507, 0.34045225704452187, 0.33711006663700605,
+    0.33378301583071845, 0.3304709813791636, 0.3271738428136014,
+    0.3238914823763911, 0.32062378495690536, 0.3173706380299136,
+    0.3141319315963372, 0.3109075581262865, 0.30769741250429206,
+    0.30450139197665, 0.30131939610080305, 0.2981513266966855,
+    0.2949970877999618, 0.2918565856170952, 0.2887297284821829,
+    0.28561642681550176, 0.2825165930837076, 0.27943014176163794,
+    0.2763569892956683, 0.27329705406857707, 0.27025025636587546,
+    0.26721651834356147, 0.2641957639972612, 0.2611879191327212,
+    0.25819291133761924, 0.25521066995466196, 0.2522411260559422,
+    0.24928421241852852, 0.24633986350126383, 0.2434080154227503,
+    0.2404886059405006, 0.2375815744312381, 0.23468686187233,
+    0.23180441082433872, 0.22893416541468034, 0.22607607132238028,
+    0.22323007576391748, 0.220396127480152, 0.21757417672433113,
+    0.21476417525117358, 0.21196607630703018, 0.20917983462112508,
+    0.2064054063978808, 0.2036427493103349, 0.2008918224946566,
+    0.19815258654577514, 0.1954250035141343, 0.19270903690358918,
+    0.19000465167046499, 0.1873118142238003, 0.18463049242679927,
+    0.18196065559952251, 0.17930227452284758, 0.17665532144373486,
+    0.17401977008183855, 0.17139559563750575, 0.1687827748012113,
+    0.1661812857644819, 0.16359110823236558, 0.161012223437511,
+    0.15844461415592428, 0.1558882647244792, 0.15334316106026286,
+    0.15080929068184568, 0.14828664273257455, 0.14577520800599403,
+    0.14327497897351346, 0.1407859498144447, 0.13830811644855073,
+    0.13584147657125376, 0.13338602969166916, 0.13094177717364436,
+    0.12850872227999957, 0.1260868702201859, 0.12367622820159657,
+    0.1212768054847903, 0.11888861344291006, 0.11651166562561087,
+    0.11414597782783849, 0.11179156816383809, 0.1094484571468118,
+    0.1071166677746838, 0.10479622562248707, 0.10248715894193525,
+    0.10018949876881002, 0.09790327903886246, 0.095628536713009,
+    0.09336531191269101, 0.09111364806637376, 0.08887359206827589,
+    0.08664519445055807, 0.08442850957035347, 0.0822235958132029,
+    0.08003051581466307, 0.07784933670209612, 0.07568013035892718,
+    0.07352297371398132, 0.0713779490588904, 0.06924514439700676,
+    0.0671246538277885, 0.0650165779712429, 0.06292102443775814,
+    0.06083810834953988, 0.05876795292093374, 0.0567106901062029,
+    0.05466646132488892, 0.05263541827679219, 0.05061772386094778,
+    0.04861355321586854, 0.04662309490193038, 0.044646552251294463,
+    0.04268414491647446, 0.04073611065594094, 0.03880270740452615,
+    0.036884215688567305, 0.034980941461716125, 0.03309321945857858,
+    0.0312214171919203, 0.02936593975813336, 0.027527235669603113,
+    0.02570580400854891, 0.02390220330579588, 0.02211706270730885,
+    0.02035109623004451, 0.018605121275724622, 0.016880083152543142,
+    0.01517708830793531, 0.013497450601739867, 0.011842757857907879,
+    0.010214971439701459, 0.008616582769398726, 0.007050875471373222,
+    0.0055224032992509916, 0.0040379725933630236, 0.0026090727461021593,
+    0.001260285930498598,
+)
+ZIGGURAT_R = 3.6541528853610087963519472518
+ZIGGURAT_INV_R = 0.27366123732975827203338247596
 
 
 def _polevl(x: _Real, coef: tuple[float, ...]) -> _Real:
@@ -365,6 +465,7 @@ def ndtr(a: float) -> float:
 
 _ZIG_KI = np.array(ZIGGURAT_KI, dtype=np.uint64)
 _ZIG_WI = np.array(ZIGGURAT_WI, dtype=np.float64)
+_ZIG_FI = np.array(ZIGGURAT_FI, dtype=np.float64)
 _RABS_MASK = np.uint64(0x000FFFFFFFFFFFFF)
 
 
@@ -378,8 +479,8 @@ def ziggurat_normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Where ``final`` holds, ``x`` is what ``Generator.standard_normal``
     returns from a stream whose next word is that word, and the draw
-    spends only it.  Elsewhere numpy goes on to its rejection step (more
-    words, libm ``exp``/``log1p``) and ``x`` is meaningless.
+    spends only it.  Elsewhere numpy goes on to its rejection step
+    (:func:`standard_normals`), which keeps ``x`` if a wedge test accepts it.
     """
     strip = (words & np.uint64(0xFF)).astype(np.intp)
     rabs = (words >> np.uint64(9)) & _RABS_MASK
@@ -392,3 +493,88 @@ def libm_exp(x: np.ndarray) -> np.ndarray:
     """Elementwise libm ``exp``, the one numpy's C samplers call."""
     flat = np.fromiter(map(math.exp, x.ravel().tolist()), np.float64, x.size)
     return flat.reshape(x.shape)
+
+
+def libm_log1p(x: np.ndarray) -> np.ndarray:
+    """Elementwise libm ``log1p``, the one numpy's normal tail calls."""
+    flat = np.fromiter(map(math.log1p, x.ravel().tolist()), np.float64, x.size)
+    return flat.reshape(x.shape)
+
+
+def standard_normals(
+    words: np.ndarray, cursor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """numpy's ``random_standard_normal`` on each row of ``words`` from its
+    ``cursor``: ``(x, end, wedge, tail)``.
+
+    ``end`` is the cursor after the draw's last word.  ``wedge`` and
+    ``tail`` mark the draws whose first word the one-word path rejected,
+    in a strip above 0 and in strip 0.  Such a draw is finished as numpy
+    finishes it, from the row's next words: the wedge test keeps ``x`` or
+    starts over from the word after its uniform; the tail takes pairs of
+    uniforms until one accepts.  The loop runs over the rows still
+    pending, each at its own word.  A row whose draw needs a word past
+    the block gets ``end`` past it, and ``x`` is then meaningless.
+    """
+    count, block = words.shape
+    first = words[np.arange(count), np.minimum(cursor, block - 1)]
+    x, final = ziggurat_normals(first)
+    end = cursor + 1
+    rows = np.flatnonzero(~final & (cursor < block))
+    in_tail = (first[rows] & np.uint64(0xFF)) == 0
+    wedge = np.zeros(count, dtype=bool)
+    tail = np.zeros(count, dtype=bool)
+    wedge[rows[~in_tail]], tail[rows[in_tail]] = True, True
+    at = cursor[rows]  # each pending row's rejected word
+    while rows.size:
+        w = words[rows, at]
+        strip = (w & np.uint64(0xFF)).astype(np.intp)
+        base = strip == 0
+        if base.any():
+            x[rows[base]], end[rows[base]] = _normal_tail(words, rows[base], at[base] + 1, w[base])
+            rows, at, strip = rows[~base], at[~base], strip[~base]
+        room = at + 1 < block
+        end[rows[~room]] = block + 1
+        rows, at, strip = rows[room], at[room], strip[room]
+        u = word_doubles(words[rows, at + 1])
+        xr, fi = x[rows], _ZIG_FI[strip]
+        accept = (_ZIG_FI[strip - 1] - fi) * u + fi < libm_exp(-0.5 * xr * xr)
+        end[rows[accept]] = at[accept] + 2
+        # a rejected wedge starts a whole new draw at the word after its uniform
+        rows, at = rows[~accept], at[~accept] + 2
+        room = at < block
+        end[rows[~room]] = block + 1
+        rows, at = rows[room], at[room]
+        x[rows], final = ziggurat_normals(words[rows, at])
+        end[rows[final]] = at[final] + 1
+        rows, at = rows[~final], at[~final]
+    return x, end, wedge, tail
+
+
+def _normal_tail(
+    words: np.ndarray, rows: np.ndarray, at: np.ndarray, first: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's tail beyond ``ZIGGURAT_R`` for strip-0 draws: ``(x, end)``.
+
+    ``first`` is each draw's rejected word, whose bit 17 (bit 8 of its
+    magnitude) is the sign, and ``at`` the word after it.  Each try
+    reads two uniforms: ``xx = -log1p(-u1) / r`` and ``yy = -log1p(-u2)``,
+    accepted when ``yy + yy > xx * xx``, giving ``r + xx``.
+    """
+    block = words.shape[1]
+    x = np.zeros(rows.size)
+    end = np.full(rows.size, block + 1)
+    pending = np.arange(rows.size)
+    at = at.copy()
+    while pending.size:
+        pending = pending[at[pending] + 1 < block]
+        t, source = at[pending], rows[pending]
+        xx = -ZIGGURAT_INV_R * libm_log1p(-word_doubles(words[source, t]))
+        yy = -libm_log1p(-word_doubles(words[source, t + 1]))
+        accept = yy + yy > xx * xx
+        x[pending[accept]] = ZIGGURAT_R + xx[accept]
+        end[pending[accept]] = t[accept] + 2
+        at[pending] += 2
+        pending = pending[~accept]
+    np.negative(x, out=x, where=(first & np.uint64(1 << 17)) != 0)
+    return x, end

@@ -79,6 +79,8 @@ class CohortConfig:
     propensity_sigma: float = 0.5
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"cohort seed must be a non-negative integer: {self.seed!r}")
         if not (0 < self.participation <= 1):
             raise ValidationError(f"participation must be in (0,1]: {self.participation!r}")
         if self.propensity_sigma < 0:

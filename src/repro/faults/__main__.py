@@ -23,6 +23,7 @@ import json
 import math
 import sys
 
+from repro.common.errors import ValidationError
 from repro.common.numerics import stable_sum
 from repro.core.cohort import CohortConfig
 from repro.core.costmodel import OutageScenario
@@ -87,13 +88,16 @@ def main(argv: list[str] | None = None) -> int:
         if not (math.isfinite(rate) and rate >= 0):
             parser.error(f"--{flag.replace('_', '-')} must be a non-negative number: {rate}")
     course = COURSE if args.scale == 1.0 else scaled_course(args.scale)
-    config = CohortConfig(seed=args.seed)
-    fault_config = FaultPlanConfig(
-        seed=args.fault_seed,
-        outage_rate_per_week=args.outage_rate,
-        hazard_rate_per_khour=args.hazard_rate,
-        burst_rate_per_week=args.burst_rate,
-    )
+    try:
+        config = CohortConfig(seed=args.seed)
+        fault_config = FaultPlanConfig(
+            seed=args.fault_seed,
+            outage_rate_per_week=args.outage_rate,
+            hazard_rate_per_khour=args.hazard_rate,
+            burst_rate_per_week=args.burst_rate,
+        )
+    except ValidationError as err:
+        parser.error(str(err))
 
     sweep = FaultSweep(build_fault_calendar(fault_config, horizon_hours=course.semester_hours))
     records = run_parallel(course, config, workers=args.workers, faults=sweep)

@@ -112,6 +112,8 @@ class FaultPlanConfig:
     sites: tuple[str, ...] = (KVM_SITE, METAL_SITE, EDGE_SITE)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"fault-plan seed must be a non-negative integer: {self.seed!r}")
         for name in ("outage_rate_per_week", "hazard_rate_per_khour", "burst_rate_per_week"):
             rate = getattr(self, name)
             if not (math.isfinite(rate) and rate >= 0):

@@ -61,6 +61,8 @@ class TrafficConfig:
     flash_duration_s: float = 300.0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"traffic seed must be a non-negative integer: {self.seed!r}")
         if self.pattern not in PATTERNS:
             raise ValidationError(
                 f"unknown arrival pattern {self.pattern!r}; expected one of {PATTERNS}"

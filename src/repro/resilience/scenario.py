@@ -89,6 +89,8 @@ class StormConfig:
     thrash_slowdown: float = 2.0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"storm seed must be a non-negative integer: {self.seed!r}")
         if not (math.isfinite(self.requests_per_day) and self.requests_per_day > 0):
             raise ValidationError(
                 f"requests_per_day must be a positive number: {self.requests_per_day!r}"

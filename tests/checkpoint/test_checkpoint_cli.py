@@ -92,3 +92,12 @@ def test_resume_with_bad_scale_exits_two_and_creates_nothing(capsys, tmp_path, s
     assert code == 2
     assert "--scale" in err
     assert not journal.exists()
+
+
+def test_resume_with_negative_seed_exits_two_and_creates_nothing(capsys, tmp_path):
+    journal = tmp_path / "journal"
+    code, _, err = run_cli(capsys, "--resume", "--journal", str(journal), "--seed", "-1")
+    assert code == 2
+    assert "cohort seed must be a non-negative integer: -1" in err
+    assert "Traceback" not in err
+    assert not journal.exists()

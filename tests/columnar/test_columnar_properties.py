@@ -13,10 +13,13 @@ fsum, a null fault plan must be a byte-exact no-op, and a non-null one
 must land on the serial digest.  Both admission sweeps are also driven
 off their fast paths: the exact replays must reproduce the fast paths'
 tables, and with the testbed enforcing the same shrunk quota or node
-counts at runtime, the serial digest referees them.
+counts at runtime, the serial digest referees them.  The fast paths'
+whole-number check is held to a plain serial sweep on generated
+arrival sets.
 """
 
 import dataclasses
+import heapq
 import math
 from unittest.mock import patch
 
@@ -28,6 +31,7 @@ from hypothesis import strategies as st
 import repro.cloud.testbed
 from repro.cloud.quota import Quota
 from repro.columnar import admission, kernels, merge, plan_columns, planner, run_columnar
+from repro.common.errors import ValidationError
 from repro.common.numerics import stable_sum
 from repro.core import records_digest, scaled_course
 from repro.core.cohort import CohortConfig, CohortSimulation, SlotCalendar
@@ -224,3 +228,75 @@ def test_exact_replays_match_fast_paths(monkeypatch):
     for forced, fast in zip(plans(), expected):
         assert not any(forced.sweep_info.values())
         _assert_tables_equal(forced.tables, fast.tables)
+
+
+# -- the admission fast path against a serial sweep -----------------------------------
+
+
+def test_fractional_flavor_is_refused(monkeypatch):
+    """The whole-number check holds only for whole vCPUs and GiB: a flavor
+    with half a GiB is refused where the bundles are built, not truncated."""
+    flavors = dict(admission.CHAMELEON_FLAVORS)
+    flavors["m1.medium"] = dataclasses.replace(flavors["m1.medium"], ram_gib=3.5)
+    monkeypatch.setattr(admission, "CHAMELEON_FLAVORS", flavors)
+    with pytest.raises(ValidationError, match="m1.medium has 2 vCPUs and 3.5 GiB"):
+        plan_columns(ONE, CohortConfig(seed=SEED))
+
+
+#: Instants on a coarse grid, so that arrivals and releases tie.
+_INSTANTS = st.integers(0, 8).map(lambda k: k * 0.5)
+
+
+@st.composite
+def arrival_sets(draw):
+    """``(arrivals_first, [(start, end, bundle)], limits)``: whole-number
+    bundles in all six dimensions, holds of zero length under the quota
+    convention, and limits that are fractional, infinite or whole (so
+    that a sum meets one exactly)."""
+    arrivals_first = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 16))):
+        start = draw(_INSTANTS)
+        length = draw(st.integers(0 if arrivals_first else 1, 4)) * 0.5
+        bundle = draw(st.lists(st.integers(0, 3), min_size=6, max_size=6))
+        rows.append((start, start + length, bundle))
+    limits = [
+        draw(st.integers(0, 9)) + draw(st.sampled_from((0.0, 0.0, 0.5, 0.75, math.inf)))
+        for _ in admission.QUOTA_DIMS
+    ]
+    return arrivals_first, rows, limits
+
+
+def _serial_first_attempts_fit(arrivals_first, rows, limits) -> bool:
+    """Heap order over Python floats: arrivals by ``(start, rank)``, each
+    freeing the holds that end before it (``< t`` under the quota
+    convention, ``<= t`` under the lease one).  Does every first attempt fit?"""
+    arrivals = [(start, rank, end, bundle) for rank, (start, end, bundle) in enumerate(rows)]
+    heapq.heapify(arrivals)
+    holds: list[tuple[float, int, list[float]]] = []
+    in_use = [0.0] * len(limits)
+    while arrivals:
+        t, rank, end, bundle = heapq.heappop(arrivals)
+        while holds and (holds[0][0] < t if arrivals_first else holds[0][0] <= t):
+            for dim, amount in enumerate(heapq.heappop(holds)[2]):
+                in_use[dim] -= amount
+        amounts = [float(b) for b in bundle]
+        if any(in_use[dim] + amounts[dim] > limits[dim] for dim in range(len(limits))):
+            return False
+        for dim, amount in enumerate(amounts):
+            in_use[dim] += amount
+        heapq.heappush(holds, (end, rank, amounts))
+    return True
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(case=arrival_sets())
+def test_fast_path_verdict_equals_a_serial_sweep(case):
+    arrivals_first, rows, limits = case
+    starts = np.array([start for start, _, _ in rows], dtype=np.float64)
+    ends = np.array([end for _, end, _ in rows], dtype=np.float64)
+    bundles = np.array([b for _, _, b in rows], dtype=np.int64).reshape(len(rows), 6)
+    verdict = admission._prefix_sum_feasible(
+        starts, bundles, ends, np.array(limits), arrivals_first=arrivals_first
+    )
+    assert verdict == _serial_first_attempts_fit(arrivals_first, rows, limits)

@@ -9,18 +9,28 @@ storage and an id that ``repr`` quotes or escapes; 1 to 60 students;
 semesters of 10 to 16 weeks.  On each, ``run_columnar`` must reproduce
 the serial testbed's records digest, fault-free and under the verify
 gate's cohort fault plan.
+
+Some examples also shrink the KVM compute quota and cut every node
+type's count, in the admission sweeps and in the testbed alike (patched
+in the test body, as ``test_columnar_properties.py`` does), so that the
+serial run enforces the same limits and referees the exact replays.
+Over each mode's examples, each sweep's fast path must both hold and
+fail.
 """
 
 import dataclasses
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.cloud.testbed
 from repro.cloud.inventory import CHAMELEON_FLAVORS
-from repro.columnar import run_columnar
+from repro.cloud.quota import Quota
+from repro.columnar import admission, run_columnar
 from repro.core import CohortSimulation, records_digest, scaled_course
-from repro.core.cohort import CohortConfig
+from repro.core.cohort import CohortConfig, SlotCalendar
 from repro.core.course import COURSE, LabKind
 from repro.faults.plan import build_fault_calendar
 from repro.faults.sweep import FaultSweep
@@ -63,20 +73,78 @@ def courses(draw):
     return dataclasses.replace(base, labs=tuple(shaped), semester_weeks=weeks)
 
 
+#: The compute quota's share left (the volume dimensions stay put:
+#: project storage is held unconditionally, so shrinking them only makes
+#: the serial run raise), and the divisor of every node type's count.
+QUOTA_SHARES = (1.0, 0.1, 0.03, 0.01)
+NODE_DIVISORS = (1, 2, 4, 8)
+
+
+def _tight(share: float, divisor: int):
+    """Patches that shrink the quota by ``share`` and cut node counts by
+    ``divisor``, for the sweeps and the testbed both."""
+    base = Quota.course_quota()
+    shrunk = dataclasses.replace(
+        base,
+        instances=base.instances * share,
+        cores=base.cores * share,
+        ram_gib=base.ram_gib * share,
+        floating_ips=base.floating_ips * share,
+    )
+
+    class _ReducedCalendar:
+        capacity = {name: max(1, cap // divisor) for name, cap in SlotCalendar().capacity.items()}
+
+    def cut(types):
+        return {
+            name: dataclasses.replace(t, count_available=max(1, t.count_available // divisor))
+            for name, t in types.items()
+        }
+
+    testbed = repro.cloud.testbed
+    return (
+        patch.object(Quota, "course_quota", classmethod(lambda cls: shrunk)),
+        patch.object(admission, "SlotCalendar", _ReducedCalendar),
+        patch.object(testbed, "CHAMELEON_NODE_TYPES", cut(testbed.CHAMELEON_NODE_TYPES)),
+        patch.object(testbed, "EDGE_DEVICE_TYPES", cut(testbed.EDGE_DEVICE_TYPES)),
+    )
+
+
+@pytest.fixture
+def fast_paths():
+    """Each sweep's fast-path verdicts over one test's examples: both must
+    occur, so that the examples reach both exact replays."""
+    seen: dict[str, set[bool]] = {"quota_fast_path": set(), "lease_fast_path": set()}
+    yield seen
+    assert seen == {"quota_fast_path": {True, False}, "lease_fast_path": {True, False}}
+
+
 @pytest.mark.parametrize("faulted", (False, True), ids=("fault-free", "faulted"))
 @settings(
     max_examples=60,
     derandomize=True,
     deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-@given(course=courses(), seed=st.integers(0, 2**32 - 1))
-def test_columnar_digest_matches_serial_on_generated_courses(faulted, course, seed):
+@given(
+    course=courses(),
+    seed=st.integers(0, 2**32 - 1),
+    share=st.sampled_from(QUOTA_SHARES),
+    divisor=st.sampled_from(NODE_DIVISORS),
+)
+def test_columnar_digest_matches_serial_on_generated_courses(
+    fast_paths, faulted, course, seed, share, divisor
+):
     def faults():  # a sweep applies once, so each run takes its own
         if not faulted:
             return None
         return FaultSweep(build_fault_calendar(COHORT_FAULTS, horizon_hours=course.semester_hours))
 
     config = CohortConfig(seed=seed)
-    serial = records_digest(CohortSimulation(course, config, faults=faults()).run())
-    assert run_columnar(course, config, faults=faults()).digest == serial
+    quota, calendar, nodes, devices = _tight(share, divisor)
+    with quota, calendar, nodes, devices:
+        serial = records_digest(CohortSimulation(course, config, faults=faults()).run())
+        run = run_columnar(course, config, faults=faults())
+    assert run.digest == serial
+    for sweep, held in run.sweep_info.items():
+        fast_paths[sweep].add(held)

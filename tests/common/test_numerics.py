@@ -11,8 +11,13 @@ The standard normal: the ported Cephes ``ndtri`` and ``ndtr`` must equal
 scipy.  The tests compare bit patterns (``.view(np.int64)``), not values,
 so a ``-0.0`` or a NaN's sign counts, over random bulk inputs, the tails
 and the neighbours of every branch edge.
+
+The samplers' ``exp`` and ``log1p`` must be the C library's, the ones
+numpy's C samplers call, never numpy's SIMD kernels.
 """
 
+import ctypes
+import ctypes.util
 import math
 from fractions import Fraction
 
@@ -22,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from repro.common.numerics import ndtr, ndtri, stable_dot, stable_sum
+from repro.common.numerics import libm_exp, libm_log1p, ndtr, ndtri, stable_dot, stable_sum
 
 #: Magnitudes spanning ~10^32: one big value, a sea of small ones that a
 #: running ``+=`` in the wrong order annihilates entirely.
@@ -157,3 +162,20 @@ def test_ndtr_matches_scipy_at_branch_edges_and_limits():
     limits = np.array([-math.inf, math.inf, -0.0, 0.0, math.nan, 5e-324, -5e-324, 1e308, -1e308])
     _assert_ndtr_matches_scipy(limits)
     assert [ndtr(-40.0), ndtr(40.0), ndtr(-math.inf), ndtr(math.inf)] == [0.0, 1.0, 0.0, 1.0]
+
+
+@pytest.mark.skipif(not ctypes.util.find_library("m"), reason="no C math library to load")
+def test_sampler_exp_and_log1p_are_the_c_librarys():
+    """Over the arguments the replay gives them (``exp`` of ``-x * x / 2``
+    and of a lognormal's argument, ``log1p`` of ``-u``), bit for bit,
+    shape kept, a ``-0.0`` included."""
+    libm = ctypes.CDLL(ctypes.util.find_library("m"))
+    for name in ("exp", "log1p"):
+        getattr(libm, name).restype = ctypes.c_double
+        getattr(libm, name).argtypes = [ctypes.c_double]
+    rng = np.random.default_rng(23)
+    x = np.concatenate([-rng.uniform(0.0, 1.0, 50_000), [-0.0, 0.0, -5e-324, -(1.0 - 2.0**-53)]])
+    assert _bits(libm_log1p(x)).tolist() == _bits([libm.log1p(v) for v in x.tolist()]).tolist()
+    y = np.concatenate([rng.uniform(-40.0, 3.0, 50_000), [-0.0, 0.0, -745.2, 709.7]])
+    assert _bits(libm_exp(y)).tolist() == _bits([libm.exp(v) for v in y.tolist()]).tolist()
+    assert libm_log1p(x.reshape(2, -1)).shape == (2, x.size // 2)

@@ -166,9 +166,15 @@ class TestCli:
             (["--deadline-ms", "nan"], "deadline must be positive"),
             (["--lag", "nan"], "invalid timing"),
             (["--p99-budget-ms", "inf"], "latency budget must be positive"),
+            (["--seed", "-1"], "traffic seed must be a non-negative integer: -1"),
+            (
+                ["--outage-rate", "1", "--fault-seed", "-1"],
+                "fault-plan seed must be a non-negative integer: -1",
+            ),
         ],
         ids=("queue-cap", "max-batch", "hours", "replicas", "rpd-nan", "rpd-inf",
-             "outage-rate", "burst-rate", "delay-nan", "deadline-nan", "lag-nan", "budget-inf"),
+             "outage-rate", "burst-rate", "delay-nan", "deadline-nan", "lag-nan", "budget-inf",
+             "seed", "fault-seed"),
     )
     def test_cli_bad_value_is_usage_error(self, monkeypatch, capsys, argv, message):
         """Refused by the parser (exit 2) before any trace is generated, not

@@ -41,9 +41,10 @@ def test_sweep_only_flags_without_sweep_exit_2(flag, capsys):
         (["--queue-cap", "0"], "queue_capacity must be positive: 0"),
         (["--budget-fill", "-1"], "retry_budget_fill must be a non-negative number: -1.0"),
         (["--replicas", "0"], "outage_dark_replicas must leave a survivor"),
+        (["--seed", "-1"], "storm seed must be a non-negative integer: -1"),
     ],
     ids=("workers", "sweep-workers", "rpd-nan", "rpd-zero", "queue-cap", "budget-fill",
-         "replicas"),
+         "replicas", "seed"),
 )
 def test_bad_value_is_usage_error(monkeypatch, capsys, argv, message):
     """Refused by the parser (exit 2) before any storm runs, not a
