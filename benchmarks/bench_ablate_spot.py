@@ -11,7 +11,7 @@ Three what-ifs against the paper's §5 lab-cost analysis:
 """
 
 from repro.common.tables import format_table
-from repro.core import CohortSimulation, CostModel, SpotScenario
+from repro.core import CohortSimulation, CostModel, SpotScenario, summarize_usage
 from repro.core.costmodel import distribution_stats
 from repro.spot import (
     BudgetGuard,
@@ -26,13 +26,13 @@ HAZARDS = (0.01, 0.05, 0.2, 1.0, 5.0)
 
 def test_spot_savings_vs_hazard(benchmark, semester_records):
     model = CostModel()
-    on_demand = model.lab_rows(semester_records)
-    base = model.lab_totals(on_demand)["aws_cost"]
+    usage = summarize_usage(semester_records)
+    base = model.lab_totals(model.lab_rows(usage))["aws_cost"]
 
     def sweep():
         return [
-            model.whatif_lab_totals(
-                model.whatif_lab_rows(on_demand, SpotScenario(preempt_rate_per_hour=lam))
+            model.lab_totals(
+                model.lab_rows(usage, SpotScenario(preempt_rate_per_hour=lam))
             )["aws_cost"]
             for lam in HAZARDS
         ]
@@ -94,7 +94,7 @@ def test_guardrail_tail_ablation(benchmark):
     model = CostModel()
     expected = model.expected_cost_per_student("aws")
     base = CohortSimulation().run(include_project=False)
-    base_stats = distribution_stats(model.per_student_costs(base, "aws"), expected)
+    base_stats = distribution_stats(model.per_student_costs(summarize_usage(base), "aws"), expected)
 
     def guarded_run():
         sim = CohortSimulation()
@@ -110,7 +110,9 @@ def test_guardrail_tail_ablation(benchmark):
         return sim.run(include_project=False), guard
 
     guarded, guard = benchmark.pedantic(guarded_run, rounds=1, iterations=1)
-    guard_stats = distribution_stats(model.per_student_costs(guarded, "aws"), expected)
+    guard_stats = distribution_stats(
+        model.per_student_costs(summarize_usage(guarded), "aws"), expected
+    )
 
     rows = [
         [label,

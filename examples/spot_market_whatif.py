@@ -12,7 +12,7 @@ Run:  python examples/spot_market_whatif.py [seed]
 
 import sys
 
-from repro.core import CohortConfig, CohortSimulation, CostModel, SpotScenario
+from repro.core import CohortConfig, CohortSimulation, CostModel, SpotScenario, summarize_usage
 from repro.core.costmodel import distribution_stats
 from repro.core.report import spot_headline_summary, spot_whatif
 from repro.spot import (
@@ -67,7 +67,7 @@ def main(seed: int = 42) -> None:
 
     # -- budget guardrails vs the Fig-2 tail -------------------------------
     model = CostModel()
-    base = distribution_stats(model.per_student_costs(records, "aws"),
+    base = distribution_stats(model.per_student_costs(summarize_usage(records), "aws"),
                               model.expected_cost_per_student("aws"))
     sim = CohortSimulation(config=CohortConfig(seed=seed))
     kvm = sim.testbed.site("kvm@tacc")
@@ -80,7 +80,7 @@ def main(seed: int = 42) -> None:
     ).watch(chi.compute, chi.meter)
     guard.start(until=sim.course.semester_hours)
     guarded = sim.run(include_project=False)
-    after = distribution_stats(model.per_student_costs(guarded, "aws"),
+    after = distribution_stats(model.per_student_costs(summarize_usage(guarded), "aws"),
                                model.expected_cost_per_student("aws"))
     print("Budget guard ($250/student, 2 h checks, 7-day reaper) vs the cost tail:")
     print(f"  {'':12s} {'mean':>8s} {'p95':>8s} {'max':>8s} {'max/mean':>9s}")

@@ -13,8 +13,8 @@ cost per lab assignment), Fig 1 (expected vs actual duration), Fig 2
   instance that met the specific needs of each assignment" algorithm.
 * :mod:`repro.core.cohort` — the 191-student behaviour simulation that
   drives the :mod:`repro.cloud` testbed and produces usage records.
-* :mod:`repro.core.usage` — aggregation of usage records into the
-  per-assignment rows of Table 1.
+* :mod:`repro.core.usage` — the one usage summary, built in one pass
+  over the records, that every artifact prices.
 * :mod:`repro.core.costmodel` — usage -> commercial-cloud dollars:
   :class:`CostModel` matches each requirement once per provider and
   prices Table 1, the per-student and project costs, and the spot and
@@ -36,7 +36,6 @@ from repro.core.costmodel import (
     OutageScenario,
     ServingCostRow,
     SpotScenario,
-    WhatIfLabCostRow,
     serving_cost_row,
     serving_equivalent,
 )
@@ -50,10 +49,10 @@ from repro.core.course import (
 )
 from repro.core.matching import cheapest_match
 from repro.core.usage import (
-    AssignmentUsage,
-    aggregate_by_assignment,
+    UsageSummary,
     canonical_sort_key,
     canonicalize_records,
+    summarize_usage,
 )
 
 if TYPE_CHECKING:  # bound on first use by __getattr__ below
@@ -97,14 +96,13 @@ __all__ = [
     "ShardPlan",
     "plan_cohort",
     "execute_shard",
-    "AssignmentUsage",
-    "aggregate_by_assignment",
+    "UsageSummary",
+    "summarize_usage",
     "canonical_sort_key",
     "canonicalize_records",
     "records_digest",
     "CostModel",
     "LabCostRow",
-    "WhatIfLabCostRow",
     "SpotScenario",
     "OutageScenario",
     "WhatIf",

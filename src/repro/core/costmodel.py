@@ -12,23 +12,15 @@ and cost ``None`` (the paper's "NA").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.common.errors import ValidationError
+from repro.common.numerics import stable_sum
 from repro.core.catalog import AWS_CATALOG, GCP_CATALOG, CloudInstance, PricingCatalog
 from repro.core.course import COURSE, CourseDefinition, TABLE1_ROWS
 from repro.core.matching import RequirementSpec, cheapest_match
-from repro.core.usage import (
-    AssignmentUsage,
-    aggregate_by_assignment,
-    per_user_fip_hours,
-    per_user_instance_hours,
-)
-
-if TYPE_CHECKING:  # annotations only: repro.cloud loads the whole testbed
-    from repro.cloud.metering import UsageRecord
+from repro.core.usage import UsageSummary
 
 HOURS_PER_MONTH = 730.0
 
@@ -61,12 +53,17 @@ PROJECT_SPECS: dict[str, RequirementSpec | None] = {
 
 @dataclass(frozen=True)
 class LabCostRow:
-    """One Table-1 row with both providers' costs (None = NA)."""
+    """One Table-1 row with both providers' costs (None = NA).
+
+    ``billed_instance_hours`` is ``instance_hours`` times the pricing's
+    time inflation: equal to it in Table 1, inflated in a what-if.
+    """
 
     lab_id: str
     title: str
     resource_type: str
     instance_hours: float
+    billed_instance_hours: float
     floating_ip_hours: float
     aws_instance: str | None
     aws_cost: float | None
@@ -188,20 +185,6 @@ class OutageScenario:
 
 
 @dataclass(frozen=True)
-class WhatIfLabCostRow:
-    """A Table-1 row re-priced under a spot or outage scenario (None = NA)."""
-
-    lab_id: str
-    title: str
-    resource_type: str
-    instance_hours: float
-    billed_instance_hours: float  # instance_hours × scenario inflation
-    floating_ip_hours: float
-    aws_cost: float | None
-    gcp_cost: float | None
-
-
-@dataclass(frozen=True)
 class ProjectCost:
     provider: str
     instance_usd: float
@@ -220,7 +203,7 @@ class ProjectCost:
 
 
 class CostModel:
-    """The §5 cost analysis over a set of usage records.
+    """The §5 cost analysis over a :class:`~repro.core.usage.UsageSummary`.
 
     Each requirement (a lab's, or a project resource type's) is matched
     to its cheapest instance once per provider and model, in a memo that
@@ -276,138 +259,112 @@ class CostModel:
             )
         return self._matches[key]
 
-    # -- Table 1 --------------------------------------------------------------------
+    # -- Table 1 and the spot and outage what-ifs ----------------------------------------
 
-    def lab_rows(self, records: list[UsageRecord]) -> list[LabCostRow]:
-        """Compute every Table-1 row (in the paper's order) from records."""
-        usage = aggregate_by_assignment(records)
-        rows: list[LabCostRow] = []
-        ordered_keys = [k for k in TABLE1_ROWS if k in usage]
-        extra = sorted(k for k in usage if k not in TABLE1_ROWS and k[0] != "project")
-        for lab_id, rtype in ordered_keys + extra:
-            row = usage[(lab_id, rtype)]
-            rows.append(self._cost_row(row))
-        return rows
-
-    def _cost_row(self, usage: AssignmentUsage) -> LabCostRow:
-        lab = self.course.lab(usage.lab_id)
-        out = {}
-        for provider in ("aws", "gcp"):
-            inst = self.lab_equivalent(usage.lab_id, provider)
-            if inst is None:
-                out[provider] = (None, None)
-                continue
-            catalog = self._catalog(provider)
-            # the matched instance replaces the whole per-student VM set of
-            # one Chameleon instance, so instance-hours translate 1:1
-            cost = usage.instance_hours * inst.hourly_usd + (
-                usage.floating_ip_hours * catalog.ip_hourly_usd
-            )
-            out[provider] = (inst.name, cost)
-        return LabCostRow(
-            lab_id=usage.lab_id,
-            title=lab.title,
-            resource_type=usage.resource_type,
-            instance_hours=usage.instance_hours,
-            floating_ip_hours=usage.floating_ip_hours,
-            aws_instance=out["aws"][0],
-            aws_cost=out["aws"][1],
-            gcp_instance=out["gcp"][0],
-            gcp_cost=out["gcp"][1],
-        )
-
-    # -- spot and outage what-ifs ------------------------------------------------------
-
-    def whatif_lab_rows(
-        self, rows: list[LabCostRow], scenario: SpotScenario | OutageScenario
-    ) -> list[WhatIfLabCostRow]:
-        """Table-1 rows (:meth:`lab_rows`) re-priced under a spot or outage
-        scenario.
+    def lab_rows(
+        self, usage: UsageSummary, scenario: SpotScenario | OutageScenario | None = None
+    ) -> list[LabCostRow]:
+        """Every Table-1 row, in the paper's order, priced on demand or
+        under a spot or outage scenario.
 
         Billable hours are the metered hours times the scenario's expected
         time inflation (preemption or interruption re-work, checkpoint
         writes, restarts); floating-IP hours inflate identically because
         the address is held for the whole — longer — run.  Instance hours
         are billed at the scenario's rate for the lab's matched instance:
-        the spot rate, or on-demand for outages.
+        the spot rate, or on-demand for outages.  Table 1 is the pricing
+        at inflation 1.0 and on-demand rates (``scenario=None``); the
+        matched instance replaces the whole per-student VM set of one
+        Chameleon instance, so instance-hours translate 1:1.
         """
-        inflation = scenario.time_inflation
-        out: list[WhatIfLabCostRow] = []
-        for row in rows:
-            billed = row.instance_hours * inflation
-            billed_fip = row.floating_ip_hours * inflation
-            costs: dict[str, float | None] = {}
+        inflation = 1.0 if scenario is None else scenario.time_inflation
+        hours = usage.row_hours()
+        keys = [k for k in TABLE1_ROWS if k in hours]
+        keys += sorted(k for k in hours if k not in TABLE1_ROWS)
+        rows: list[LabCostRow] = []
+        for lab_id, rtype in keys:
+            instance_hours, fip_hours = hours[(lab_id, rtype)]
+            billed = instance_hours * inflation
+            billed_fip = fip_hours * inflation
+            title = self.course.lab(lab_id).title
+            priced: dict[str, tuple[str | None, float | None]] = {}
             for provider in ("aws", "gcp"):
-                inst = self.lab_equivalent(row.lab_id, provider)
-                costs[provider] = None if inst is None else (
-                    billed * scenario.hourly_usd(inst)
-                    + billed_fip * self._catalog(provider).ip_hourly_usd
+                inst = self.lab_equivalent(lab_id, provider)
+                if inst is None:
+                    priced[provider] = (None, None)
+                    continue
+                rate = inst.hourly_usd if scenario is None else scenario.hourly_usd(inst)
+                priced[provider] = (
+                    inst.name,
+                    billed * rate + billed_fip * self._catalog(provider).ip_hourly_usd,
                 )
-            out.append(WhatIfLabCostRow(
-                lab_id=row.lab_id,
-                title=row.title,
-                resource_type=row.resource_type,
-                instance_hours=row.instance_hours,
+            rows.append(LabCostRow(
+                lab_id=lab_id,
+                title=title,
+                resource_type=rtype,
+                instance_hours=instance_hours,
                 billed_instance_hours=billed,
-                floating_ip_hours=row.floating_ip_hours,
-                aws_cost=costs["aws"],
-                gcp_cost=costs["gcp"],
+                floating_ip_hours=fip_hours,
+                aws_instance=priced["aws"][0],
+                aws_cost=priced["aws"][1],
+                gcp_instance=priced["gcp"][0],
+                gcp_cost=priced["gcp"][1],
             ))
-        return out
-
-    def whatif_lab_totals(self, rows: list[WhatIfLabCostRow]) -> dict[str, float]:
-        """Totals row of a what-if table."""
-        return {
-            "instance_hours": sum(r.instance_hours for r in rows),
-            "billed_instance_hours": sum(r.billed_instance_hours for r in rows),
-            "floating_ip_hours": sum(r.floating_ip_hours for r in rows),
-            "aws_cost": sum(r.aws_cost or 0.0 for r in rows),
-            "gcp_cost": sum(r.gcp_cost or 0.0 for r in rows),
-        }
+        return rows
 
     # -- per-student distribution (Fig 2) --------------------------------------------
 
-    def per_student_costs(self, records: list[UsageRecord], provider: str) -> dict[str, float]:
-        """Lab cost per student (edge rows excluded, like the paper)."""
+    def per_student_costs(self, usage: UsageSummary, provider: str) -> dict[str, float]:
+        """Lab cost per student.
+
+        Edge labs have no commercial equivalent and are excluded, like the
+        paper: their instance hours and their floating-IP hours both, so
+        the costs sum to Table 1's total.
+        """
         catalog = self._catalog(provider)
-        lab_ids = {lab.id for lab in self.course.labs}
-        inst_hours = per_user_instance_hours(records, labs=lab_ids)
-        fip_hours = per_user_fip_hours(records, labs=lab_ids)
+        priced = {
+            lab.id for lab in self.course.labs if self.lab_equivalent(lab.id, provider) is not None
+        }
         costs: dict[str, float] = {}
-        for user, by_row in inst_hours.items():
+        for user, use in usage.users.items():
+            if not use.hours:
+                continue  # floating IPs alone make no Fig 2 row
             total = 0.0
-            for (lab_id, rtype), hours in by_row.items():
+            for (lab_id, rtype), hours in use.by_row().items():
                 inst = self.record_equivalent(lab_id, rtype, provider)
                 if inst is None:
                     continue  # edge lab: excluded from the commercial estimate
-                total += hours * inst.hourly_usd
-            total += fip_hours.get(user, 0.0) * catalog.ip_hourly_usd
+                total += stable_sum(hours) * inst.hourly_usd
+            fip = (h for lab_id, h in zip(use.fip_labs, use.fip_hours) if lab_id in priced)
+            total += stable_sum(fip) * catalog.ip_hourly_usd
             costs[user] = total
         return costs
 
-    def expected_cost_per_student(self, provider: str) -> float:
-        """The §3-durations cost (the paper's $79.80 AWS / $58.85 GCP)."""
+    def expected_cost_per_student(self, provider: str) -> float | None:
+        """The §3-durations cost (the paper's $79.80 AWS / $58.85 GCP);
+        None (NA) when no lab has a commercial equivalent."""
         catalog = self._catalog(provider)
         total = 0.0
+        priced = False
         for lab in self.course.labs:
             rate = self.hourly_rate(lab.id, provider)
             if rate is None:
                 continue
+            priced = True
             # every VM of a lab bills, but the lab holds one floating IP
             total += lab.expected_instance_hours * rate + lab.expected_hours * catalog.ip_hourly_usd
-        return total
+        return total if priced else None
 
     # -- project costs (§5) -------------------------------------------------------------
 
-    def project_cost(self, records: list[UsageRecord], provider: str) -> ProjectCost:
+    def project_cost(self, usage: UsageSummary, provider: str) -> ProjectCost:
+        """The project's costs, each component added in record order."""
         catalog = self._catalog(provider)
         instance_usd = 0.0
         fip_usd = 0.0
         block_usd = 0.0
         object_usd = 0.0
-        for rec in records:
-            if rec.lab != "project":
-                continue
+        for rec in usage.project:
             if rec.kind in ("server", "baremetal", "edge"):
                 inst = self.record_equivalent(rec.lab, rec.resource_type, provider)
                 if inst is not None:
@@ -429,9 +386,10 @@ class CostModel:
     # -- summary -----------------------------------------------------------------------
 
     def lab_totals(self, rows: list[LabCostRow]) -> dict[str, float]:
-        """Totals row of Table 1."""
+        """Totals row of Table 1 or of a what-if table."""
         return {
             "instance_hours": sum(r.instance_hours for r in rows),
+            "billed_instance_hours": sum(r.billed_instance_hours for r in rows),
             "floating_ip_hours": sum(r.floating_ip_hours for r in rows),
             "aws_cost": sum(r.aws_cost or 0.0 for r in rows),
             "gcp_cost": sum(r.gcp_cost or 0.0 for r in rows),
@@ -444,16 +402,19 @@ class CostModel:
             raise ValidationError(f"unknown provider {provider!r}") from None
 
 
-def distribution_stats(costs: dict[str, float], expected: float) -> dict[str, float]:
+def distribution_stats(
+    costs: dict[str, float], expected: float | None
+) -> dict[str, float | None]:
     """The Fig-2 statistics over a per-student cost mapping.
 
     An empty cohort (nobody incurred cost — e.g. a filtered sub-cohort or
     an all-edge course) yields all-zero statistics rather than an error,
     and a zero/negative ``expected`` is rejected up front so the
     "% exceeding expected" column can never silently divide a bad
-    baseline.
+    baseline.  ``expected=None`` (no lab has a commercial equivalent)
+    reports both expected-cost statistics as None, the paper's "NA".
     """
-    if expected <= 0:
+    if expected is not None and expected <= 0:
         raise ValidationError(f"expected cost must be positive: {expected!r}")
     if not costs:
         return {
@@ -463,8 +424,8 @@ def distribution_stats(costs: dict[str, float], expected: float) -> dict[str, fl
             "p75": 0.0,
             "p95": 0.0,
             "max": 0.0,
-            "expected": float(expected),
-            "pct_exceeding_expected": 0.0,
+            "expected": None if expected is None else float(expected),
+            "pct_exceeding_expected": None if expected is None else 0.0,
         }
     arr = np.array(sorted(costs.values()))
     return {
@@ -474,8 +435,10 @@ def distribution_stats(costs: dict[str, float], expected: float) -> dict[str, fl
         "p75": float(np.percentile(arr, 75)),
         "p95": float(np.percentile(arr, 95)),
         "max": float(arr.max()),
-        "expected": float(expected),
-        "pct_exceeding_expected": float((arr > expected).mean() * 100.0),
+        "expected": None if expected is None else float(expected),
+        "pct_exceeding_expected": (
+            None if expected is None else float((arr > expected).mean() * 100.0)
+        ),
     }
 
 

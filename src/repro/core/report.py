@@ -3,7 +3,8 @@
 Each function takes the simulated usage records (plus the course and cost
 model) and returns both structured data and a printable text rendering, so
 the benchmark harness can show paper-style output and tests can assert on
-numbers.
+numbers.  Each walks the records once, into one
+:class:`~repro.core.usage.UsageSummary`, and reduces only that.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from repro.cloud.inventory import CHAMELEON_NODE_TYPES
 from repro.cloud.metering import UsageRecord
 from repro.common.errors import ValidationError
 from repro.common.tables import format_table
@@ -24,11 +26,10 @@ from repro.core.costmodel import (
     LabCostRow,
     OutageScenario,
     SpotScenario,
-    WhatIfLabCostRow,
     distribution_stats,
 )
 from repro.core.course import COURSE, CourseDefinition, LabKind
-from repro.core.usage import aggregate_by_assignment
+from repro.core.usage import UsageSummary, summarize_usage
 
 if TYPE_CHECKING:  # imported lazily: repro.faults imports repro.core
     from repro.faults.sweep import FaultLedger
@@ -61,7 +62,7 @@ def _by_provider(provider: str, aws: dict[str, float], gcp: dict[str, float]) ->
 
 
 def _cost_table_body(
-    rows: list[LabCostRow] | list[WhatIfLabCostRow],
+    rows: list[LabCostRow],
     totals: dict[str, float],
     hours: str,
     enrollment: int,
@@ -108,7 +109,7 @@ def table1(
     model: CostModel | None = None,
 ) -> Table1:
     model = model if model is not None else CostModel(course)
-    rows = model.lab_rows(records)
+    rows = model.lab_rows(summarize_usage(records, course=course))
     return Table1(rows=rows, totals=model.lab_totals(rows), enrollment=course.enrollment)
 
 
@@ -155,10 +156,10 @@ def fig1_duration_data(
     records: list[UsageRecord], *, course: CourseDefinition = COURSE
 ) -> Fig1:
     """Expected vs actual per-student instance-hours, per assignment."""
-    usage = aggregate_by_assignment(records)
     per_lab_hours: dict[str, float] = defaultdict(float)
-    for (lab_id, _rtype), row in usage.items():
-        per_lab_hours[lab_id] += row.instance_hours
+    row_hours = summarize_usage(records, course=course).row_hours()
+    for (lab_id, _rtype), (hours, _fip) in row_hours.items():
+        per_lab_hours[lab_id] += hours  # a lab's rows in first-appearance order
 
     vm_rows, reserved_rows = [], []
     for lab in course.labs:
@@ -181,8 +182,8 @@ def fig1_duration_data(
 class Fig2:
     aws: dict[str, float]
     gcp: dict[str, float]
-    aws_stats: dict[str, float]
-    gcp_stats: dict[str, float]
+    aws_stats: dict[str, float | None]
+    gcp_stats: dict[str, float | None]
 
     def histogram(self, provider: str, *, bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
         costs = np.array(sorted(_by_provider(provider, self.aws, self.gcp).values()))
@@ -210,8 +211,9 @@ def fig2_cost_distribution(
     model: CostModel | None = None,
 ) -> Fig2:
     model = model if model is not None else CostModel(course)
-    aws = model.per_student_costs(records, "aws")
-    gcp = model.per_student_costs(records, "gcp")
+    usage = summarize_usage(records, course=course)
+    aws = model.per_student_costs(usage, "aws")
+    gcp = model.per_student_costs(usage, "gcp")
     return Fig2(
         aws=aws,
         gcp=gcp,
@@ -269,21 +271,23 @@ def fig3_project_usage(
     model: CostModel | None = None,
 ) -> Fig3:
     model = model if model is not None else CostModel(course)
+    return _fig3(summarize_usage(records, course=course), course, model)
+
+
+def _fig3(usage: UsageSummary, course: CourseDefinition, model: CostModel) -> Fig3:
+    """Each resource type's hours and each storage peak, added in record order."""
     vm: dict[str, float] = defaultdict(float)
     gpu: dict[str, float] = defaultdict(float)
     bm_cpu = 0.0
     edge = 0.0
     block_gb = 0.0
     object_gb = 0.0
-    gpu_types = {"compute_gigaio", "compute_liqid", "compute_liqid_2", "gpu_mi100",
-                 "gpu_p100", "gpu_a100_pcie", "gpu_v100"}
-    for rec in records:
-        if rec.lab != "project":
-            continue
+    for rec in usage.project:
         if rec.kind == "server":
             vm[rec.resource_type] += rec.unit_hours
         elif rec.kind == "baremetal":
-            if rec.resource_type in gpu_types:
+            node = CHAMELEON_NODE_TYPES.get(rec.resource_type)
+            if node is not None and node.gpu is not None:
                 gpu[rec.resource_type] += rec.unit_hours
             else:
                 bm_cpu += rec.unit_hours
@@ -300,8 +304,8 @@ def fig3_project_usage(
         edge_hours=edge,
         block_storage_gb_peak=block_gb,
         object_storage_gb_peak=object_gb,
-        aws_total_usd=model.project_cost(records, "aws").total_usd,
-        gcp_total_usd=model.project_cost(records, "gcp").total_usd,
+        aws_total_usd=model.project_cost(usage, "aws").total_usd,
+        gcp_total_usd=model.project_cost(usage, "gcp").total_usd,
         enrollment=course.enrollment,
     )
 
@@ -321,7 +325,7 @@ class WhatIf:
     Edge rows stay NA, exactly as in Table 1.
     """
 
-    rows: list[WhatIfLabCostRow]
+    rows: list[LabCostRow]
     totals: dict[str, float]
     on_demand_totals: dict[str, float]
     scenario: SpotScenario | OutageScenario
@@ -359,18 +363,16 @@ class WhatIf:
 
 
 def _whatif(
-    records: list[UsageRecord],
+    usage: UsageSummary,
     course: CourseDefinition,
-    model: CostModel | None,
+    model: CostModel,
     scenario: SpotScenario | OutageScenario,
 ) -> WhatIf:
-    model = model if model is not None else CostModel(course)
-    on_demand = model.lab_rows(records)
-    rows = model.whatif_lab_rows(on_demand, scenario)
+    rows = model.lab_rows(usage, scenario)
     return WhatIf(
         rows=rows,
-        totals=model.whatif_lab_totals(rows),
-        on_demand_totals=model.lab_totals(on_demand),
+        totals=model.lab_totals(rows),
+        on_demand_totals=model.lab_totals(model.lab_rows(usage)),
         scenario=scenario,
         enrollment=course.enrollment,
     )
@@ -384,7 +386,9 @@ def spot_whatif(
     scenario: SpotScenario | None = None,
 ) -> WhatIf:
     """The "VM labs on spot + guardrails" §5 extension table."""
-    return _whatif(records, course, model, scenario if scenario is not None else SpotScenario())
+    model = model if model is not None else CostModel(course)
+    scenario = scenario if scenario is not None else SpotScenario()
+    return _whatif(summarize_usage(records, course=course), course, model, scenario)
 
 
 def outage_whatif(
@@ -395,9 +399,9 @@ def outage_whatif(
     scenario: OutageScenario | None = None,
 ) -> WhatIf:
     """The "unreliable testbed" what-if table."""
-    return _whatif(
-        records, course, model, scenario if scenario is not None else OutageScenario()
-    )
+    model = model if model is not None else CostModel(course)
+    scenario = scenario if scenario is not None else OutageScenario()
+    return _whatif(summarize_usage(records, course=course), course, model, scenario)
 
 
 def spot_headline_summary(
@@ -414,8 +418,9 @@ def spot_headline_summary(
     """
     scenario = scenario if scenario is not None else SpotScenario()
     model = CostModel(course)
-    what_if = spot_whatif(records, course=course, model=model, scenario=scenario)
-    f3 = fig3_project_usage(records, course=course, model=model)
+    usage = summarize_usage(records, course=course)
+    what_if = _whatif(usage, course, model, scenario)
+    f3 = _fig3(usage, course, model)
     n = course.enrollment
     on_demand = what_if.on_demand_totals
     return {
@@ -545,9 +550,10 @@ def fault_accounting(
 def headline_summary(records: list[UsageRecord], *, course: CourseDefinition = COURSE) -> dict[str, float]:
     """The paper's headline statistics (abstract + §6)."""
     model = CostModel(course)
-    t1 = table1(records, course=course, model=model)
-    f3 = fig3_project_usage(records, course=course, model=model)
-    lab_hours = t1.totals["instance_hours"]
+    usage = summarize_usage(records, course=course)
+    t1 = model.lab_totals(model.lab_rows(usage))
+    f3 = _fig3(usage, course, model)
+    lab_hours = t1["instance_hours"]
     project_hours = (
         f3.vm_hours_total + f3.gpu_hours_total + f3.baremetal_cpu_hours + f3.edge_hours
     )
@@ -556,12 +562,12 @@ def headline_summary(records: list[UsageRecord], *, course: CourseDefinition = C
         "lab_instance_hours": lab_hours,
         "project_instance_hours": project_hours,
         "total_instance_hours": lab_hours + project_hours,
-        "aws_lab_per_student": t1.totals["aws_cost"] / n,
-        "gcp_lab_per_student": t1.totals["gcp_cost"] / n,
+        "aws_lab_per_student": t1["aws_cost"] / n,
+        "gcp_lab_per_student": t1["gcp_cost"] / n,
         "aws_project_per_student": f3.aws_total_usd / n,
         "gcp_project_per_student": f3.gcp_total_usd / n,
-        "aws_total_per_student": (t1.totals["aws_cost"] + f3.aws_total_usd) / n,
-        "gcp_total_per_student": (t1.totals["gcp_cost"] + f3.gcp_total_usd) / n,
-        "aws_course_total": t1.totals["aws_cost"] + f3.aws_total_usd,
-        "gcp_course_total": t1.totals["gcp_cost"] + f3.gcp_total_usd,
+        "aws_total_per_student": (t1["aws_cost"] + f3.aws_total_usd) / n,
+        "gcp_total_per_student": (t1["gcp_cost"] + f3.gcp_total_usd) / n,
+        "aws_course_total": t1["aws_cost"] + f3.aws_total_usd,
+        "gcp_course_total": t1["gcp_cost"] + f3.gcp_total_usd,
     }

@@ -1,4 +1,4 @@
-"""Aggregating usage records into the paper's accounting rows.
+"""Usage records: their canonical order, and the one summary every artifact prices.
 
 The paper "associated most individual compute instances with specific lab
 assignments" (§5); the simulator attributes explicitly via each record's
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.common.numerics import stable_sum
+from repro.core.course import COURSE, CourseDefinition
 
 if TYPE_CHECKING:  # annotations only: repro.cloud loads the whole testbed
     from repro.cloud.metering import UsageRecord
@@ -85,92 +86,110 @@ def canonicalize_records(shard_lists: Iterable[Sequence[UsageRecord]]) -> list[U
     return out
 
 
-@dataclass
-class AssignmentUsage:
-    """One Table-1 row's usage."""
+@dataclass(frozen=True)
+class UserUsage:
+    """One user's usage in the course's labs, in record order (Fig 2).
 
-    lab_id: str
-    resource_type: str
-    instance_hours: float = 0.0
-    floating_ip_hours: float = 0.0
-    per_user_hours: dict[str, float] = field(default_factory=dict)
-
-
-def aggregate_by_assignment(records: list[UsageRecord]) -> dict[tuple[str, str], AssignmentUsage]:
-    """Group instance records into (lab, resource_type) rows with FIP hours.
-
-    Every hours total is a :func:`~repro.common.numerics.stable_sum` over
-    the contributing records, so the rows are invariant to record order
-    and to whether the stream arrived serially or from columnar chunks
-    (the summation contract of DESIGN §11).
+    Parallel columns, one entry per record: each instance record's lab,
+    resource type and unit-hours, and each floating IP's lab and hours.
     """
-    rows: dict[tuple[str, str], AssignmentUsage] = {}
-    row_hours: dict[tuple[str, str], list[float]] = defaultdict(list)
-    user_hours: dict[tuple[str, str], dict[str, list[float]]] = defaultdict(dict)
-    fip_hours_by_lab: dict[str, list[float]] = defaultdict(list)
 
+    labs: list[str] = field(default_factory=list)
+    resource_types: list[str] = field(default_factory=list)
+    hours: list[float] = field(default_factory=list)
+    fip_labs: list[str] = field(default_factory=list)
+    fip_hours: list[float] = field(default_factory=list)
+
+    def by_row(self) -> dict[tuple[str, str], list[float]]:
+        """(lab, resource type) -> the user's unit-hours, rows in
+        first-appearance order."""
+        rows: dict[tuple[str, str], list[float]] = defaultdict(list)
+        for lab, rtype, hours in zip(self.labs, self.resource_types, self.hours):
+            rows[(lab, rtype)].append(hours)
+        return rows
+
+
+@dataclass(frozen=True)
+class UsageSummary:
+    """The records that the paper's rows count, grouped in one pass.
+
+    Every artifact (Table 1, Figs 1-3, both what-ifs, the headline)
+    reduces this summary and never the records themselves.  Each group
+    keeps its unit-hours in record order and its keys in first-appearance
+    order, so a reduction can take its totals through
+    :func:`~repro.common.numerics.stable_sum` (invariant to record order,
+    DESIGN §11's summation contract) or add them left to right exactly as
+    it added the records.
+
+    * ``rows``: the instance hours of each (lab, resource type) pair;
+    * ``lab_fip``: each lab's floating-IP hours;
+    * ``users``: each user's usage in the course's labs (Fig 2);
+    * ``project``: the project's records, in record order.
+
+    A user's usage is kept as columns, not grouped per row: a group per
+    (user, row) is one more list the garbage collector tracks, and a
+    semester has thousands of them.
+    """
+
+    rows: dict[tuple[str, str], list[float]]
+    lab_fip: dict[str, list[float]]
+    users: dict[str, UserUsage]
+    project: list[UsageRecord]
+
+    def row_hours(self) -> dict[tuple[str, str], tuple[float, float]]:
+        """(lab, resource type) -> (instance hours, floating-IP hours).
+
+        The meter attributes a floating IP to its lab, not to a node type,
+        so a lab's floating-IP hours go to its rows in proportion to their
+        instance hours.  The share divides by the ``stable_sum`` of the
+        lab's row totals, not of its raw hours: the two can differ in the
+        last bit.
+        """
+        hours = {key: stable_sum(vals) for key, vals in self.rows.items()}
+        by_lab: dict[str, list[float]] = defaultdict(list)
+        for (lab, _rtype), total in hours.items():
+            by_lab[lab].append(total)
+        lab_totals = {lab: stable_sum(vals) for lab, vals in by_lab.items()}
+        fip_totals = {lab: stable_sum(vals) for lab, vals in self.lab_fip.items()}
+        out: dict[tuple[str, str], tuple[float, float]] = {}
+        for key, total in hours.items():
+            lab_total = lab_totals[key[0]]
+            fip = fip_totals.get(key[0], 0.0) * total / lab_total if lab_total > 0 else 0.0
+            out[key] = (total, fip)
+        return out
+
+
+def summarize_usage(
+    records: Iterable[UsageRecord], *, course: CourseDefinition = COURSE
+) -> UsageSummary:
+    """Group a record stream into a :class:`UsageSummary`, in one pass.
+
+    Records with no lab tag count toward nothing.
+    """
+    labs = {lab.id for lab in course.labs}
+    rows: dict[tuple[str, str], list[float]] = defaultdict(list)
+    lab_fip: dict[str, list[float]] = defaultdict(list)
+    users: dict[str, UserUsage] = defaultdict(UserUsage)
+    project: list[UsageRecord] = []
     for rec in records:
-        if rec.lab is None:
+        lab = rec.lab
+        if lab is None:
             continue
-        if rec.kind in _INSTANCE_KINDS:
-            key = (rec.lab, rec.resource_type)
-            if key not in rows:
-                rows[key] = AssignmentUsage(lab_id=rec.lab, resource_type=rec.resource_type)
-            row_hours[key].append(rec.unit_hours)
-            if rec.user is not None:
-                user_hours[key].setdefault(rec.user, []).append(rec.unit_hours)
+        if lab == "project":
+            project.append(rec)
+        elif rec.kind in _INSTANCE_KINDS:
+            hours = rec.unit_hours
+            rows[(lab, rec.resource_type)].append(hours)
+            if rec.user is not None and lab in labs:
+                use = users[rec.user]
+                use.labs.append(lab)
+                use.resource_types.append(rec.resource_type)
+                use.hours.append(hours)
         elif rec.kind == "floating_ip":
-            fip_hours_by_lab[rec.lab].append(rec.unit_hours)
-
-    for key, row in rows.items():
-        row.instance_hours = stable_sum(row_hours[key])
-        row.per_user_hours = {
-            user: stable_sum(vals) for user, vals in user_hours[key].items()
-        }
-
-    # apportion per-lab FIP hours across the lab's rows by instance share
-    lab_row_hours: dict[str, list[float]] = defaultdict(list)
-    for row in rows.values():
-        lab_row_hours[row.lab_id].append(row.instance_hours)
-    lab_totals = {lab: stable_sum(vals) for lab, vals in lab_row_hours.items()}
-    fip_totals = {lab: stable_sum(vals) for lab, vals in fip_hours_by_lab.items()}
-    for row in rows.values():
-        total = lab_totals[row.lab_id]
-        if total > 0:
-            row.floating_ip_hours = fip_totals.get(row.lab_id, 0.0) * row.instance_hours / total
-    return rows
-
-
-def per_user_instance_hours(
-    records: list[UsageRecord], *, labs: set[str] | None = None
-) -> dict[str, dict[tuple[str, str], float]]:
-    """user -> {(lab, resource_type): instance hours} (Fig 2 input)."""
-    acc: dict[str, dict[tuple[str, str], list[float]]] = defaultdict(dict)
-    for rec in records:
-        if rec.kind not in _INSTANCE_KINDS or rec.lab is None or rec.user is None:
-            continue
-        if labs is not None and rec.lab not in labs:
-            continue
-        key = (rec.lab, rec.resource_type)
-        acc[rec.user].setdefault(key, []).append(rec.unit_hours)
-    return {
-        user: {key: stable_sum(vals) for key, vals in per_key.items()}
-        for user, per_key in acc.items()
-    }
-
-
-def per_user_fip_hours(
-    records: list[UsageRecord], *, labs: set[str] | None = None
-) -> dict[str, float]:
-    """user -> floating-IP hours (Fig 2 input; FIP spans carry no user for
-    reserved labs booked per slot, so those are counted via the lab share
-    by the cost model instead)."""
-    acc: dict[str, list[float]] = defaultdict(list)
-    for rec in records:
-        if rec.kind != "floating_ip" or rec.lab is None:
-            continue
-        if labs is not None and rec.lab not in labs:
-            continue
-        if rec.user is not None:
-            acc[rec.user].append(rec.unit_hours)
-    return {user: stable_sum(vals) for user, vals in acc.items()}
+            hours = rec.unit_hours
+            lab_fip[lab].append(hours)
+            if rec.user is not None and lab in labs:
+                use = users[rec.user]
+                use.fip_labs.append(lab)
+                use.fip_hours.append(hours)
+    return UsageSummary(rows, lab_fip, users, project)

@@ -55,7 +55,6 @@ if TYPE_CHECKING:  # bound on first use by __getattr__ below
         FaultEvent,
         FaultLedger,
         FaultSweep,
-        HardwareFailure,
     )
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "FaultCalendar",
     "OutageWindow",
     "ApiErrorBurst",
-    "HardwareFailure",
     "FaultEvent",
     "FaultLedger",
     "FaultSweep",

@@ -62,16 +62,6 @@ class FaultEvent:
     delay_hours: float = 0.0  # start slip caused by retry backoff
 
 
-@dataclass(frozen=True)
-class HardwareFailure:
-    """One resolved per-instance hardware failure (an MTBF hazard draw)."""
-
-    site: str
-    user: str
-    lab: str
-    at: float
-
-
 @dataclass
 class FaultLedger:
     """Accumulated fault accounting for one plan sweep."""
@@ -111,21 +101,6 @@ class FaultLedger:
     @property
     def delay_hours(self) -> float:
         return sum(e.delay_hours for e in self.events)
-
-    def hardware_failures(self) -> tuple[HardwareFailure, ...]:
-        """The resolved MTBF failures, as standalone records."""
-        return tuple(
-            HardwareFailure(site=e.site, user=e.user, lab=e.lab, at=e.at)
-            for e in self.events
-            if e.kind == "hw_kill"
-        )
-
-    def per_user_redo_hours(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for e in self.events:
-            if e.redo_hours:
-                out[e.user] = out.get(e.user, 0.0) + e.redo_hours
-        return out
 
 
 # -- the sweep ---------------------------------------------------------------------

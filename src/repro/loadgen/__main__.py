@@ -118,6 +118,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.whatif and args.json == "-":
         parser.error("--whatif does not apply with --json - (the JSON summary has no what-if)")
+    if args.fault_seed < 0:  # refused whatever the rates, as repro.faults refuses it
+        parser.error(
+            f"fault-plan seed must be a non-negative integer: {args.fault_seed} (--fault-seed)"
+        )
 
     # every config is built before anything is generated, so a bad flag
     # value is a usage error, not a traceback after the work

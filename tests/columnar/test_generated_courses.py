@@ -8,7 +8,8 @@ and given its own flavor, VM count, sigma, slot hours, mean slots,
 storage and an id that ``repr`` quotes or escapes; 1 to 60 students;
 semesters of 10 to 16 weeks.  On each, ``run_columnar`` must reproduce
 the serial testbed's records digest, fault-free and under the verify
-gate's cohort fault plan.
+gate's cohort fault plan, and its records must price: Table 1, Figs 1-3
+and the headline render without raising, and each lab is priced or NA.
 
 Some examples also shrink the KVM compute quota and cut every node
 type's count, in the admission sweeps and in the testbed alike (patched
@@ -29,9 +30,16 @@ import repro.cloud.testbed
 from repro.cloud.inventory import CHAMELEON_FLAVORS
 from repro.cloud.quota import Quota
 from repro.columnar import admission, run_columnar
-from repro.core import CohortSimulation, records_digest, scaled_course
+from repro.core import CohortSimulation, CostModel, records_digest, scaled_course
 from repro.core.cohort import CohortConfig, SlotCalendar
 from repro.core.course import COURSE, LabKind
+from repro.core.report import (
+    fig1_duration_data,
+    fig2_cost_distribution,
+    fig3_project_usage,
+    headline_summary,
+    table1,
+)
 from repro.faults.plan import build_fault_calendar
 from repro.faults.sweep import FaultSweep
 from repro.verify.gates import COHORT_FAULTS
@@ -144,7 +152,23 @@ def test_columnar_digest_matches_serial_on_generated_courses(
     quota, calendar, nodes, devices = _tight(share, divisor)
     with quota, calendar, nodes, devices:
         serial = records_digest(CohortSimulation(course, config, faults=faults()).run())
-        run = run_columnar(course, config, faults=faults())
+        run = run_columnar(course, config, faults=faults(), collect_records=True)
     assert run.digest == serial
     for sweep, held in run.sweep_info.items():
         fast_paths[sweep].add(held)
+    _prices_without_raising(course, run.record_list)
+
+
+def _prices_without_raising(course, records):
+    """Every artifact renders, and a Table 1 cost is NA exactly where the
+    lab has no commercial equivalent."""
+    model = CostModel(course)
+    t1 = table1(records, course=course, model=model)
+    for artifact in (t1, fig1_duration_data(records, course=course),
+                     fig2_cost_distribution(records, course=course, model=model),
+                     fig3_project_usage(records, course=course, model=model)):
+        assert artifact.render()
+    assert headline_summary(records, course=course)
+    for row in t1.rows:
+        for provider, cost in (("aws", row.aws_cost), ("gcp", row.gcp_cost)):
+            assert (cost is None) == (model.lab_equivalent(row.lab_id, provider) is None)

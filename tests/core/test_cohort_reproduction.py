@@ -6,8 +6,11 @@ simulation (behaviour model + testbed) must land on Table 1 and Figures
 sampling makes them nearly exact), loose for small stochastic rows.
 """
 
+import math
+
 import pytest
 
+from repro.columnar import run_columnar
 from repro.core import (
     CohortConfig,
     CohortSimulation,
@@ -151,6 +154,19 @@ class TestFig2Reproduction:
         f2 = fig2_cost_distribution(semester_records)
         counts, _ = f2.histogram("aws")
         assert counts.sum() == COURSE.enrollment
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fig2_sums_to_table1(self, seed):
+        """Paper: Fig 2's mean is Table 1's cost per student, so the
+        per-student costs add up to Table 1's total on every provider."""
+        records = run_columnar(COURSE, CohortConfig(seed=seed), digest=False,
+                               collect_records=True).record_list
+        t1 = table1(records)
+        f2 = fig2_cost_distribution(records)
+        for provider, costs in (("aws", f2.aws), ("gcp", f2.gcp)):
+            assert math.fsum(costs.values()) == pytest.approx(
+                t1.totals[f"{provider}_cost"], rel=1e-9
+            )
 
 
 class TestFig3Reproduction:

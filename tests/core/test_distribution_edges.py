@@ -4,8 +4,10 @@ Two edges the parallel sweep made reachable in practice: a 1-student
 cohort (scaled_course can shrink enrollment to 1), and a cohort where
 every student lands exactly on the expected cost (the "% exceeding"
 column uses a strict >, so exactly-expected must count as NOT exceeding).
+A course with no priced lab has no expected cost, and reports it NA.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -53,6 +55,29 @@ def test_empty_cohort_is_all_zero_not_an_error():
     assert stats["n"] == 0.0
     assert stats["pct_exceeding_expected"] == 0.0
     assert stats["expected"] == 50.0
+
+
+def test_no_expected_cost_is_na():
+    stats = distribution_stats({"s": 3.0}, expected=None)
+    assert stats["expected"] is None
+    assert stats["pct_exceeding_expected"] is None
+    assert stats["mean"] == 3.0
+    assert distribution_stats({}, expected=None)["expected"] is None
+
+
+@pytest.mark.parametrize("lab_ids", ((), ("lab6_edge",)), ids=("no-labs", "edge-only"))
+def test_course_with_no_priced_lab_prices_fig2_na(lab_ids):
+    """No lab has a commercial equivalent: Fig 2's expected-cost columns
+    read NA instead of the pipeline raising."""
+    base = scaled_course(0.25)
+    course = dataclasses.replace(base, labs=tuple(base.lab(i) for i in lab_ids))
+    records = CohortSimulation(course, CohortConfig(seed=0)).run()
+    fig2 = fig2_cost_distribution(records, course=course)
+    for stats in (fig2.aws_stats, fig2.gcp_stats):
+        assert stats["expected"] is None
+        assert stats["pct_exceeding_expected"] is None
+        assert stats["max"] == 0.0  # an edge lab costs nothing, its floating IP included
+    assert fig2.render().count("NA") == 4
 
 
 def test_nonpositive_expected_rejected():

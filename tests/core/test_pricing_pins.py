@@ -47,8 +47,10 @@ PINS = {
         "e3cfa87b11158c1359631784b685c47285399d44da95e35120d03f44666c66ae",
     "fig1":
         "b6f6053572caa0d2282ed7bafdfebf5df2744d81301e1b5704029a6b4946911f",
+    # re-pinned when Fig 2 stopped charging the floating-IP hours of the
+    # edge lab, which Table 1 prices NA (Fig 2 now sums to Table 1)
     "fig2":
-        "3f1168561f59a3a461e2a74b11ba5ee12177c7d860787109b72400684e72888b",
+        "6177d9d5747329bad937a096cafc155f8e7cd97e822147ce2e0caf8cd3a546f5",
     "fig3":
         "d56e7d85533b5fb419af06c6e67f1cf7667b3eb5e39aaefcd10647b646ef7cc2",
     "headline_summary":

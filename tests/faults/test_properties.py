@@ -38,7 +38,6 @@ def test_cohort_always_completes_under_any_fault_plan(fault, seed):
     assert ledger.lost_instance_hours >= 0
     assert ledger.redo_instance_hours >= 0
     assert ledger.delay_hours >= 0
-    assert len(ledger.hardware_failures()) == ledger.hardware_kills
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -171,10 +171,14 @@ class TestCli:
                 ["--outage-rate", "1", "--fault-seed", "-1"],
                 "fault-plan seed must be a non-negative integer: -1",
             ),
+            (
+                ["--fault-seed", "-1"],
+                "fault-plan seed must be a non-negative integer: -1 (--fault-seed)",
+            ),
         ],
         ids=("queue-cap", "max-batch", "hours", "replicas", "rpd-nan", "rpd-inf",
              "outage-rate", "burst-rate", "delay-nan", "deadline-nan", "lag-nan", "budget-inf",
-             "seed", "fault-seed"),
+             "seed", "fault-seed", "fault-seed-no-rates"),
     )
     def test_cli_bad_value_is_usage_error(self, monkeypatch, capsys, argv, message):
         """Refused by the parser (exit 2) before any trace is generated, not

@@ -12,7 +12,14 @@
 import numpy as np
 import pytest
 
-from repro.core import CohortSimulation, CostModel, SpotScenario, spot_whatif, table1
+from repro.core import (
+    CohortSimulation,
+    CostModel,
+    SpotScenario,
+    spot_whatif,
+    summarize_usage,
+    table1,
+)
 from repro.core.costmodel import distribution_stats
 from repro.core.report import spot_headline_summary
 from repro.spot import (
@@ -59,14 +66,12 @@ class TestSpotWhatIfSavings:
 
     def test_savings_shrink_with_hazard(self, lab_records):
         model = CostModel()
+        usage = summarize_usage(lab_records)
+        on_demand = model.lab_totals(model.lab_rows(usage))["aws_cost"]
         savings = []
         for lam in (0.01, 0.05, 0.2, 1.0, 5.0):
-            on_demand = model.lab_rows(lab_records)
-            rows = model.whatif_lab_rows(on_demand, SpotScenario(preempt_rate_per_hour=lam))
-            savings.append(
-                model.lab_totals(on_demand)["aws_cost"]
-                - model.whatif_lab_totals(rows)["aws_cost"]
-            )
+            rows = model.lab_rows(usage, SpotScenario(preempt_rate_per_hour=lam))
+            savings.append(on_demand - model.lab_totals(rows)["aws_cost"])
         assert savings == sorted(savings, reverse=True)
 
     def test_render_mentions_savings(self, lab_records):
@@ -112,7 +117,7 @@ class TestGuardrailTail:
 
     def test_guardrails_reduce_max_over_mean(self, lab_records):
         model = CostModel()
-        base_costs = model.per_student_costs(lab_records, "aws")
+        base_costs = model.per_student_costs(summarize_usage(lab_records), "aws")
         base_stats = distribution_stats(base_costs, model.expected_cost_per_student("aws"))
 
         sim = CohortSimulation()
@@ -126,7 +131,7 @@ class TestGuardrailTail:
         ).watch(chi.compute, chi.meter)  # the tail lives in GPU bare-metal labs
         guard.start(until=sim.course.semester_hours)
         guarded = sim.run(include_project=False)
-        guard_costs = model.per_student_costs(guarded, "aws")
+        guard_costs = model.per_student_costs(summarize_usage(guarded), "aws")
         guard_stats = distribution_stats(guard_costs, model.expected_cost_per_student("aws"))
 
         assert guard.events  # the guard actually acted
@@ -165,8 +170,8 @@ class TestBitIdenticalWhenDisabled:
         sim = CohortSimulation()
         SpotMarket(sim.testbed.loop, seed=7).attach(sim.testbed.site("kvm@tacc").compute)
         with_market = sim.run(include_project=False)
-        a = model.per_student_costs(plain, "aws")
-        b = model.per_student_costs(with_market, "aws")
+        a = model.per_student_costs(summarize_usage(plain), "aws")
+        b = model.per_student_costs(summarize_usage(with_market), "aws")
         assert a == b
         assert np.array_equal(
             np.array(sorted(a.values())), np.array(sorted(b.values()))
