@@ -20,7 +20,14 @@ class devices.  It models:
 
 The public entry point is :func:`repro.cloud.testbed.chameleon`, which
 assembles a testbed shaped like the one in the paper.
+
+The CLI and the managed services bind on first use (PEP 562): the
+managed services load all of :mod:`repro.orchestration`, which no cohort
+engine runs (DESIGN §15).
 """
+
+import importlib
+from typing import TYPE_CHECKING
 
 from repro.cloud.inventory import (
     CHAMELEON_FLAVORS,
@@ -31,13 +38,15 @@ from repro.cloud.inventory import (
     Image,
     NodeType,
 )
-from repro.cloud.cli import OpenStackCli
 from repro.cloud.leases import Lease, LeaseManager, LeaseStatus
-from repro.cloud.managed import ManagedKubernetes, ManagedNotebook, ServerlessPlatform
 from repro.cloud.metering import UsageMeter, UsageRecord
 from repro.cloud.quota import Quota, QuotaManager
 from repro.cloud.site import Site, SiteKind
 from repro.cloud.testbed import Testbed, chameleon
+
+if TYPE_CHECKING:  # bound on first use by __getattr__ below
+    from repro.cloud.cli import OpenStackCli
+    from repro.cloud.managed import ManagedKubernetes, ManagedNotebook, ServerlessPlatform
 
 __all__ = [
     "Flavor",
@@ -63,3 +72,13 @@ __all__ = [
     "ServerlessPlatform",
     "ManagedNotebook",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name in __all__:
+        for module in ("repro.cloud.cli", "repro.cloud.managed"):
+            namespace = vars(importlib.import_module(module))
+            if name in namespace:
+                globals()[name] = namespace[name]
+                return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

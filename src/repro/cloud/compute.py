@@ -243,8 +243,7 @@ class ComputeService:
                 f"lease {lease_id} reserves {lease.resource_type!r}, not {node_type!r}"
             )
         img = self._image(image)
-        self.leases.bind_instance(lease_id, "")  # capacity check; rebind below
-        self.leases.unbind_instance(lease_id, "")
+        self.leases.check_bindable(lease)
         server = Server(
             id=self._ids.next("bm"),
             name=name,

@@ -110,17 +110,24 @@ class LeaseManager:
 
     def _max_overlap(self, resource_type: str, start: float, end: float, count: int) -> int:
         """Peak concurrent reservation in [start, end) if ``count`` were added."""
-        live = self._live.get(resource_type, {})
-        overlapping = [l for l in live.values() if l.end > start and l.start < end]
+        live = self._live.get(resource_type)
+        if not live:
+            return count
+        overlapping = []
+        later: set[float] = set()
+        peak = 0  # the reserved total at ``start``, to begin with
+        for l in live.values():
+            if l.end > start and l.start < end:
+                overlapping.append(l)
+                if l.start > start:
+                    later.add(l.start)
+                else:
+                    peak += l.count
         # the reserved total only steps up where a lease starts, so its peak
-        # over [start, end) is at ``start`` or at one of those starts
-        boundaries = {start}
-        boundaries.update(max(l.start, start) for l in overlapping)
-        peak = 0
-        for t in boundaries:
-            reserved = sum(l.count for l in overlapping if l.start <= t < l.end)
-            peak = max(peak, reserved + count)
-        return peak
+        # over [start, end) is at ``start`` or at one of the later starts
+        for t in later:
+            peak = max(peak, sum(l.count for l in overlapping if l.start <= t < l.end))
+        return peak + count
 
     def create_lease(
         self,
@@ -148,16 +155,7 @@ class LeaseManager:
                 f"not enough {resource_type!r} nodes free in [{start}, {end}) "
                 f"(capacity {cap})"
             )
-        lease = Lease(
-            id=self._ids.next("lease"),
-            project=project,
-            resource_type=resource_type,
-            count=count,
-            start=start,
-            end=end,
-            user=user,
-            lab=lab,
-        )
+        lease = Lease(self._ids.next("lease"), project, resource_type, count, start, end, user, lab)
         self.leases[lease.id] = lease
         self._live.setdefault(resource_type, {})[lease.id] = lease
         if start <= self._loop.clock.now:
@@ -173,15 +171,20 @@ class LeaseManager:
         except KeyError:
             raise NotFoundError(f"lease {lease_id!r} not found") from None
 
+    def check_bindable(self, lease: Lease) -> None:
+        """Raise what :meth:`bind_instance` would raise for ``lease``, and
+        bind nothing: the lease must be active with a node left unbound."""
+        if lease.status is not LeaseStatus.ACTIVE:
+            raise InvalidStateError(f"lease {lease.id} is {lease.status.value}, not active")
+        if len(lease.bound_instances) >= lease.count:
+            raise ConflictError(
+                f"lease {lease.id} already has {lease.count} bound instance(s)"
+            )
+
     def bind_instance(self, lease_id: str, instance_id: str) -> None:
         """Record that ``instance_id`` runs under this lease (for auto-kill)."""
         lease = self.get(lease_id)
-        if lease.status is not LeaseStatus.ACTIVE:
-            raise InvalidStateError(f"lease {lease_id} is {lease.status.value}, not active")
-        if len(lease.bound_instances) >= lease.count:
-            raise ConflictError(
-                f"lease {lease_id} already has {lease.count} bound instance(s)"
-            )
+        self.check_bindable(lease)
         lease.bound_instances.append(instance_id)
 
     def unbind_instance(self, lease_id: str, instance_id: str) -> None:

@@ -70,7 +70,7 @@ class UsageRecord:
         return self.quantity * self.hours
 
 
-@dataclass
+@dataclass(slots=True)
 class _OpenSpan:
     resource_id: str
     kind: str
@@ -80,6 +80,15 @@ class _OpenSpan:
     quantity: float
     user: str | None
     lab: str | None
+
+
+def _record(span: _OpenSpan, end: float, site: str) -> UsageRecord:
+    """Close ``span`` at ``end``.  Positional: one record per span close
+    is the meter's hot path, and keywords cost a frozen record more."""
+    return UsageRecord(
+        span.resource_id, span.kind, span.resource_type, span.project, span.start, end,
+        span.quantity, span.user, span.lab, site,
+    )
 
 
 class UsageMeter:
@@ -109,14 +118,7 @@ class UsageMeter:
         if quantity < 0:
             raise ValidationError(f"negative quantity for {resource_id!r}")
         self._open[resource_id] = _OpenSpan(
-            resource_id=resource_id,
-            kind=kind,
-            resource_type=resource_type,
-            project=project,
-            start=self._clock.now,
-            quantity=quantity,
-            user=user,
-            lab=lab,
+            resource_id, kind, resource_type, project, self._clock.now, quantity, user, lab
         )
 
     def close_span(self, resource_id: str) -> UsageRecord:
@@ -124,18 +126,7 @@ class UsageMeter:
             span = self._open.pop(resource_id)
         except KeyError:
             raise NotFoundError(f"no open span for {resource_id!r}") from None
-        rec = UsageRecord(
-            resource_id=span.resource_id,
-            kind=span.kind,
-            resource_type=span.resource_type,
-            project=span.project,
-            start=span.start,
-            end=self._clock.now,
-            quantity=span.quantity,
-            user=span.user,
-            lab=span.lab,
-            site=self.site,
-        )
+        rec = _record(span, self._clock.now, self.site)
         self._closed.append(rec)
         return rec
 
@@ -186,21 +177,7 @@ class UsageMeter:
         out = list(self._closed)
         if include_open:
             now = self._clock.now
-            for span in self._open.values():
-                out.append(
-                    UsageRecord(
-                        resource_id=span.resource_id,
-                        kind=span.kind,
-                        resource_type=span.resource_type,
-                        project=span.project,
-                        start=span.start,
-                        end=now,
-                        quantity=span.quantity,
-                        user=span.user,
-                        lab=span.lab,
-                        site=self.site,
-                    )
-                )
+            out.extend(_record(span, now, self.site) for span in self._open.values())
         if predicate is not None:
             out = [r for r in out if predicate(r)]
         return out

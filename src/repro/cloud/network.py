@@ -206,11 +206,7 @@ class NetworkService:
     ) -> FloatingIP:
         """Allocate a public address; metered from now until release."""
         self._quota.reserve(floating_ips=1)
-        fip = FloatingIP(
-            id=self._ids.next("fip"),
-            address=self._public_pool.allocate_address(),
-            project=project,
-        )
+        fip = FloatingIP(self._ids.next("fip"), self._public_pool.allocate_address(), project)
         self.floating_ips[fip.id] = fip
         self._meter.open_span(
             fip.id, kind="floating_ip", resource_type="floating_ip",

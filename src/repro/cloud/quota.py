@@ -76,7 +76,7 @@ class Quota:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Usage:
     instances: float = 0
     cores: float = 0
@@ -88,6 +88,10 @@ class _Usage:
     volumes: float = 0
     volume_storage_gb: float = 0
     object_storage_gb: float = 0
+
+
+#: The dimensions ``reserve`` and ``release`` accept (``_Usage``'s fields).
+_DIMENSIONS = frozenset(f.name for f in fields(_Usage))
 
 
 class QuotaManager:
@@ -112,30 +116,33 @@ class QuotaManager:
 
     def reserve(self, **amounts: float) -> None:
         """Atomically charge ``amounts`` against the quota."""
+        usage, limits = self._usage, self.limits
         for dim, amount in amounts.items():
-            if not hasattr(self._usage, dim):
+            if dim not in _DIMENSIONS:
                 raise ValidationError(f"unknown quota dimension {dim!r}")
             if amount < 0:
                 raise ValidationError(f"cannot reserve negative {dim}={amount!r}")
-            if getattr(self._usage, dim) + amount > getattr(self.limits, dim):
+            in_use = getattr(usage, dim)
+            if in_use + amount > getattr(limits, dim):
                 raise QuotaExceededError(
-                    f"quota exceeded for {dim}: in use {getattr(self._usage, dim)!r} "
-                    f"+ requested {amount!r} > limit {getattr(self.limits, dim)!r}"
+                    f"quota exceeded for {dim}: in use {in_use!r} "
+                    f"+ requested {amount!r} > limit {getattr(limits, dim)!r}"
                 )
         for dim, amount in amounts.items():
-            setattr(self._usage, dim, getattr(self._usage, dim) + amount)
+            setattr(usage, dim, getattr(usage, dim) + amount)
 
     def release(self, **amounts: float) -> None:
         """Return previously reserved ``amounts``."""
+        usage = self._usage
         for dim, amount in amounts.items():
-            if not hasattr(self._usage, dim):
+            if dim not in _DIMENSIONS:
                 raise ValidationError(f"unknown quota dimension {dim!r}")
             if amount < 0:
                 raise ValidationError(f"cannot release negative {dim}={amount!r}")
-            current = getattr(self._usage, dim)
+            current = getattr(usage, dim)
             if amount > current + 1e-9:
                 raise ValidationError(
                     f"releasing more {dim} than reserved: {amount!r} > {current!r}"
                 )
         for dim, amount in amounts.items():
-            setattr(self._usage, dim, max(0.0, getattr(self._usage, dim) - amount))
+            setattr(usage, dim, max(0.0, getattr(usage, dim) - amount))

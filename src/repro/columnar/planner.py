@@ -603,7 +603,9 @@ def shards_from_columns(
 
     Rows are grouped by owner, so each shard is one contiguous block per
     family.  ``.tolist()`` hands the activities Python scalars, so shards
-    pickle cheaply and repr like hand-built ones.
+    pickle cheaply and repr like hand-built ones.  The activities are
+    built positionally, in their classes' field order: a plan builds
+    thousands of them, and keywords cost a frozen dataclass more.
     """
     n, g = schema.n_students, schema.n_groups
     labs, rtypes = schema.lab_names, schema.rtype_names
@@ -614,37 +616,23 @@ def shards_from_columns(
         return [tuple(acts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     vm_labs = blocks("vm", [
-        VmLabActivity(
-            lab_id=labs[lab], user=users[s], start=start, duration=duration,
-            flavor=rtypes[flavor], vm_count=count, block_gb=block, object_gb=obj,
-        )
+        VmLabActivity(labs[lab], users[s], start, duration, rtypes[flavor], count, block, obj)
         for s, lab, start, duration, flavor, count, block, obj in tables.rows("vm")
     ], n)
     slots = blocks("slot", [
-        SlotActivity(
-            lab_id=labs[lab], user=users[s], site=SITE_NAMES[site],
-            node_type=rtypes[node], start=start, slot_hours=hours, edge=edge,
-        )
+        SlotActivity(labs[lab], users[s], SITE_NAMES[site], rtypes[node], start, hours, edge)
         for s, lab, node, start, hours, site, edge in tables.rows("slot")
     ], n)
     project_vms = blocks("pvm", [
-        ProjectVmActivity(
-            user=users[n + grp], flavor=rtypes[flavor], start=start, hours=hours,
-            with_fip=fip,
-        )
+        ProjectVmActivity(users[n + grp], rtypes[flavor], start, hours, fip)
         for grp, flavor, start, hours, fip in tables.rows("pvm")
     ], g)
     project_leases = blocks("pl", [
-        ProjectLeaseActivity(
-            user=users[n + grp], site=SITE_NAMES[site], node_type=rtypes[node],
-            start=start, hours=hours, edge_session=edge,
-        )
+        ProjectLeaseActivity(users[n + grp], SITE_NAMES[site], rtypes[node], start, hours, edge)
         for grp, node, start, hours, site, edge in tables.rows("pl")
     ], g)
     project_storage = blocks("ps", [
-        ProjectStorageActivity(
-            user=users[n + grp], start=start, block_gb=block, object_gb=obj, hours=hours,
-        )
+        ProjectStorageActivity(users[n + grp], start, block, obj, hours)
         for grp, start, hours, block, obj in tables.rows("ps")
     ], g)
     student_shards = tuple(

@@ -64,6 +64,36 @@ def _user_names(n_students: int, n_groups: int) -> np.ndarray:
     )
 
 
+def _padded_order(count: int, width: int) -> np.ndarray:
+    """Indices ``0..count-1`` in the string order of ``f"{i:0{width}d}"``.
+
+    Such a string sorts as its digits left-aligned in one common width,
+    and, where two tie, as the shorter first (it is then a prefix of the
+    longer one), so two integer keys replace the strings.
+    """
+    index = np.arange(count, dtype=np.int64)
+    digits = np.full(count, width, dtype=np.int64)
+    power = 10**width
+    while power < count:
+        digits += index >= power
+        power *= 10
+    aligned = index * 10 ** (digits.max(initial=width) - digits)
+    return np.lexsort((digits, aligned))
+
+
+def _user_rank(n_students: int, n_groups: int) -> np.ndarray:
+    """User code -> lexicographic rank of its user string, without the strings.
+
+    Every ``group_user`` sorts before every ``student_user`` ("g" < "s");
+    within each, the order is that of the zero-padded indices (widths 3
+    and 2).
+    """
+    rank = np.empty(n_students + n_groups, dtype=np.int64)
+    rank[n_students + _padded_order(n_groups, 2)] = np.arange(n_groups)
+    rank[_padded_order(n_students, 3)] = n_groups + np.arange(n_students)
+    return rank
+
+
 @dataclass(frozen=True)
 class ColumnSchema:
     """Per-cohort encoding tables, derived once from the course.
@@ -97,9 +127,6 @@ class ColumnSchema:
         )
         labs = sorted({lab.id for lab in course.labs} | {"project"})
         n, g = course.enrollment, course.project.groups
-        users = _user_names(n, g)
-        rank = np.empty(n + g, dtype=np.int64)
-        rank[np.argsort(users, kind="stable")] = np.arange(n + g)
         return cls(
             n_students=n,
             n_groups=g,
@@ -107,14 +134,14 @@ class ColumnSchema:
             lab_names=tuple(labs),
             rtype_codes={name: code for code, name in enumerate(rtypes)},
             lab_codes={name: code for code, name in enumerate(labs)},
-            user_rank=rank,
+            user_rank=_user_rank(n, g),
         )
 
     @cached_property
     def user_names(self) -> np.ndarray:
         """User code -> user string, built on first use.  A digest-off
         columnar run never reads it, and at 10**6 students the names
-        take about 80 MB, so the rank above does not keep them."""
+        take about 80 MB, so the rank above is derived without them."""
         return _user_names(self.n_students, self.n_groups)
 
 

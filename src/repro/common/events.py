@@ -10,6 +10,9 @@ Design notes
   increasing sequence number guarantees a **total** order, so two runs with
   the same inputs schedule callbacks identically — a property the seeded
   reproduction benchmarks rely on.
+* A heap entry is the flat tuple ``(time, priority, seq, event)``: the
+  unique ``seq`` settles every comparison before the event is reached,
+  and the loop reads the next time as ``heap[0][0]``.
 * Callbacks may schedule further events (including at the current time).
 * The loop drives a shared :class:`~repro.common.clock.SimClock`, so any
   component holding the clock observes consistent time.
@@ -49,9 +52,6 @@ class Event:
     callback: Callable[[], None] = field(compare=False)
     label: str = field(default="", compare=False)
 
-    def sort_key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
 
 class EventLoop:
     """Priority-queue event loop with deterministic ordering.
@@ -64,7 +64,7 @@ class EventLoop:
 
     def __init__(self, clock: SimClock | None = None) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self._heap: list[tuple[tuple[float, int, int], Event]] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._fired = 0
         self._cancelled: set[int] = set()
@@ -73,7 +73,7 @@ class EventLoop:
 
     @property
     def pending(self) -> int:
-        """Number of events still queued (including cancelled tombstones)."""
+        """Number of events still queued, cancelled tombstones excluded."""
         return len(self._heap) - len(self._cancelled)
 
     @property
@@ -115,10 +115,12 @@ class EventLoop:
             raise ValidationError(
                 f"cannot schedule event in the past: now={self.clock.now!r}, time={time!r}"
             )
-        self._seq += 1
-        ev = Event(time=float(time), priority=priority, seq=self._seq, callback=callback, label=label)
-        heapq.heappush(self._heap, (ev.sort_key(), ev))
-        pending = len(self._heap) - len(self._cancelled)
+        self._seq = seq = self._seq + 1
+        time = float(time)
+        ev = Event(time, priority, seq, callback, label)
+        heap = self._heap
+        heapq.heappush(heap, (time, priority, seq, ev))
+        pending = len(heap) - len(self._cancelled)
         if pending > self._peak_pending:
             self._peak_pending = pending
         return ev
@@ -137,15 +139,21 @@ class EventLoop:
         return self.schedule(self.clock.now + delay, callback, priority=priority, label=label)
 
     def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event (no-op if already fired)."""
-        if event.seq not in self._cancelled:
-            self._cancelled.add(event.seq)
-            self._cancelled_total += 1
+        """Cancel a previously scheduled event (no-op if already fired).
+
+        Only an event still in the queue leaves a tombstone; the scan is
+        linear, and keeps the firing loop free of any extra check.
+        """
+        seq = event.seq
+        if seq in self._cancelled or not any(entry[3] is event for entry in self._heap):
+            return
+        self._cancelled.add(seq)
+        self._cancelled_total += 1
 
     def step(self) -> Event | None:
         """Fire the single earliest pending event; return it (or ``None``)."""
         while self._heap:
-            _, ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[3]
             if ev.seq in self._cancelled:
                 self._cancelled.discard(ev.seq)
                 continue
@@ -172,14 +180,13 @@ class EventLoop:
         heappop = heapq.heappop
         try:
             while heap:
-                key, ev = heap[0]
-                if key[0] > timestamp:
+                if heap[0][0] > timestamp:
                     break
-                heappop(heap)
-                if cancelled and ev.seq in cancelled:
-                    cancelled.discard(ev.seq)
+                time, _, seq, ev = heappop(heap)
+                if cancelled and seq in cancelled:
+                    cancelled.discard(seq)
                     continue
-                clock.advance_to(ev.time)
+                clock.advance_to(time)
                 fired += 1
                 ev.callback()
         finally:

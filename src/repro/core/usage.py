@@ -12,7 +12,7 @@ reserved labs FIP hours equal instance hours by construction).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.common.numerics import stable_sum
@@ -61,7 +61,9 @@ def canonicalize_records(shard_lists: Iterable[Sequence[UsageRecord]]) -> list[U
     with fresh per-(site, prefix) counters in first-appearance order, so
     ids look exactly like one shared IdGenerator minted them.  Records
     that share an id within one shard (one resource, several spans) keep
-    sharing the re-minted id.
+    sharing the re-minted id.  A re-minted record is rebuilt positionally,
+    field for field, not through ``dataclasses.replace``, which pays for
+    a keyword call and a field scan per record.
     """
     tagged: list[tuple[int, UsageRecord]] = []
     for shard_idx, records in enumerate(shard_lists):
@@ -82,7 +84,12 @@ def canonicalize_records(shard_lists: Iterable[Sequence[UsageRecord]]) -> list[U
             counters[counter_key] = serial
             new_id = f"{prefix}-{serial:06d}"
             minted[identity] = new_id
-        out.append(rec if rec.resource_id == new_id else replace(rec, resource_id=new_id))
+        if rec.resource_id != new_id:
+            rec = type(rec)(
+                new_id, rec.kind, rec.resource_type, rec.project, rec.start, rec.end,
+                rec.quantity, rec.user, rec.lab, rec.site,
+            )
+        out.append(rec)
     return out
 
 

@@ -239,18 +239,18 @@ class TestSuppression:
 
 
 def test_lazy_package_reexports_resolve_in_the_real_tree():
-    """``repro.core``, ``repro.faults`` and ``repro.parallel`` bind most of
-    their names on first use (PEP 562), importing them only in a
-    ``TYPE_CHECKING`` block.  The index must still resolve each one to
-    its definition: an unresolved name silently drops every call-graph
-    edge through it.  Module constants (``COURSE``, the catalogs,
-    ``SERVING_SITE``) are not indexed, so only functions and classes
-    count."""
+    """``repro.core``, ``repro.faults``, ``repro.parallel`` and
+    ``repro.cloud`` bind some of their names on first use (PEP 562),
+    importing them only in a ``TYPE_CHECKING`` block.  The index must
+    still resolve each one to its definition: an unresolved name
+    silently drops every call-graph edge through it.  Module constants
+    (``COURSE``, the catalogs, ``SERVING_SITE``) are not indexed, so only
+    functions and classes count."""
     program = build_program_context(
         [(d, module_name_for(Path(d)), s) for d, s in _real_sources().items()]
     )
     unresolved = []
-    for package in ("repro.core", "repro.faults", "repro.parallel"):
+    for package in ("repro.core", "repro.faults", "repro.parallel", "repro.cloud"):
         module = importlib.import_module(package)
         names = [n for n in module.__all__ if inspect.isclass(getattr(module, n))
                  or inspect.isfunction(getattr(module, n))]

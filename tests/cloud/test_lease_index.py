@@ -6,8 +6,8 @@ it rescans the full ``leases`` dict and filters by status.  Hypothesis
 drives random sequences of bookings, early deletions and clock advances
 (which fire lease expiries) on a small integer grid, so back-to-back
 half-open windows ``[a, b)`` then ``[b, c)`` and full calendars are common.
-After every step each admission decision, and ``reserved_at`` at every
-lease boundary, must agree with the oracle.
+After every step each admission decision, the peak it was taken on, and
+``reserved_at`` at every lease boundary, must agree with the oracle.
 """
 
 import pytest
@@ -30,17 +30,16 @@ def _oracle_reserved(manager: LeaseManager, resource_type: str, t: float) -> int
     )
 
 
-def _oracle_admits(
+def _oracle_peak(
     manager: LeaseManager, resource_type: str, start: float, end: float, count: int
-) -> bool:
+) -> int:
     boundaries = {start}
     for l in manager.leases.values():
         if l.resource_type != resource_type or l.status in DEAD:
             continue
         if l.end > start and l.start < end:
             boundaries.add(max(l.start, start))
-    peak = max(_oracle_reserved(manager, resource_type, t) + count for t in boundaries)
-    return peak <= manager.capacity(resource_type)
+    return max(_oracle_reserved(manager, resource_type, t) + count for t in boundaries)
 
 
 resource_types = st.sampled_from(sorted(INVENTORY))
@@ -60,7 +59,9 @@ steps = st.one_of(
 
 
 def _book(manager: LeaseManager, resource_type: str, count: int, start: float, end: float):
-    admits = _oracle_admits(manager, resource_type, start, end, count)
+    peak = _oracle_peak(manager, resource_type, start, end, count)
+    assert manager._max_overlap(resource_type, start, end, count) == peak
+    admits = peak <= manager.capacity(resource_type)
     try:
         lease = manager.create_lease(
             "proj", resource_type, start=start, end=end, count=count

@@ -1,7 +1,7 @@
 """Tests for the simulation clock and event loop."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import SimClock, EventLoop, ValidationError
@@ -182,6 +182,23 @@ class TestEventLoop:
         loop.run()
         assert fired == [2]
 
+    def test_cancel_after_firing_is_a_no_op(self):
+        """A fired event leaves no tombstone: ``pending`` does not go
+        negative, and ``cancelled`` counts only the queued event, once."""
+        loop = EventLoop()
+        fired = loop.schedule(1.0, lambda: None)
+        queued = loop.schedule(2.0, lambda: None)
+        loop.schedule(3.0, lambda: None)
+        loop.run_until(1.5)
+        loop.cancel(fired)
+        loop.cancel(queued)
+        loop.cancel(queued)
+        assert loop.pending == 1
+        loop.run()
+        assert loop.fired == 2
+        assert loop.pending == 0
+        assert loop.telemetry()["cancelled"] == 1
+
     def test_callbacks_can_schedule_more_events(self):
         loop = EventLoop()
         fired = []
@@ -217,3 +234,129 @@ class TestEventLoop:
             loop.schedule(t, lambda t=t: seen.append(t))
         loop.run()
         assert seen == sorted(times)
+
+
+class _PlainSortLoop:
+    """The loop's contract without a heap or tombstones: the next event
+    is ``min`` of the live ``(time, priority, seq, actions)`` entries, and
+    a cancel removes a live entry or does nothing."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.live: list[tuple] = []
+        self.seq = self.fired = self.cancelled = self.peak = 0
+
+    def schedule(self, time: float, priority: int, actions: tuple) -> None:
+        self.seq += 1
+        self.live.append((time, priority, self.seq, actions))
+        self.peak = max(self.peak, len(self.live))
+
+    def cancel(self, seq: int) -> None:
+        for entry in self.live:
+            if entry[2] == seq:
+                self.live.remove(entry)
+                self.cancelled += 1
+                return
+
+    def run(self, fire, horizon: float = float("inf")) -> None:
+        while self.live and min(self.live)[0] <= horizon:
+            entry = min(self.live)
+            self.live.remove(entry)
+            self.now = entry[0]
+            self.fired += 1
+            fire(entry)
+
+    def run_until(self, horizon: float, fire) -> None:
+        self.run(fire, horizon)
+        self.now = max(self.now, horizon)
+
+    def telemetry(self) -> dict[str, float]:
+        return {
+            "scheduled": float(self.seq),
+            "fired": float(self.fired),
+            "cancelled": float(self.cancelled),
+            "pending": float(len(self.live)),
+            "peak_pending": float(self.peak),
+            "sim_time": self.now,
+        }
+
+
+#: What a callback does when it fires: schedule a child ``delay`` hours
+#: from now (0 = at the current instant) at a priority, or cancel the
+#: ``k``-th event scheduled so far (pending, fired, cancelled or itself).
+_actions = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.sampled_from((0.0, 0.0, 0.5, 1.0)), st.integers(-1, 1)),
+        st.tuples(st.just("cancel"), st.integers(0, 40)),
+    ),
+    max_size=3,
+).map(tuple)
+_initial = st.lists(
+    st.tuples(st.sampled_from((0.0, 1.0, 1.0, 2.0, 3.5)), st.integers(-1, 1), _actions),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    initial=_initial,
+    horizon=st.sampled_from((0.0, 1.0, 2.0)),
+    cancels=st.lists(st.integers(0, 40), max_size=4),
+)
+def test_loop_matches_a_plain_sort(initial, horizon, cancels):
+    """Firing order, ``pending`` and ``telemetry()`` equal the plain-sort
+    reference through same-instant events, priorities, callbacks that
+    schedule at ``now``, and cancels before and after the events fire."""
+    loop, ref = EventLoop(), _PlainSortLoop()
+    handles: list = []
+    fired: list[int] = []
+    ref_fired: list[int] = []
+
+    def schedule(time: float, priority: int, actions: tuple) -> None:
+        seq = len(handles) + 1
+
+        def callback() -> None:
+            fired.append(seq)
+            for act in actions:
+                if act[0] == "schedule":
+                    schedule(loop.clock.now + act[1], act[2], ())
+                else:
+                    loop.cancel(handles[act[1] % len(handles)])
+
+        handles.append(loop.schedule(time, callback, priority=priority))
+        assert handles[-1].seq == seq
+
+    def ref_fire(entry: tuple) -> None:
+        ref_fired.append(entry[2])
+        for act in entry[3]:
+            if act[0] == "schedule":
+                ref.schedule(ref.now + act[1], act[2], ())
+            else:
+                ref.cancel(act[1] % ref.seq + 1)
+
+    def check() -> None:
+        assert fired == ref_fired
+        assert loop.pending == len(ref.live)
+        assert loop.telemetry() == ref.telemetry()
+
+    for time, priority, actions in initial:
+        schedule(time, priority, actions)
+        ref.schedule(time, priority, actions)
+    for k in cancels:  # every event is still pending
+        loop.cancel(handles[k % len(handles)])
+        ref.cancel(k % ref.seq + 1)
+    check()
+    count = loop.run_until(horizon)
+    ref.run_until(horizon, ref_fire)
+    assert count == len(ref_fired)
+    check()
+    for k in cancels:  # some of these have fired by now
+        loop.cancel(handles[k % len(handles)])
+        ref.cancel(k % ref.seq + 1)
+    check()
+    loop.run()
+    ref.run(ref_fire)
+    check()
+    assert loop.pending == 0
+

@@ -4,7 +4,10 @@ Set-up cost is the import closure (DESIGN §15).  The cohort engines
 load no scipy at all: ``repro.core.cohort`` draws the standard normal
 through the Cephes port in ``repro.common.numerics``, so neither it,
 ``repro.columnar`` nor ``repro.core.report`` loads scipy, and nothing on
-their paths orders a workflow DAG, so networkx stays out too.  With every
+their paths orders a workflow DAG, so networkx stays out too.  Nor do
+they load the cloud control plane (the CLI, the managed services and the
+``repro.orchestration`` stack behind them): ``repro.cloud`` binds those
+on first use.  With every
 scipy import made to fail, a scaled cohort still runs through the serial
 testbed and the columnar engine to the digest it had when it drew
 through ``scipy.special``.
@@ -16,8 +19,8 @@ scipy, the supervised parallel engine, the runtime fault injector, the
 checkpoint journal or the columnar engine: not at import, and not after
 a serving day and a sweep point have run, so a lazy import inside a
 timed body cannot quietly bring them back.  The names that ``repro.core``,
-``repro.faults`` and ``repro.parallel`` bind on first use (PEP 562) must
-all still resolve.
+``repro.faults``, ``repro.parallel`` and ``repro.cloud`` bind on first
+use (PEP 562) must all still resolve.
 
 Each case runs in a fresh interpreter: this pytest process has already
 imported everything, so ``sys.modules`` here proves nothing.
@@ -34,6 +37,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 HEAVY = ("scipy", "networkx")
+#: The testbed's control plane, which no cohort engine runs.
+CONTROL_PLANE = ("repro.orchestration", "repro.cloud.cli", "repro.cloud.managed")
 COHORT_ENGINES = ("repro.columnar", "repro.core.cohort", "repro.core.report")
 #: Module prefixes the serving closure must not hold.
 COHORT = (
@@ -49,8 +54,11 @@ COHORT = (
 )
 SERVING = ("repro.core", "repro.faults.plan", "repro.loadgen", "repro.resilience", "repro.serving")
 #: Module prefixes each engine package must not load at import time.
-FORBIDDEN = {**dict.fromkeys(COHORT_ENGINES, HEAVY), **dict.fromkeys(SERVING, COHORT)}
-LAZY = ("repro.core", "repro.faults", "repro.parallel")
+FORBIDDEN = {
+    **dict.fromkeys(COHORT_ENGINES, HEAVY + CONTROL_PLANE),
+    **dict.fromkeys(SERVING, COHORT),
+}
+LAZY = ("repro.core", "repro.faults", "repro.parallel", "repro.cloud")
 
 #: A tiny open-loop serving day priced into a report, then one closed-loop
 #: sweep point, each through the code the benchmark's serving workloads time.
@@ -129,6 +137,7 @@ def test_lazy_reexports_all_resolve():
     )
     modules = _modules_after(code)
     assert "repro.core.cohort" in modules and "repro.parallel.engine" in modules
+    assert "repro.cloud.managed" in modules
 
 
 def test_cohort_runs_with_scipy_absent():
