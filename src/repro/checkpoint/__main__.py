@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from repro.checkpoint.journal import ShardJournal
 from repro.checkpoint.manifest import RunManifest
@@ -95,7 +96,6 @@ def _inspect(args: argparse.Namespace) -> int:
         "seed": manifest.seed,
         "cohort_size": manifest.cohort_size,
         "shard_count": manifest.shard_count,
-        "include_project": manifest.include_project,
         "course_digest": manifest.course_digest[:16],
         "fault_digest": manifest.fault_digest[:16],
         "plan_digest": manifest.plan_digest[:16],
@@ -116,7 +116,7 @@ def _resume(args: argparse.Namespace, config: CohortConfig) -> int:
         "records": len(records),
         "digest": records_digest(records),
     }
-    report.update({k: int(v) for k, v in run.telemetry.as_dict().items()})
+    report.update({k: int(v) for k, v in asdict(run.telemetry).items()})
     _emit(report, args.json)
     return 0
 

@@ -64,7 +64,7 @@ def fault_model_digest(faults: object | None) -> str:
     return _sha(repr(getattr(faults, "calendar", faults)))
 
 
-def plan_fingerprint(plan: object, *, include_project: bool = True) -> str:
+def plan_fingerprint(plan: object) -> str:
     """Digest over every resolved shard of a :class:`~repro.core.cohort.CohortPlan`.
 
     Hash of the admitted activities (absolute starts, durations, flavors
@@ -82,7 +82,7 @@ def plan_fingerprint(plan: object, *, include_project: bool = True) -> str:
     h = hashlib.sha256()
     h.update(repr(getattr(plan, "semester_hours", None)).encode())
     h.update(repr(getattr(plan, "quota", None)).encode())
-    shards = plan.shards(include_project=include_project)  # type: ignore[attr-defined]
+    shards = plan.shards()  # type: ignore[attr-defined]
     h.update(pickle.dumps(tuple(shards), protocol=5))
     return h.hexdigest()
 
@@ -95,7 +95,6 @@ class RunManifest:
     seed: int
     cohort_size: int
     fault_digest: str
-    include_project: bool
     shard_count: int
     plan_digest: str
     format_version: int = FORMAT_VERSION
@@ -110,17 +109,15 @@ class RunManifest:
         *,
         seed: int,
         faults: object | None = None,
-        include_project: bool = True,
     ) -> "RunManifest":
-        shards = plan.shards(include_project=include_project)  # type: ignore[attr-defined]
+        shards = plan.shards()  # type: ignore[attr-defined]
         return cls(
             course_digest=course_fingerprint(course),
             seed=seed,
             cohort_size=int(getattr(course, "enrollment", len(shards))),
             fault_digest=fault_model_digest(faults),
-            include_project=include_project,
             shard_count=len(shards),
-            plan_digest=plan_fingerprint(plan, include_project=include_project),
+            plan_digest=plan_fingerprint(plan),
         )
 
     # -- persistence -------------------------------------------------------

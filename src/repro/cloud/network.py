@@ -43,16 +43,17 @@ class Subnet:
     _net: ipaddress.IPv4Network | ipaddress.IPv6Network = field(
         init=False, repr=False, compare=False
     )
+    _host_limit: int = field(init=False, repr=False, compare=False)  # the broadcast's host id
 
     def __post_init__(self) -> None:
         self._net = ipaddress.ip_network(self.cidr)
+        self._host_limit = self._net.num_addresses - 1
 
     def allocate_address(self) -> str:
         """Hand out the next free host address in the CIDR."""
-        net = self._net
-        if self._next_host >= net.num_addresses - 1:
+        if self._next_host >= self._host_limit:
             raise ConflictError(f"subnet {self.id} ({self.cidr}) exhausted")
-        addr = str(net.network_address + self._next_host)
+        addr = str(self._net.network_address + self._next_host)
         self._next_host += 1
         return addr
 

@@ -8,8 +8,8 @@ closed-form array transforms.  The proof obligation is byte equality:
 the engine's canonical record stream hashes to the same
 :func:`repro.core.report.records_digest` as the serial testbed path
 (``python -m repro.verify columnar``; ``tests/columnar`` sweeps seeds ×
-cohort sizes × workers), which is what licenses running it at the
-10⁵–10⁶-student scales the testbed path cannot reach.
+cohort sizes, and generated course shapes), which is what licenses
+running it at the 10⁵–10⁶-student scales the testbed path cannot reach.
 
 Layering (DESIGN §11): ``planner`` is the one cohort planner — it
 resolves the seed tree into activity tables, applies a fault model, and

@@ -48,9 +48,7 @@ def run_columnar(
     course: CourseDefinition = COURSE,
     config: CohortConfig | None = None,
     *,
-    workers: int = 1,
     faults: "FaultModel | None" = None,
-    include_project: bool = True,
     digest: bool = True,
     collect_records: bool = False,
 ) -> ColumnarRun:
@@ -63,19 +61,16 @@ def run_columnar(
     throughput benchmarks leave it off.
     """
     config = config if config is not None else CohortConfig()
-    plan = plan_columns(course, config, workers=workers, faults=faults)
-    tables = plan.tables
-    if not include_project:
-        tables = _labs_only(tables)
+    plan = plan_columns(course, config, faults=faults)
     merger = CanonicalMerger(plan.schema, plan.semester_hours)
-    for batch in iter_record_batches(tables, plan.schema, plan.semester_hours):
+    for batch in iter_record_batches(plan.tables, plan.schema, plan.semester_hours):
         merger.add(batch)
     result = merger.finalize(digest=digest, collect_records=collect_records)
     return ColumnarRun(
         seed=config.seed,
         students=plan.schema.n_students,
         groups=plan.schema.n_groups,
-        activities=tables.activity_count,
+        activities=plan.tables.activity_count,
         records=result.count,
         unit_hours=result.unit_hours,
         digest=result.digest,
@@ -83,10 +78,3 @@ def run_columnar(
         sweep_info=dict(plan.sweep_info),
         draw_info=dict(plan.draw_info),
     )
-
-
-def _labs_only(tables):
-    """Drop the project-phase families (the serial ``include_project=False``)."""
-    for family in ("pvm", "pl", "ps"):
-        tables = tables.take(family, slice(0, 0))
-    return tables

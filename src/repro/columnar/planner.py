@@ -7,11 +7,10 @@ parallel engine, the checkpoint journal) execute the per-student /
 per-group shards :func:`shards_from_columns` regroups them into.
 
 :func:`plan_columns` resolves one semester in four steps: whole-cohort
-draws from the ``SeedSequence`` tree (fanned out over worker processes
-by blocks of consecutive students or groups, each worker rebuilding its
-streams from ``(seed, spawn_key)``), the vectorized slot calendar walk,
-an optional fault model that rewrites the raw tables, then the admission
-sweeps (:mod:`repro.columnar.admission`).
+draws from the ``SeedSequence`` tree (replayed by blocks of consecutive
+students or groups), the vectorized slot calendar walk, an optional
+fault model that rewrites the raw tables, then the admission sweeps
+(:mod:`repro.columnar.admission`).
 
 The draws are numpy's samplers replayed as array code over a block of
 streams: :func:`repro.core.cohort.stream_words` seeds the block's PCG64
@@ -38,7 +37,7 @@ shard kernel runs.  The kernels themselves stay RNG-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -170,74 +169,7 @@ class ColumnarPlan:
     draw_info: dict[str, int] = field(default_factory=dict)
 
 
-# -- course metadata ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _VmLabMeta:
-    lab_id: str
-    week: float
-    flavor: str
-    vm_count: int
-    block_gb: int
-    object_gb: float
-    expected_hours: float
-
-
-@dataclass(frozen=True)
-class _ResLabMeta:
-    lab_id: str
-    week: float
-    slot_hours: float
-    mean_slots: float
-    node_types: tuple[str, ...]
-    cdf: tuple[float, ...]  # normalized cumulative option weights
-    edge: bool
-    site: str
-
-
-def _lab_metas(course: CourseDefinition) -> list[tuple[str, _VmLabMeta | _ResLabMeta]]:
-    """Per-lab metadata in ``course.labs`` order (the draw-stream order)."""
-    metas: list[tuple[str, _VmLabMeta | _ResLabMeta]] = []
-    for lab in course.labs:
-        if lab.kind is LabKind.VM:
-            metas.append(
-                (
-                    "vm",
-                    _VmLabMeta(
-                        lab_id=lab.id,
-                        week=lab.week,
-                        flavor=lab.flavor or "",
-                        vm_count=lab.vm_count,
-                        block_gb=lab.block_gb,
-                        object_gb=lab.object_gb,
-                        expected_hours=lab.expected_hours,
-                    ),
-                )
-            )
-        else:
-            weights = np.array([o.weight for o in lab.options], dtype=np.float64)
-            cdf = weights.cumsum()
-            cdf = cdf / cdf[-1]  # numpy's Generator.choice normalizes the same way
-            metas.append(
-                (
-                    "res",
-                    _ResLabMeta(
-                        lab_id=lab.id,
-                        week=lab.week,
-                        slot_hours=lab.slot_hours,
-                        mean_slots=lab.mean_slots,
-                        node_types=tuple(o.node_type for o in lab.options),
-                        cdf=tuple(float(c) for c in cdf),
-                        edge=lab.kind is LabKind.EDGE,
-                        site=EDGE_SITE if lab.kind is LabKind.EDGE else METAL_SITE,
-                    ),
-                )
-            )
-    return metas
-
-
-# -- whole-cohort draws (fan-out worker) -------------------------------------------
+# -- whole-cohort draws -------------------------------------------------------------
 
 # Draw parameters, shared by the scalar loops and the replay.
 _VM_START_JITTER_H = 96.0  # a VM lab starts uniform(0, 96) h into its week
@@ -252,8 +184,7 @@ _STUDENT_WORDS = 96
 #: Words a group stream holds beyond one per draw, for the normals the
 #: rejection step finishes; a group that needs more is redrawn.
 _GROUP_SPARE_WORDS = 4
-#: Streams replayed at once: bounds the word block at any cohort size,
-#: and is the worker pool's unit of work.
+#: Streams replayed at once: bounds the word block at any cohort size.
 _REPLAY_ROWS = 4096
 #: numpy's ``random_poisson`` multiplies uniforms against ``exp(-lam)``
 #: below this mean, and samples by transformed rejection from it on.
@@ -268,12 +199,14 @@ def _lab_program(course: CourseDefinition) -> list[tuple[bool, int, float, list[
     slots, option CDF as floats so ``bisect_right`` replays ``choice``)."""
     program: list[tuple[bool, int, float, list[float]]] = []
     res_j = 0
-    for _, meta in _lab_metas(course):
-        if isinstance(meta, _VmLabMeta):
+    for lab in course.labs:
+        if lab.kind is LabKind.VM:
             program.append((True, 0, 0.0, []))
-        else:
-            program.append((False, res_j, meta.mean_slots, list(meta.cdf)))
-            res_j += 1
+            continue
+        cdf = np.array([o.weight for o in lab.options], dtype=np.float64).cumsum()
+        cdf = cdf / cdf[-1]  # numpy's Generator.choice normalizes the same way
+        program.append((False, res_j, lab.mean_slots, cdf.tolist()))
+        res_j += 1
     return program
 
 
@@ -466,21 +399,6 @@ def _replay_students(
     return draws, counts
 
 
-def _student_range_draws(
-    args: tuple[CourseDefinition, CohortConfig, int, int, np.ndarray],
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Draws for students [lo, hi) and their counts: one pool item (a
-    block of the cohort).
-
-    Pure function of (course, config, range, propensity slice): streams
-    are rebuilt from ``(seed, spawn_key=(1, i))``, so the fan-out ships
-    two ints per block instead of pickled SeedSequences and any worker
-    count reassembles to identical arrays.
-    """
-    course, config, lo, hi, propensity = args
-    return _replay_students(course, config, np.arange(lo, hi), propensity)
-
-
 def _scalar_group_draws(
     course: CourseDefinition, config: CohortConfig, rows: np.ndarray
 ) -> dict[str, np.ndarray]:
@@ -534,27 +452,10 @@ def _replay_groups(
     return draws, counts
 
 
-def _group_range_draws(
-    args: tuple[CourseDefinition, CohortConfig, int, int],
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Group streams for groups [lo, hi) and their counts: one pool item."""
-    course, config, lo, hi = args
-    return _replay_groups(course, config, np.arange(lo, hi))
-
-
 def _blocks(n: int) -> list[tuple[int, int]]:
-    """``range(n)`` cut into ``_REPLAY_ROWS``-row [lo, hi) blocks: the
-    replay's unit and the pool's item, so one partition serves both."""
+    """``range(n)`` cut into ``_REPLAY_ROWS``-row [lo, hi) blocks, the
+    replay's unit."""
     return [(lo, min(lo + _REPLAY_ROWS, n)) for lo in range(0, n, _REPLAY_ROWS)]
-
-
-def _fan_out(fn, items: Sequence, *, workers: int) -> list:
-    """Order-preserving map, pooled only when it pays."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from repro.parallel.pool import deterministic_map
-
-    return deterministic_map(fn, items, workers=workers)
 
 
 # -- the native columnar planner ---------------------------------------------------
@@ -564,7 +465,6 @@ def plan_columns(
     course: CourseDefinition = COURSE,
     config: CohortConfig | None = None,
     *,
-    workers: int = 1,
     faults: "FaultModel | None" = None,
 ) -> ColumnarPlan:
     """Resolve one semester into admitted activity tables.
@@ -572,15 +472,11 @@ def plan_columns(
     ``faults`` (see :class:`repro.core.cohort.FaultModel`) rewrites the
     raw tables before admission, so the sweeps re-validate the faulted
     plan; ``None`` or an empty calendar leaves the tables untouched.
-    ``workers`` parallelizes only the per-student/per-group draw loops;
-    the output is identical for every worker count.
     """
     from repro.columnar.admission import sweep_lease_calendar, sweep_kvm_quota
 
     config = config if config is not None else CohortConfig()
-    if workers < 1:
-        raise ValidationError(f"workers must be positive: {workers!r}")
-    raw, schema, draw_info = _raw_tables(course, config, workers=workers)
+    raw, schema, draw_info = _raw_tables(course, config)
     if faults is not None:
         raw = faults.apply(raw, schema=schema, semester_hours=course.semester_hours)
     info: dict[str, bool] = {}
@@ -653,66 +549,61 @@ def shards_from_columns(
 
 
 def _raw_tables(
-    course: CourseDefinition, config: CohortConfig, *, workers: int
+    course: CourseDefinition, config: CohortConfig
 ) -> tuple[ActivityTables, ColumnSchema, dict[str, int]]:
     """Pre-admission tables (draws, duration assignment, calendar walk)
     and the draws' counts (:attr:`ColumnarPlan.draw_info`)."""
     schema = ColumnSchema.for_course(course)
     n = course.enrollment
-    metas = _lab_metas(course)
-    vm_metas = [meta for tag, meta in metas if tag == "vm"]
-    res_metas = [meta for tag, meta in metas if tag == "res"]
+    vm_labs = [lab for lab in course.labs if lab.kind is LabKind.VM]
 
     cohort_rng = np.random.default_rng(cohort_seed_sequence(config.seed))
     propensity, pools = draw_cohort_level(course, config, cohort_rng)
 
     # passed straight in, so the blocks' draws are freed once concatenated
-    draws, student_counts = _concat_student_draws(_fan_out(
-        _student_range_draws,
-        [(course, config, lo, hi, propensity[lo:hi]) for lo, hi in _blocks(n)],
-        workers=workers,
-    ))
+    draws, student_counts = _concat_student_draws([
+        _replay_students(course, config, np.arange(lo, hi), propensity[lo:hi])
+        for lo, hi in _blocks(n)
+    ])
     participates, start_jitter = draws["participates"], draws["start_jitter"]
     score_jitter, slot_counts = draws["score_jitter"], draws["slot_counts"]
 
     # duration assignment: longest pool entries to the highest scores, so
     # the per-student tail of Fig 2 is correlated across labs
-    durations = np.zeros((n, len(vm_metas)), dtype=np.float64)
-    for j, meta in enumerate(vm_metas):
+    durations = np.zeros((n, len(vm_labs)), dtype=np.float64)
+    for j, lab in enumerate(vm_labs):
         scores = propensity * score_jitter[:, j]
         assigned = np.empty(n)
-        assigned[np.argsort(scores)] = pools[meta.lab_id]
-        dur = np.maximum(assigned, meta.expected_hours * 0.5)
+        assigned[np.argsort(scores)] = pools[lab.id]
+        dur = np.maximum(assigned, lab.expected_hours * 0.5)
         if config.vm_reaper:
-            dur = np.minimum(dur, meta.expected_hours + config.vm_reaper_grace)
+            dur = np.minimum(dur, lab.expected_hours + config.vm_reaper_grace)
         durations[:, j] = dur
 
     # VM lab rows: student-major, lab-minor (flatten order == rank order)
     mask = participates.reshape(-1)
-    students_grid = np.repeat(np.arange(n, dtype=np.int32), len(vm_metas))
-    labs_grid = np.tile(np.arange(len(vm_metas), dtype=np.int16), n)
+    students_grid = np.repeat(np.arange(n, dtype=np.int32), len(vm_labs))
+    labs_grid = np.tile(np.arange(len(vm_labs), dtype=np.int16), n)
     starts_grid = (
-        np.array([m.week * 168.0 for m in vm_metas])[None, :] + start_jitter
+        np.array([lab.week * 168.0 for lab in vm_labs])[None, :] + start_jitter
     ).reshape(-1)
     vm_student = students_grid[mask]
     vm_lab_pos = labs_grid[mask]
     vm_start = starts_grid[mask]
     vm_duration = durations.reshape(-1)[mask]
     vm_lab = np.array(
-        [schema.lab_codes[m.lab_id] for m in vm_metas], dtype=np.int16
+        [schema.lab_codes[lab.id] for lab in vm_labs], dtype=np.int16
     )[vm_lab_pos]
     vm_flavor = np.array(
-        [schema.rtype_codes[m.flavor] for m in vm_metas], dtype=np.int16
+        [schema.rtype_codes[lab.flavor] for lab in vm_labs], dtype=np.int16
     )[vm_lab_pos]
-    vm_count = np.array([m.vm_count for m in vm_metas], dtype=np.int16)[vm_lab_pos]
-    vm_block = np.array([m.block_gb for m in vm_metas], dtype=np.int32)[vm_lab_pos]
-    vm_object = np.array([m.object_gb for m in vm_metas], dtype=np.float64)[vm_lab_pos]
+    vm_count = np.array([lab.vm_count for lab in vm_labs], dtype=np.int16)[vm_lab_pos]
+    vm_block = np.array([lab.block_gb for lab in vm_labs], dtype=np.int32)[vm_lab_pos]
+    vm_object = np.array([lab.object_gb for lab in vm_labs], dtype=np.float64)[vm_lab_pos]
 
     calendar = SlotCalendar()
-    slot_cols = _walk_lab_slots(res_metas, slot_counts, _codes_by_lab(draws), calendar, schema)
-    group_cols, group_counts = _project_phase_columns(
-        course, config, calendar, schema, workers=workers
-    )
+    slot_cols = _walk_lab_slots(course, slot_counts, _codes_by_lab(draws), calendar, schema)
+    group_cols, group_counts = _project_phase_columns(course, config, calendar, schema)
 
     tables = ActivityTables(
         vm_student=vm_student,
@@ -734,13 +625,13 @@ def _raw_tables(
 
 
 def _walk_lab_slots(
-    res_metas: list[_ResLabMeta],
+    course: CourseDefinition,
     slot_counts: np.ndarray,
     slot_codes: list[np.ndarray],
     calendar: SlotCalendar,
     schema: ColumnSchema,
 ) -> dict[str, np.ndarray]:
-    """Replay the slot-calendar cursor walk, vectorized per lab.
+    """Replay the slot-calendar cursor walk, vectorized per reserved lab.
 
     The walk order is lab-major, student-minor, k.
     Each node type's cursor advances one slot per booking, so booking
@@ -752,7 +643,7 @@ def _walk_lab_slots(
     """
     n = slot_counts.shape[0]
     per_lab: list[dict[str, np.ndarray]] = []
-    for j, meta in enumerate(res_metas):
+    for j, lab in enumerate(lab for lab in course.labs if lab.kind is not LabKind.VM):
         counts = slot_counts[:, j]
         total = int(counts.sum())
         # one lab's codes are (student, k)-ordered: the calendar's
@@ -763,8 +654,9 @@ def _walk_lab_slots(
             np.cumsum(counts, dtype=np.int64) - counts, counts
         )
         starts = np.zeros(total, dtype=np.float64)
-        week_start = meta.week * 168.0
-        for t_idx, node_type in enumerate(meta.node_types):
+        week_start = lab.week * 168.0
+        node_types = [o.node_type for o in lab.options]
+        for t_idx, node_type in enumerate(node_types):
             sel = codes == t_idx
             m = int(sel.sum())
             if not m:
@@ -772,11 +664,13 @@ def _walk_lab_slots(
             capacity = calendar.capacity[node_type]
             cursor = calendar.cursors.get(node_type, 0)
             positions = cursor + np.arange(m, dtype=np.int64)
-            starts[sel] = week_start + (positions // capacity) * meta.slot_hours
+            starts[sel] = week_start + (positions // capacity) * lab.slot_hours
             calendar.cursors[node_type] = cursor + m
         node_rtype = np.array(
-            [schema.rtype_codes[t] for t in meta.node_types], dtype=np.int16
+            [schema.rtype_codes[t] for t in node_types], dtype=np.int16
         )[codes]
+        edge = lab.kind is LabKind.EDGE
+        site = SITE_CODES[EDGE_SITE if edge else METAL_SITE]
         per_lab.append(
             {
                 "student": students,
@@ -784,10 +678,10 @@ def _walk_lab_slots(
                 "k": k_idx,
                 "node": node_rtype,
                 "start": starts,
-                "hours": np.full(total, meta.slot_hours, dtype=np.float64),
-                "site": np.full(total, SITE_CODES[meta.site], dtype=np.int8),
-                "edge": np.full(total, meta.edge, dtype=bool),
-                "lab": np.full(total, schema.lab_codes[meta.lab_id], dtype=np.int16),
+                "hours": np.full(total, lab.slot_hours, dtype=np.float64),
+                "site": np.full(total, site, dtype=np.int8),
+                "edge": np.full(total, edge, dtype=bool),
+                "lab": np.full(total, schema.lab_codes[lab.id], dtype=np.int16),
             }
         )
 
@@ -817,8 +711,6 @@ def _project_phase_columns(
     config: CohortConfig,
     calendar: SlotCalendar,
     schema: ColumnSchema,
-    *,
-    workers: int,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """The project phase as arrays, continuing the labs' calendar walk,
     and the group draws' summed ``_GROUP_COUNTS``.
@@ -834,11 +726,7 @@ def _project_phase_columns(
     start = (course.semester_weeks - project.weeks) * 168.0
     duration = project.weeks * 168.0
 
-    parts = _fan_out(
-        _group_range_draws,
-        [(course, config, lo, hi) for lo, hi in _blocks(g_count)],
-        workers=workers,
-    )
+    parts = [_replay_groups(course, config, np.arange(lo, hi)) for lo, hi in _blocks(g_count)]
     jitter = np.concatenate([p["jitter"] for p, _ in parts])
     vm_spread = np.concatenate([p["vm_spread"] for p, _ in parts], axis=0)
     counts = np.sum([c for _, c in parts], axis=0, dtype=np.int64)

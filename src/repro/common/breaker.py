@@ -81,14 +81,6 @@ class BreakerTelemetry:
     half_opens: int = 0
     sheds: int = 0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "breaker_opens": float(self.opens),
-            "breaker_closes": float(self.closes),
-            "breaker_half_opens": float(self.half_opens),
-            "breaker_sheds": float(self.sheds),
-        }
-
 
 class CircuitBreaker:
     """Closed/open/half-open over a sliding window of recorded outcomes.

@@ -147,21 +147,6 @@ class EngineTelemetry:
     segments_quarantined: int = 0
     events_fired: int = 0
 
-    def as_dict(self) -> dict[str, float]:
-        """Merge-ready counters, same shape as ``EventLoop.telemetry()``."""
-        return {
-            "shards_total": float(self.shards_total),
-            "shards_resumed": float(self.shards_resumed),
-            "shards_executed": float(self.shards_executed),
-            "shards_retried": float(self.shards_retried),
-            "worker_crashes": float(self.worker_crashes),
-            "pool_rebuilds": float(self.pool_rebuilds),
-            "serial_fallback": float(self.serial_fallback),
-            "segments_appended": float(self.segments_appended),
-            "segments_quarantined": float(self.segments_quarantined),
-            "events_fired": float(self.events_fired),
-        }
-
 
 @dataclass(frozen=True)
 class ShardResult:
@@ -276,7 +261,6 @@ class _Supervisor:
         plan: CohortPlan,
         *,
         workers: int,
-        include_project: bool,
         journal: ShardJournal | None,
         policy: SupervisorPolicy,
     ) -> None:
@@ -284,7 +268,7 @@ class _Supervisor:
         self.workers = workers
         self.journal = journal
         self.policy = policy
-        self.shards = plan.shards(include_project=include_project)
+        self.shards = plan.shards()
         self.results: dict[str, ShardResult] = {}
         self.breaker = RetryBreaker(policy.retry)
         self.telemetry = EngineTelemetry(shards_total=len(self.shards))
@@ -458,7 +442,6 @@ def run_parallel_supervised(
     config: CohortConfig | None = None,
     *,
     workers: int = 2,
-    include_project: bool = True,
     faults: "FaultModel | None" = None,
     journal_dir: "str | os.PathLike[str] | None" = None,
     policy: SupervisorPolicy | None = None,
@@ -485,9 +468,7 @@ def run_parallel_supervised(
     journal: ShardJournal | None = None
     if journal_dir is not None:
         journal = ShardJournal(journal_dir)
-        manifest = RunManifest.for_run(
-            plan, course, seed=cfg.seed, faults=faults, include_project=include_project
-        )
+        manifest = RunManifest.for_run(plan, course, seed=cfg.seed, faults=faults)
         existing = RunManifest.load(journal_dir)
         if existing is None:
             manifest.save(journal_dir)
@@ -496,7 +477,6 @@ def run_parallel_supervised(
     run = _Supervisor(
         plan,
         workers=workers,
-        include_project=include_project,
         journal=journal,
         policy=policy if policy is not None else SupervisorPolicy(),
     ).run()
@@ -508,10 +488,8 @@ def run_parallel(
     config: CohortConfig | None = None,
     *,
     workers: int = 2,
-    include_project: bool = True,
     faults: "FaultModel | None" = None,
     journal_dir: "str | os.PathLike[str] | None" = None,
-    supervisor: SupervisorPolicy | None = None,
 ) -> list[UsageRecord]:
     """Plan, execute across ``workers`` processes, and canonically merge.
 
@@ -528,13 +506,7 @@ def run_parallel(
     journal-free baseline.
     """
     records, _ = run_parallel_supervised(
-        course,
-        config,
-        workers=workers,
-        include_project=include_project,
-        faults=faults,
-        journal_dir=journal_dir,
-        policy=supervisor,
+        course, config, workers=workers, faults=faults, journal_dir=journal_dir
     )
     return records
 

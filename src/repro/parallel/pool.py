@@ -1,8 +1,8 @@
 """Order-preserving process-pool map: the light half of ``repro.parallel``.
 
-Apart from :mod:`repro.parallel.engine`, so the resilience sweep and the
-columnar planner fan out without loading the cohort, the testbed or the
-checkpoint journal (DESIGN §15).  PAR001 keeps it inside this package.
+Apart from :mod:`repro.parallel.engine`, so the resilience sweep fans
+out without loading the cohort, the testbed or the checkpoint journal
+(DESIGN §15).  PAR001 keeps it inside this package.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ def deterministic_map(fn, items, *, workers: int) -> list:
 
     The sanctioned fan-out primitive for callers outside this package
     (PAR001 bans them from touching ``multiprocessing`` directly — the
-    columnar planner's draw fan-out routes through here).  Results come
-    back in *item order* regardless of completion order, ``workers=1``
+    resilience sweep's fan-out routes through here).  Results come back
+    in *item order* regardless of completion order, ``workers=1``
     (or a single item) runs in-process with no pool, and ``fn`` must be a
     picklable module-level callable that is a pure function of its item —
     under those terms the output is identical for every worker count.

@@ -1,11 +1,12 @@
 """The registered gates: one digest contract per engine.
 
-A gate's ``run(quick, *, workers, perturb, faulted)`` simulates its
-engine once and returns the output digest.  No keyword may change that
-digest except ``faulted``, which swaps in the gate's non-null fault plan;
-the :class:`Gate` flags say which keywords the engine actually honours,
-and the harness checks exactly those.  ``quick`` selects the CI-sized
-inputs, the full inputs are the ones EXPERIMENTS.md documents.
+A gate's ``run(quick, **keywords)`` simulates its engine once and
+returns the output digest.  The :class:`Gate` flags say which of the
+keywords ``workers``, ``perturb`` and ``faulted`` the engine honours,
+and the harness passes and checks exactly those.  No keyword may change
+the digest except ``faulted``, which swaps in the gate's non-null fault
+plan.  ``quick`` selects the CI-sized inputs, the full inputs are the
+ones EXPERIMENTS.md documents.
 """
 
 from __future__ import annotations
@@ -101,10 +102,10 @@ def _columnar_course(quick: bool) -> CourseDefinition:
     return scaled_course(0.5) if quick else COURSE
 
 
-def _columnar(quick: bool, *, workers: int = 1, perturb: bool = False, faulted: bool = False) -> str:
+def _columnar(quick: bool, *, faulted: bool = False) -> str:
     course = _columnar_course(quick)
     faults = _cohort_faults(course, faulted)
-    return run_columnar(course, COHORT, workers=workers, faults=faults).digest
+    return run_columnar(course, COHORT, faults=faults).digest
 
 
 # -- the serving engines ------------------------------------------------------------
@@ -144,9 +145,7 @@ GATES: dict[str, Gate] = {
         oracle=_serial_oracle(_parallel_course),
         resume=_kill_matrix,
     ),
-    "columnar": Gate(
-        _columnar, workers=True, faults="optional", oracle=_serial_oracle(_columnar_course)
-    ),
+    "columnar": Gate(_columnar, faults="optional", oracle=_serial_oracle(_columnar_course)),
     "loadgen": Gate(_loadgen, perturb=True, faults="always"),
     "storm": Gate(_storm, perturb=True, workers=True, faults="always"),
     "sweep": Gate(_sweep, perturb=True, workers=True, faults="always"),

@@ -1,5 +1,8 @@
 """The run manifest: journals are keyed to their inputs, staleness is loud."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.checkpoint.manifest import (
@@ -16,9 +19,9 @@ from repro.faults.sweep import FaultSweep
 COURSE = scaled_course(0.25)
 
 
-def manifest_for(seed=42, course=COURSE, include_project=True):
+def manifest_for(seed=42, course=COURSE):
     plan = plan_cohort(course, CohortConfig(seed=seed))
-    return RunManifest.for_run(plan, course, seed=seed, include_project=include_project)
+    return RunManifest.for_run(plan, course, seed=seed)
 
 
 class TestFingerprints:
@@ -60,6 +63,14 @@ class TestPersistence:
         with pytest.raises(StaleJournalError, match="missing fields"):
             RunManifest.load(tmp_path)
 
+    def test_extra_include_project_field_still_matches(self, tmp_path):
+        """Manifests once carried ``include_project``; a journal saved with
+        it loads, ignores the key, and matches the same run."""
+        manifest = manifest_for()
+        saved = {**dataclasses.asdict(manifest), "include_project": True}
+        (tmp_path / "manifest.json").write_text(json.dumps(saved, indent=2, sort_keys=True))
+        RunManifest.load(tmp_path).require_match(manifest, journal_dir=tmp_path)
+
 
 class TestMatching:
     def test_identical_runs_match(self):
@@ -75,9 +86,4 @@ class TestMatching:
         other = manifest_for(course=scaled_course(0.5))
         diffs = manifest_for().mismatches(other)
         assert any(d.startswith("course_digest:") for d in diffs)
-
-    def test_labs_only_plan_mismatches_full_plan(self):
-        diffs = manifest_for().mismatches(manifest_for(include_project=False))
-        fields = {d.split(":")[0] for d in diffs}
-        assert "include_project" in fields
-        assert "shard_count" in fields
+        assert any(d.startswith("shard_count:") for d in diffs)

@@ -1,6 +1,6 @@
 """The columnar headline contract, held to sha256: ``run_columnar`` is
 digest-identical to the serial object path ``CohortSimulation.run()``
-across every (seed, cohort size, worker count) in the sweep — and
+across every (seed, cohort size) in the sweep — and
 identical not just in the records but in the paper artifacts (Table 1,
 Fig 2) rendered from them.
 
@@ -34,7 +34,6 @@ from repro.parallel.engine import run_parallel
 from repro.verify.gates import COHORT_FAULTS
 
 SEEDS = (42, 7, 1337)
-WORKERS = (1, 2, 4)
 #: size name -> course; "one" is the degenerate single-student cohort,
 #: "x4" is 764 students (above the paper scale the object path serves).
 SIZES = {
@@ -61,11 +60,10 @@ def serial_full():
     return CohortSimulation().run()
 
 
-@pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("size", sorted(SIZES))
-def test_columnar_digest_matches_serial(serial_digests, size, seed, workers):
-    run = run_columnar(SIZES[size], CohortConfig(seed=seed), workers=workers)
+def test_columnar_digest_matches_serial(serial_digests, size, seed):
+    run = run_columnar(SIZES[size], CohortConfig(seed=seed))
     assert run.digest == serial_digests[(size, seed)]
 
 
@@ -74,12 +72,6 @@ def test_columnar_records_equal_not_just_digest(serial_full):
     collision ever masking a divergence in the sweep above."""
     run = run_columnar(COURSE, CohortConfig(), collect_records=True)
     assert run.record_list == serial_full
-
-
-def test_labs_only_matches_serial():
-    serial = CohortSimulation(COURSE, CohortConfig()).run(include_project=False)
-    run = run_columnar(COURSE, CohortConfig(), include_project=False)
-    assert run.digest == records_digest(serial)
 
 
 def test_paper_artifacts_identical_from_columnar_records(serial_full):

@@ -62,7 +62,7 @@ def scalar_raw_tables(monkeypatch, course, config):
         patch.setattr(
             planner, "_replay_groups", uncounted(planner._scalar_group_draws, planner._GROUP_COUNTS)
         )
-        return planner._raw_tables(course, config, workers=1)[0]
+        return planner._raw_tables(course, config)[0]
 
 
 def propensity(course, config):
@@ -73,7 +73,7 @@ def propensity(course, config):
 def student_pair(course, config, lo, hi, prop=None):
     """(replayed, scalar) draws of students [lo, hi)."""
     prop = propensity(course, config)[lo:hi] if prop is None else prop
-    got, _ = planner._student_range_draws((course, config, lo, hi, prop))
+    got, _ = planner._replay_students(course, config, np.arange(lo, hi), prop)
     return got, planner._scalar_student_draws(course, config, np.arange(lo, hi), prop)
 
 
@@ -108,7 +108,7 @@ def test_replay_equals_scalar_loop(seed, size):
     for lo in sorted({0, n // 3}):
         assert_same(*student_pair(course, config, lo, n))
     for lo in sorted({0, g // 3}):
-        got, _ = planner._group_range_draws((course, config, lo, g))
+        got, _ = planner._replay_groups(course, config, np.arange(lo, g))
         assert_same(got, planner._scalar_group_draws(course, config, np.arange(lo, g)))
 
 
@@ -117,17 +117,16 @@ def test_block_boundaries_are_invisible(monkeypatch):
     course, config = COURSE, CohortConfig(seed=3)
     want = scalar_raw_tables(monkeypatch, course, config)
     monkeypatch.setattr(planner, "_REPLAY_ROWS", 7)
-    assert_same_tables(planner._raw_tables(course, config, workers=1)[0], want)
+    assert_same_tables(planner._raw_tables(course, config)[0], want)
 
 
-@pytest.mark.parametrize("workers", (1, 3))
 @pytest.mark.parametrize("seed", (0, 2**63 + 5))
-def test_raw_tables_equal_the_scalar_loops_at_any_worker_count(monkeypatch, seed, workers):
-    """16-row blocks: three workers share 12 student and 3 group blocks."""
+def test_16_row_blocks_equal_the_scalar_loops(monkeypatch, seed):
+    """16-row blocks: 12 student and 3 group blocks reassemble exactly."""
     course, config = COURSE, CohortConfig(seed=seed)
     want = scalar_raw_tables(monkeypatch, course, config)
     monkeypatch.setattr(planner, "_REPLAY_ROWS", 16)
-    assert_same_tables(planner._raw_tables(course, config, workers=workers)[0], want)
+    assert_same_tables(planner._raw_tables(course, config)[0], want)
 
 
 # -- each way off the fast path -----------------------------------------------------
@@ -150,11 +149,11 @@ def test_strip_one_normal_is_finished_in_place(redrawn):
     assert strip_one.size and group_strip_one.size
     prop = propensity(course, config)
     lo, hi = int(strip_one[0]), int(strip_one[-1]) + 1
-    got, counts = planner._student_range_draws((course, config, lo, hi, prop[lo:hi]))
+    got, counts = planner._replay_students(course, config, np.arange(lo, hi), prop[lo:hi])
     assert not set(strip_one.tolist()) & set(rows["students"])
     assert counted(planner._STUDENT_COUNTS, counts)["wedge"] >= strip_one.size
     assert_same(got, scalar_students(course, config, np.arange(lo, hi), prop[lo:hi]))
-    got, counts = planner._group_range_draws((course, config, 0, g))
+    got, counts = planner._replay_groups(course, config, np.arange(g))
     assert not set(group_strip_one.tolist()) & set(rows["groups"])
     assert counted(planner._GROUP_COUNTS, counts)["wedge"] >= group_strip_one.size
     assert_same(got, scalar_groups(course, config, np.arange(g)))
@@ -171,7 +170,7 @@ def test_poisson_mean_at_the_limit_is_redrawn(redrawn):
     prop[20] = np.nextafter(prop[10], 0.0)
     prop[30], prop[40] = 9.5 / mean_slots, 14.0 / mean_slots
     assert (mean_slots * prop[10], mean_slots * prop[20]) == (10.0, np.nextafter(10.0, 0.0))
-    got, counts = planner._student_range_draws((course, config, 0, 60, prop))
+    got, counts = planner._replay_students(course, config, np.arange(60), prop)
     assert sorted(rows["students"]) == [10, 40]
     students = counted(planner._STUDENT_COUNTS, counts)
     assert (students["lam_limit"], students["short_block"]) == (2, 0)
@@ -186,7 +185,7 @@ def test_short_word_block_is_redrawn(monkeypatch, redrawn):
     n = course.enrollment
     prop = propensity(course, config)
     monkeypatch.setattr(planner, "_STUDENT_WORDS", 30)  # the median student uses 36
-    got, counts = planner._student_range_draws((course, config, 0, n, prop))
+    got, counts = planner._replay_students(course, config, np.arange(n), prop)
     assert len(rows["students"]) > n // 2
     students = counted(planner._STUDENT_COUNTS, counts)
     assert (students["lam_limit"], students["short_block"]) == (0, len(rows["students"]))
@@ -195,7 +194,7 @@ def test_short_word_block_is_redrawn(monkeypatch, redrawn):
     monkeypatch.setattr(planner, "_GROUP_SPARE_WORDS", 0)  # one word per draw
     course = scaled_course(50.0)
     g = course.project.groups
-    got, counts = planner._group_range_draws((course, config, 0, g))
+    got, counts = planner._replay_groups(course, config, np.arange(g))
     groups = counted(planner._GROUP_COUNTS, counts)
     assert rows["groups"] and groups["short_block"] == len(rows["groups"])
     assert groups["wedge"] + groups["tail"] == 0  # every finished normal was redrawn

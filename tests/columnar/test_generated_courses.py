@@ -16,10 +16,13 @@ type's count, in the admission sweeps and in the testbed alike (patched
 in the test body, as ``test_columnar_properties.py`` does), so that the
 serial run enforces the same limits and referees the exact replays.
 Over each mode's examples, each sweep's fast path must both hold and
-fail.
+fail.  Over both modes' examples together, the draw replay must send
+students to the scalar loop for each of its two reasons: a Poisson mean
+at numpy's multiplication limit, and a short word block.
 """
 
 import dataclasses
+from collections import Counter
 from unittest.mock import patch
 
 import pytest
@@ -127,6 +130,20 @@ def fast_paths():
     assert seen == {"quota_fast_path": {True, False}, "lease_fast_path": {True, False}}
 
 
+@pytest.fixture(scope="module")
+def draw_fallbacks():
+    """The draw replay's counts per mode, summed over its examples.  Once
+    both modes have run, each student fallback must have fired.  A
+    group's short word block does not occur here (a group must reject
+    three of its four normals); ``test_draw_replay.py::
+    test_short_word_block_is_redrawn`` covers it."""
+    by_mode: dict[bool, Counter[str]] = {}
+    yield by_mode
+    if len(by_mode) == 2:
+        total = sum(by_mode.values(), Counter())
+        assert total["students_lam_limit"] and total["students_short_block"], dict(total)
+
+
 @pytest.mark.parametrize("faulted", (False, True), ids=("fault-free", "faulted"))
 @settings(
     max_examples=60,
@@ -141,7 +158,7 @@ def fast_paths():
     divisor=st.sampled_from(NODE_DIVISORS),
 )
 def test_columnar_digest_matches_serial_on_generated_courses(
-    fast_paths, faulted, course, seed, share, divisor
+    fast_paths, draw_fallbacks, faulted, course, seed, share, divisor
 ):
     def faults():  # a sweep applies once, so each run takes its own
         if not faulted:
@@ -156,6 +173,7 @@ def test_columnar_digest_matches_serial_on_generated_courses(
     assert run.digest == serial
     for sweep, held in run.sweep_info.items():
         fast_paths[sweep].add(held)
+    draw_fallbacks.setdefault(faulted, Counter()).update(run.draw_info)
     _prices_without_raising(course, run.record_list)
 
 

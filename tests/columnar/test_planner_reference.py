@@ -111,7 +111,7 @@ def table_rows(tables, schema):
 @pytest.mark.parametrize("seed", (42, 7, 1337))
 def test_raw_tables_match_scalar_reference(seed, size):
     course, config = SIZES[size], CohortConfig(seed=seed)
-    tables, schema, _ = _raw_tables(course, config, workers=1)
+    tables, schema, _ = _raw_tables(course, config)
     got = table_rows(tables, schema)
     want = reference_rows(course, config)
     assert want["slot"] and want["pl"]  # anti-vacuity: the walk booked slots

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from repro.common.numerics import libm_exp, libm_log1p, ndtr, ndtri, stable_dot, stable_sum
+from repro.common.numerics import libm_exp, libm_log1p, ndtr, ndtri, stable_sum
 
 #: Magnitudes spanning ~10^32: one big value, a sea of small ones that a
 #: running ``+=`` in the wrong order annihilates entirely.
@@ -79,16 +79,6 @@ def test_numpy_scalars_and_empty():
     assert stable_sum(arr.tolist()) == stable_sum(ADVERSARIAL)
     assert stable_sum(iter(arr)) == stable_sum(ADVERSARIAL)
     assert stable_sum([]) == 0.0
-    assert stable_dot([], []) == 0.0
-
-
-def test_stable_dot_matches_per_product_fsum():
-    q = [3.0, 1e12, 2e-12, 7.5] * 200
-    h = [1e-12, 2.5e12, 4.0, 1e3] * 200
-    products = [a * b for a, b in zip(q, h)]
-    assert stable_dot(q, h) == math.fsum(products)
-    exact = sum(Fraction(p) for p in products)
-    assert stable_dot(q, h) == float(exact)
 
 
 def _bits(values) -> np.ndarray:

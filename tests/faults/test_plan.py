@@ -23,7 +23,7 @@ from repro.faults.sweep import FaultSweep
 SMALL = scaled_course(0.25)
 #: The raw (pre-admission) tables of a 1-student cohort; sweep inputs
 #: are one row sliced from them.
-RAW, SCHEMA, _ = _raw_tables(scaled_course(1.0 / 191.0), CohortConfig(), workers=1)
+RAW, SCHEMA, _ = _raw_tables(scaled_course(1.0 / 191.0), CohortConfig())
 
 
 def faulted_plan(config, fault_config):

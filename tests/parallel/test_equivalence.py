@@ -57,16 +57,6 @@ def test_parallel_digest_matches_serial_full_cohort(serial_full, workers):
     assert records_digest(parallel) == records_digest(serial_full)
 
 
-def test_labs_only_cohort_matches(serial_small):
-    serial = CohortSimulation(SMALL, CohortConfig(seed=SEEDS[0])).run(
-        include_project=False
-    )
-    parallel = run_parallel(
-        SMALL, CohortConfig(seed=SEEDS[0]), workers=2, include_project=False
-    )
-    assert records_digest(parallel) == records_digest(serial)
-
-
 def test_paper_artifacts_identical_from_parallel_records(serial_full):
     """Table 1 and Fig 2 rendered from parallel records are byte-identical
     to the serial renders — the artifact level the paper is judged at."""

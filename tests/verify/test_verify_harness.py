@@ -52,7 +52,7 @@ def test_columnar_quick_gate_passes(capsys):
     assert {name: cell["status"] for name, cell in checks.items()} == {
         "rerun": "pass",
         "perturb": "n/a",
-        "workers": "pass",
+        "workers": "n/a",
         "fault plan": "pass",
         "oracle": "pass",
         "crash-resume": "n/a",
