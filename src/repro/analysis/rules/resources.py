@@ -127,7 +127,7 @@ _WRITE_MODES = frozenset("wxa")
 _RES003_MESSAGE = (
     "non-atomic persistence write ({what}) on a recovery-state path: a crash "
     "mid-write leaves a torn file under the real name; write to a temp file "
-    "and os.replace() it (see repro.checkpoint.atomic_write_bytes)"
+    "and os.replace() it (see repro.checkpoint.journal.atomic_write_bytes)"
 )
 
 

@@ -28,31 +28,3 @@ crash-resume check of ``python -m repro.verify parallel``).
 ``python -m repro.checkpoint`` exposes ``--resume`` and ``--inspect``
 (journal health report).
 """
-
-from repro.checkpoint.journal import (
-    JournalLoad,
-    QuarantinedSegment,
-    SegmentRecord,
-    ShardJournal,
-    atomic_write_bytes,
-)
-from repro.checkpoint.manifest import (
-    RunManifest,
-    StaleJournalError,
-    course_fingerprint,
-    fault_model_digest,
-    plan_fingerprint,
-)
-
-__all__ = [
-    "ShardJournal",
-    "JournalLoad",
-    "SegmentRecord",
-    "QuarantinedSegment",
-    "atomic_write_bytes",
-    "RunManifest",
-    "StaleJournalError",
-    "course_fingerprint",
-    "fault_model_digest",
-    "plan_fingerprint",
-]

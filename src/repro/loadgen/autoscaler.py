@@ -64,12 +64,6 @@ class Replica:
     def live(self) -> bool:
         return self.terminated_at is None
 
-    @property
-    def billed_hours(self) -> float:
-        if self.terminated_at is None:
-            raise InvalidStateError(f"replica {self.rid} span still open")
-        return (self.terminated_at - self.launched_at) / 3600.0
-
 
 @dataclass
 class FleetTelemetry:
@@ -107,10 +101,6 @@ class ReplicaSet:
     @property
     def open_spans(self) -> int:
         return len(self._live)
-
-    def billed_replica_hours(self) -> float:
-        """Total replica-hours across all closed spans (fleet must be drained)."""
-        return sum(r.billed_hours for r in self.replicas)
 
     def next_available(self, now_s: float, *, perturb: bool = False) -> tuple[float, int] | None:
         """Earliest instant any live replica can start a batch, with its id.

@@ -92,12 +92,6 @@ class RequestQueue:
         self._status = status
         self._pending: deque[int] = deque()
         self.max_depth = 0
-        self.rejected = 0
-        self.errored = 0
-        self.dropped = 0
-
-    def __len__(self) -> int:
-        return len(self._pending)
 
     @property
     def depth(self) -> int:
@@ -113,11 +107,9 @@ class RequestQueue:
         """Admit request ``idx`` (True) or book its loss (False)."""
         if in_burst:
             self._status[idx] = ERROR
-            self.errored += 1
             return False
         if len(self._pending) >= self.admission.queue_capacity:
             self._status[idx] = REJECTED
-            self.rejected += 1
             return False
         self._pending.append(idx)
         if len(self._pending) > self.max_depth:
@@ -145,7 +137,6 @@ class RequestQueue:
         while self._pending and start_s - self._times[self._pending[0]] > deadline:
             idx = self._pending.popleft()
             self._status[idx] = DROPPED
-            self.dropped += 1
             dropped.append(idx)
         return dropped
 

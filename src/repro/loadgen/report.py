@@ -202,20 +202,6 @@ class FrontierPoint:
     slo_ok: bool
     pareto: bool = False
 
-    def dominates(self, other: "FrontierPoint") -> bool:
-        """Pareto dominance on (p99, cost): no worse on both, better on one."""
-        if self.cost_per_million_usd is None or other.cost_per_million_usd is None:
-            return False
-        le = (
-            self.p99_ms <= other.p99_ms
-            and self.cost_per_million_usd <= other.cost_per_million_usd
-        )
-        lt = (
-            self.p99_ms < other.p99_ms
-            or self.cost_per_million_usd < other.cost_per_million_usd
-        )
-        return le and lt
-
 
 @dataclass(frozen=True)
 class Frontier:

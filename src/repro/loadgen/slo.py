@@ -62,15 +62,6 @@ class SloOutcome:
     def attained(self) -> bool:
         return self.latency_ok and self.loss_ok
 
-    @property
-    def latency_margin_ms(self) -> float:
-        """Headroom under the p99 budget (negative = violated)."""
-        return self.policy.p99_budget_ms - self.p99_ms
-
-    @property
-    def loss_margin(self) -> float:
-        return self.policy.max_loss_rate - self.loss_rate
-
 
 def evaluate_slo(result: TrafficResult, policy: SloPolicy | None = None) -> SloOutcome:
     """Judge one simulated run against the policy."""

@@ -60,7 +60,6 @@ from repro.core.cohort import (
     cleanup_leftovers,
     execute_shard,
     plan_cohort,
-    quota_for,
 )
 from repro.core.course import COURSE, CourseDefinition
 from repro.core.usage import canonicalize_records
@@ -520,5 +519,4 @@ __all__ = [
     "SupervisorPolicy",
     "run_parallel",
     "run_parallel_supervised",
-    "quota_for",
 ]

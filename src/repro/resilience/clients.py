@@ -22,8 +22,9 @@ retry.  With fill ratio f, closed-loop amplification is capped at
 ~``1 + f`` no matter how the server misbehaves — the difference between
 a retry policy and a self-inflicted DDoS.  Server-side defenses (the
 circuit breaker, tiered shedding, brownout) plug in through the same
-runtime; see :mod:`repro.resilience.breaker` and
-:mod:`repro.resilience.shedding`.
+runtime: it drives the shared :class:`~repro.common.breaker.CircuitBreaker`
+itself (see :meth:`ClosedLoopRuntime.on_failure` for which outcomes feed
+its error window), and :mod:`repro.resilience.shedding` holds the rest.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.breaker import BreakerConfig
+from repro.common.breaker import BreakerConfig, CircuitBreaker
 from repro.common.errors import ValidationError
 from repro.common.retry import RetryPolicy
 from repro.loadgen.arrivals import RequestTrace
-from repro.loadgen.queue import DROPPED, ERROR, FAILED, REJECTED, SERVED, SHED
-from repro.resilience.breaker import FrontDoor
+from repro.loadgen.queue import DROPPED, ERROR, FAILED, REJECTED, SHED
 from repro.resilience.shedding import CongestionConfig, SheddingConfig, assign_tiers
 
 #: Outcomes a client can observe as a failed call and may re-issue:
@@ -333,7 +333,7 @@ class ClosedLoopRuntime:
             )
         else:
             self._tokens = 0.0
-        self._door = FrontDoor(model.breaker) if model.breaker is not None else None
+        self._breaker = CircuitBreaker(model.breaker) if model.breaker is not None else None
         shed = model.shedding
         self._tier_limits = shed.depth_limits(queue_capacity) if shed is not None else None
         self._brownout_depth = (
@@ -370,7 +370,7 @@ class ClosedLoopRuntime:
 
     def admit(self, idx: int, now_s: float, depth: int) -> bool:
         """Breaker, then tier shedding.  False = book the attempt SHED."""
-        if self._door is not None and not self._door.admit(now_s):
+        if self._breaker is not None and not self._breaker.admit(now_s):
             self.shed_breaker += 1
             return False
         if self._tier_limits is not None:
@@ -383,8 +383,8 @@ class ClosedLoopRuntime:
 
     def on_served(self, now_s: float, count: int) -> None:
         """Feed a dispatched batch's successes into the breaker window."""
-        if self._door is not None and count:
-            self._door.record(now_s, SERVED, count=count)
+        if self._breaker is not None and count:
+            self._breaker.record(now_s, True, count=count)
 
     def on_failure(self, idx: int, now_s: float, code: int) -> float | None:
         """Book one failed attempt; returns the retry instant, or None.
@@ -402,8 +402,13 @@ class ClosedLoopRuntime:
         # any failure voids a provisional degraded serving: a brownout
         # batch the outage killed mid-flight was never actually answered
         self.brownout[idx] = 0
-        if self._door is not None:
-            self._door.record(now_s, code)
+        # the server's own failures (REJECTED, ERROR, DROPPED, FAILED)
+        # feed the breaker's error window, a shed never does: it is the
+        # breaker's (or the tier policy's) own verdict, and fed back it
+        # would latch the breaker open on its own output instead of on
+        # observed service health
+        if self._breaker is not None and code != SHED:
+            self._breaker.record(now_s, False)
         if code not in self._retry_on:
             return None
         retries_done = self.attempts[idx] - 1
@@ -461,10 +466,10 @@ class ClosedLoopRuntime:
             if self._depth_samples
             else np.zeros((0, 3))
         )
-        if self._door is not None:
-            state = self._door.state
-            opens = self._door.telemetry.opens
-            closes = self._door.telemetry.closes
+        if self._breaker is not None:
+            state = self._breaker.state
+            opens = self._breaker.telemetry.opens
+            closes = self._breaker.telemetry.closes
         else:
             state, opens, closes = "absent", 0, 0
         return ResilienceOutcome(

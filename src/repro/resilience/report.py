@@ -70,12 +70,7 @@ class SweepReport:
     # -- selection -----------------------------------------------------------
 
     def select(
-        self,
-        *,
-        policy: str | None = None,
-        dark_replicas: int | None = None,
-        budget_fill: float | None = None,
-        breaker_error_threshold: float | None = None,
+        self, *, policy: str | None = None, dark_replicas: int | None = None
     ) -> tuple[PointMetrics, ...]:
         """Points matching every given coordinate (None = any)."""
         out = []
@@ -83,13 +78,6 @@ class SweepReport:
             if policy is not None and p.policy != policy:
                 continue
             if dark_replicas is not None and p.dark_replicas != dark_replicas:
-                continue
-            if budget_fill is not None and p.budget_fill != budget_fill:
-                continue
-            if (
-                breaker_error_threshold is not None
-                and p.breaker_error_threshold != breaker_error_threshold
-            ):
                 continue
             out.append(p)
         return tuple(out)

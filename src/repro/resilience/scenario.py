@@ -42,12 +42,19 @@ from dataclasses import asdict, dataclass, replace
 from repro.common.breaker import BreakerConfig
 from repro.common.errors import ValidationError
 from repro.common.tables import format_table
-from repro.resilience.breaker import serving_breaker_config
 from repro.resilience.clients import ClientConfig
 from repro.resilience.shedding import CongestionConfig, SheddingConfig
 
 #: The policy ladder, weakest defense first.
 RUNGS = ("no-retry", "naive-retry", "budgeted-retry+breaker")
+
+#: The front door's breaker on every defended policy, on the serving
+#: timescale (seconds, not the testbed's hours): a ~15 s window, a 10 s
+#: cooldown and a small probe batch, so it reacts within one autoscaler
+#: control interval.
+SERVING_BREAKER = BreakerConfig(
+    window_s=15.0, error_threshold=0.5, min_volume=50, cooldown_s=10.0, half_open_probes=16
+)
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,8 @@ class StormConfig:
             raise ValidationError(
                 f"congestion_fraction must be in (0, 1]: {self.congestion_fraction!r}"
             )
+        if self.max_replicas < 1:
+            raise ValidationError(f"max_replicas must be at least 1: {self.max_replicas!r}")
         if not (0 <= self.outage_dark_replicas < self.max_replicas):
             raise ValidationError(
                 f"outage_dark_replicas must leave a survivor (0 <= k < "
@@ -208,7 +217,7 @@ def policy_spec(
     else:
         raise ValidationError(f"unknown policy {name!r}; have {POLICIES}")
     if name in DEFENDED_POLICIES:
-        breaker = serving_breaker_config()
+        breaker = SERVING_BREAKER
         if breaker_error_threshold is not None:
             breaker = replace(breaker, error_threshold=breaker_error_threshold)
         shedding: SheddingConfig | None = SheddingConfig.guarding(
@@ -253,10 +262,6 @@ class RungMetrics:
     #: Dollars per million quality-adjusted served requests (brownout
     #: servings count at a discount).
     usd_per_million_effective: float | None
-
-    @property
-    def recovered(self) -> bool:
-        return not self.locked
 
 
 def recovery_from_samples(
@@ -383,6 +388,7 @@ __all__ = [
     "RUNGS",
     "RungMetrics",
     "RungSpec",
+    "SERVING_BREAKER",
     "StormConfig",
     "StormReport",
     "policy_spec",

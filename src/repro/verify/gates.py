@@ -2,8 +2,9 @@
 
 A gate's ``run(quick, **keywords)`` simulates its engine once and
 returns the output digest.  The :class:`Gate` flags say which of the
-keywords ``workers``, ``perturb`` and ``faulted`` the engine honours,
-and the harness passes and checks exactly those.  No keyword may change
+keywords ``workers``, ``perturb`` and ``faulted`` the engine honours;
+the harness passes and checks exactly those, and ``run`` takes no
+other.  No keyword may change
 the digest except ``faulted``, which swaps in the gate's non-null fault
 plan.  ``quick`` selects the CI-sized inputs, the full inputs are the
 ones EXPERIMENTS.md documents.
@@ -87,7 +88,7 @@ def _parallel_course(quick: bool) -> CourseDefinition:
     return scaled_course(0.5 if quick else 4.0)
 
 
-def _parallel(quick: bool, *, workers: int = 1, perturb: bool = False, faulted: bool = False) -> str:
+def _parallel(quick: bool, *, workers: int = 1, faulted: bool = False) -> str:
     course = _parallel_course(quick)
     faults = _cohort_faults(course, faulted)
     return records_digest(run_parallel(course, COHORT, workers=workers, faults=faults))
@@ -111,7 +112,7 @@ def _columnar(quick: bool, *, faulted: bool = False) -> str:
 # -- the serving engines ------------------------------------------------------------
 
 
-def _loadgen(quick: bool, *, workers: int = 1, perturb: bool = False, faulted: bool = True) -> str:
+def _loadgen(quick: bool, *, perturb: bool = False) -> str:
     rpd, hours, outages, bursts = (4e6, 0.5, 200.0, 200.0) if quick else (2e6, 24.0, 2.0, 0.0)
     trace = generate_trace(
         TrafficConfig(pattern="flash", requests_per_day=rpd, duration_hours=hours)
@@ -123,7 +124,7 @@ def _loadgen(quick: bool, *, workers: int = 1, perturb: bool = False, faulted: b
     return simulate_traffic(trace, engine, calendar=calendar, perturb=perturb).digest()
 
 
-def _storm(quick: bool, *, workers: int = 1, perturb: bool = False, faulted: bool = True) -> str:
+def _storm(quick: bool, *, workers: int = 1, perturb: bool = False) -> str:
     config = (
         StormConfig(duration_s=600.0, outage_start_s=150.0, outage_end_s=240.0)
         if quick
@@ -132,7 +133,7 @@ def _storm(quick: bool, *, workers: int = 1, perturb: bool = False, faulted: boo
     return run_storm(config, workers=workers, perturb=perturb).digest()
 
 
-def _sweep(quick: bool, *, workers: int = 1, perturb: bool = False, faulted: bool = True) -> str:
+def _sweep(quick: bool, *, workers: int = 1, perturb: bool = False) -> str:
     config = quick_sweep_config() if quick else SweepConfig()
     return run_sweep(config, workers=workers, perturb=perturb).digest()
 

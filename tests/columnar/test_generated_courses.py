@@ -18,7 +18,10 @@ serial run enforces the same limits and referees the exact replays.
 Over each mode's examples, each sweep's fast path must both hold and
 fail.  Over both modes' examples together, the draw replay must send
 students to the scalar loop for each of its two reasons: a Poisson mean
-at numpy's multiplication limit, and a short word block.
+at numpy's multiplication limit, and a short word block.  Two explicit
+examples meet all of these on their own: Hypothesis derives the
+derandomized draws from the test's source, so any edit to it redraws
+them.
 """
 
 import dataclasses
@@ -26,7 +29,7 @@ from collections import Counter
 from unittest.mock import patch
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.cloud.testbed
@@ -121,6 +124,17 @@ def _tight(share: float, divisor: int):
     )
 
 
+def _slot_heavy(enrollment: int, mean_slots: float):
+    """The paper's labs for ``enrollment`` students, every non-VM lab at
+    ``mean_slots`` mean slots."""
+    base = scaled_course(enrollment / COURSE.enrollment)
+    labs = tuple(
+        lab if lab.kind is LabKind.VM else dataclasses.replace(lab, mean_slots=mean_slots)
+        for lab in base.labs
+    )
+    return dataclasses.replace(base, labs=labs)
+
+
 @pytest.fixture
 def fast_paths():
     """Each sweep's fast-path verdicts over one test's examples: both must
@@ -157,6 +171,10 @@ def draw_fallbacks():
     share=st.sampled_from(QUOTA_SHARES),
     divisor=st.sampled_from(NODE_DIVISORS),
 )
+# both fast paths hold in both modes
+@example(course=scaled_course(5 / COURSE.enrollment), seed=0, share=1.0, divisor=1)
+# both fail in both modes; 5 students reach the Poisson limit, 4 run out of words
+@example(course=_slot_heavy(10, 12.0), seed=0, share=0.01, divisor=8)
 def test_columnar_digest_matches_serial_on_generated_courses(
     fast_paths, draw_fallbacks, faulted, course, seed, share, divisor
 ):

@@ -3,10 +3,11 @@
 `repro.common.breaker` hosts both breaker species; these tests pin the
 state transitions the serving front door and the parallel engine rely
 on: trip thresholds, cooldown → half-open probing, re-trip on a failed
-probe, and the outcome→window mapping that keeps a breaker from
-latching on its own sheds.
+probe, and the outcome→window mapping, through the closed loop's
+runtime, that keeps a breaker from latching on its own sheds.
 """
 
+import numpy as np
 import pytest
 
 from repro.common.breaker import (
@@ -19,8 +20,9 @@ from repro.common.breaker import (
 )
 from repro.common.errors import ValidationError
 from repro.common.retry import RetryPolicy
-from repro.loadgen.queue import DROPPED, ERROR, FAILED, REJECTED, SERVED, SHED
-from repro.resilience.breaker import FrontDoor, serving_breaker_config
+from repro.loadgen.queue import DROPPED, ERROR, FAILED, REJECTED, SHED
+from repro.resilience.clients import ClientConfig, ClosedLoopRuntime, ResilienceModel
+from repro.resilience.scenario import SERVING_BREAKER
 
 #: A small, fast-tripping policy for unit drives.
 CFG = BreakerConfig(
@@ -51,7 +53,7 @@ class TestBreakerConfig:
             BreakerConfig(**kwargs)
 
     def test_serving_defaults_react_within_a_control_interval(self):
-        cfg = serving_breaker_config()
+        cfg = SERVING_BREAKER
         assert cfg.window_s <= 15.0 and cfg.cooldown_s <= 15.0
 
 
@@ -213,25 +215,45 @@ class TestHalfOpenState:
 
 
 class TestFrontDoor:
+    """The closed loop's runtime feeds its breaker: served batches as
+    successes, each failed attempt but a shed as one failure."""
+
+    @staticmethod
+    def front_door(n: int) -> ClosedLoopRuntime:
+        """A runtime behind breaker ``CFG`` for ``n`` never-retrying requests."""
+        model = ResilienceModel(
+            client=ClientConfig.no_retry(), shedding=None, breaker=CFG, congestion=None,
+            jitter_u=np.zeros((n, 0)), tier=np.zeros(n, dtype=np.int8),
+        )
+        return model.runtime(np.zeros(n), queue_capacity=64)
+
+    @staticmethod
+    def fail(door: ClosedLoopRuntime, code: int, n: int) -> None:
+        """Requests 0..n-1 each make one attempt that ends as ``code``."""
+        for idx in range(n):
+            door.begin_attempt(idx)
+            assert door.on_failure(idx, 1.0, code) is None
+
     def test_sheds_never_feed_the_window(self):
         """A breaker fed its own sheds would latch open forever."""
-        door = FrontDoor(CFG)
-        for _ in range(10 * CFG.min_volume):
-            door.record(1.0, SHED)
-        assert door.state == CLOSED
+        door = self.front_door(10 * CFG.min_volume)
+        self.fail(door, SHED, 10 * CFG.min_volume)
+        assert door.finish().breaker_state == CLOSED
+        assert door.admit(0, 1.0, 0)
 
     @pytest.mark.parametrize("code", [REJECTED, DROPPED, ERROR, FAILED])
     def test_server_failures_trip(self, code):
-        door = FrontDoor(CFG)
-        door.record(1.0, code, count=CFG.min_volume)
-        assert door.state == OPEN
-        assert door.telemetry.opens == 1
+        door = self.front_door(CFG.min_volume)
+        self.fail(door, code, CFG.min_volume)
+        outcome = door.finish()
+        assert outcome.breaker_state == OPEN
+        assert outcome.breaker_opens == 1
 
     def test_served_counts_as_success(self):
-        door = FrontDoor(CFG)
-        door.record(1.0, SERVED, count=100)
-        door.record(1.0, REJECTED, count=CFG.min_volume)
-        assert door.state == CLOSED  # 4/104 errors, under threshold
+        door = self.front_door(CFG.min_volume)
+        door.on_served(1.0, 100)
+        self.fail(door, REJECTED, CFG.min_volume)
+        assert door.finish().breaker_state == CLOSED  # 4/104 errors, under threshold
 
 
 class TestRetryBreaker:

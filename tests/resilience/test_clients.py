@@ -9,6 +9,7 @@ server defense never moves a client's jitter), the retry decision ladder
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,13 +18,13 @@ from repro.common.errors import ValidationError
 from repro.common.retry import RetryPolicy
 from repro.loadgen.arrivals import TrafficConfig, generate_trace
 from repro.loadgen.queue import ERROR, REJECTED, SERVED
-from repro.resilience.breaker import serving_breaker_config
 from repro.resilience.clients import (
     RETRYABLE,
     ClientConfig,
     RetryBudgetConfig,
     plan_resilience,
 )
+from repro.resilience.scenario import SERVING_BREAKER
 from repro.resilience.shedding import CongestionConfig, SheddingConfig
 
 CAPACITY = 64
@@ -112,7 +113,7 @@ class TestPlan:
         bare = plan_resilience(trace, ClientConfig.naive())
         defended = plan_resilience(
             trace, ClientConfig.naive(), shedding=SheddingConfig(),
-            breaker=serving_breaker_config(), congestion=CongestionConfig(),
+            breaker=SERVING_BREAKER, congestion=CongestionConfig(),
         )
         assert np.array_equal(bare.jitter_u, defended.jitter_u)
 
@@ -282,7 +283,7 @@ class TestFrontDoorAndDispatch:
         assert rt.shed_tier == 1
 
     def test_open_breaker_sheds_before_tiers(self, trace):
-        cfg = serving_breaker_config(min_volume=4)
+        cfg = replace(SERVING_BREAKER, min_volume=4)
         rt = runtime_for(trace, ClientConfig.naive(), breaker=cfg)
         for idx in range(4):
             rt.begin_attempt(idx)

@@ -8,6 +8,8 @@ closed-loop claims themselves: retries re-serve real requests, the token
 bucket caps amplification, and the breaker converts overload into sheds.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,8 @@ from repro.loadgen.arrivals import RequestTrace, TrafficConfig, generate_trace
 from repro.loadgen.autoscaler import AutoscalerConfig
 from repro.loadgen.queue import ERROR, SERVED, SHED, AdmissionConfig
 from repro.loadgen.sim import simulate_traffic
-from repro.resilience.breaker import serving_breaker_config
 from repro.resilience.clients import ClientConfig, plan_resilience
+from repro.resilience.scenario import SERVING_BREAKER
 from repro.resilience.shedding import SheddingConfig
 from repro.serving import (
     DEVICE_CATALOG,
@@ -83,7 +85,7 @@ def guarded_run(trace, engine, calendar):
     return run(
         trace, engine, calendar, ClientConfig.budgeted(),
         shedding=SheddingConfig(brownout_depth_fraction=0.3),
-        breaker=serving_breaker_config(min_volume=20),
+        breaker=replace(SERVING_BREAKER, min_volume=20),
     )
 
 

@@ -40,11 +40,12 @@ def test_sweep_only_flags_without_sweep_exit_2(flag, capsys):
         (["--rpd", "0"], "requests_per_day must be a positive number: 0.0"),
         (["--queue-cap", "0"], "queue_capacity must be positive: 0"),
         (["--budget-fill", "-1"], "retry_budget_fill must be a non-negative number: -1.0"),
-        (["--replicas", "0"], "outage_dark_replicas must leave a survivor"),
+        (["--replicas", "0"], "max_replicas must be at least 1: 0"),
+        (["--replicas", "-2"], "max_replicas must be at least 1: -2"),
         (["--seed", "-1"], "storm seed must be a non-negative integer: -1"),
     ],
     ids=("workers", "sweep-workers", "rpd-nan", "rpd-zero", "queue-cap", "budget-fill",
-         "replicas", "seed"),
+         "replicas", "replicas-negative", "seed"),
 )
 def test_bad_value_is_usage_error(monkeypatch, capsys, argv, message):
     """Refused by the parser (exit 2) before any storm runs, not a

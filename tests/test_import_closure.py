@@ -13,8 +13,9 @@ testbed and the columnar engine to the digest it had when it drew
 through ``scipy.special``.
 
 The serving half pays nothing for the cohort half.  ``repro.core``,
-``repro.faults.plan``, ``repro.loadgen``, ``repro.resilience`` and
-``repro.serving`` load none of the cohort, its report, the testbed,
+``repro.faults.plan``, ``repro.loadgen``, ``repro.resilience`` (whose
+root imports nothing, so ``repro.resilience.sweep`` stands for its
+closure) and ``repro.serving`` load none of the cohort, its report, the testbed,
 scipy, the supervised parallel engine, the runtime fault injector, the
 checkpoint journal or the columnar engine: not at import, and not after
 a serving day and a sweep point have run, so a lazy import inside a
@@ -52,7 +53,14 @@ COHORT = (
     "repro.checkpoint",
     "repro.columnar",
 )
-SERVING = ("repro.core", "repro.faults.plan", "repro.loadgen", "repro.resilience", "repro.serving")
+SERVING = (
+    "repro.core",
+    "repro.faults.plan",
+    "repro.loadgen",
+    "repro.resilience",
+    "repro.resilience.sweep",
+    "repro.serving",
+)
 #: Module prefixes each engine package must not load at import time.
 FORBIDDEN = {
     **dict.fromkeys(COHORT_ENGINES, HEAVY + CONTROL_PLANE),
